@@ -980,6 +980,12 @@ def _run_geodesic(params: dict, out: Path) -> int:
         raise ConfigError(
             f"target needs {group.dimension} coordinates for step {group.step}"
         )
+    if not np.all(np.isfinite(target)):
+        raise ConfigError("target coordinates must be finite")
+    if params["segments"] < 2 * group.step + 1:
+        raise ConfigError(
+            f"segments must be at least {2 * group.step + 1} for step {group.step}"
+        )
     est = approx_distance(
         GroupPoint(group, target),
         k_segments=params["segments"],
@@ -1206,7 +1212,7 @@ def build_parser() -> _Parser:
         "--target", type=_float_list,
         help="comma-separated coordinates (default: 1,0,0,0)",
     )
-    sub.add_argument("--segments", type=int, help="path segments K (default: 8)")
+    sub.add_argument("--segments", type=int, help="path segments K, at least 2n+1 (default: 8)")
     sub.add_argument("--restarts", type=int, help="randomized restarts (default: 3)")
     sub.add_argument(
         "--scan-points", dest="scan_points", type=int,
@@ -1263,7 +1269,7 @@ def main(argv: list[str] | None = None) -> int:
         ConditioningError,
         InfeasibleFitError,
         InfeasiblePathError,
-        FloatingPointError,
+        ArithmeticError,
         np.linalg.LinAlgError,
         ValueError,
         RuntimeError,

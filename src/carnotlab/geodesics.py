@@ -3,8 +3,14 @@
 A path is K segments of constant controls (u1, u2) over total time 1,
 flowing along the left frame: x1' = u1, xk' = u2 x1^(k-2)/(k-2)!.  Each
 segment's flow is polynomial in time, so the endpoint and its Jacobian in
-the controls come from closed-form binomial sums; a one-step 4th-order
-integrator cross-checks (exactly for step 3, and with substeps beyond).
+the controls come from closed-form binomial moments, built for all K
+segments at once by one vectorised kernel.  It repeats a per-segment
+loop's floating-point operations in order (scalar `pow`, sequential sums),
+so results are bit-identical to that loop, which tests/test_geodesics.py
+keeps as the reference: NumPy's SIMD array power can differ by an ulp,
+and the optimiser below turns ulps into different bounds.  `rk4_endpoint`
+integrates the same dynamics as an independent check (exactly for step 3,
+and with substeps beyond).
 
 `approx_distance` minimizes the path length sum (1/K) |u_s| subject to the
 endpoint constraint via an augmented Lagrangian with analytic gradients, a
@@ -19,6 +25,7 @@ value is reported with a one-sided pad of a relative 1e-9 plus 1e-12.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -41,83 +48,77 @@ class InfeasiblePathError(RuntimeError):
         self.best_residual = best_residual
 
 
-def _poly_integrals(x1: float, u1: float, tau: float, max_m: int):
-    """I_m = integral of (x1 + u1 t)^m / m! and J_m = same with extra t.
+@lru_cache(maxsize=64)
+def _kernel_constants(n: int, k_seg: int):
+    """Per-(step, K) tables: the terms j <= m of the moment sums and their
+    m - j, the exponents as Python ints, factorials, tau^(j+r) and j + r
+    for I_m (r = 1) and J_m (r = 2), and which segments follow each one."""
+    tau = 1.0 / k_seg
+    m, j = np.arange(n)[:, None], np.arange(n)[None, :]
+    tau_pow = np.array([[tau ** (p + r) for p in range(n)] for r in (1, 2)])
+    div = np.array([[float(p + r) for p in range(n)] for r in (1, 2)])
+    later = np.arange(k_seg)[None, :] > np.arange(k_seg)[:, None]
+    tables = (j <= m, np.where(j <= m, m - j, 0), np.arange(n, dtype=object),
+              np.array([float(factorial(p)) for p in range(n)]),
+              tau_pow[:, None, None, :], div[:, None, None, :], later[:, None, :, None])
+    for table in tables:  # shared by every caller through the cache
+        table.flags.writeable = False
+    return tables
 
-    Binomial expansions, stable for every u1 including zero.
+
+def _path_tables(controls: np.ndarray, n: int):
+    """Moments I_m, J_m (m < n) of every segment and the states after each.
+
+    With a the x1 level entering a segment and u its u1 control,
+    I_m = sum_j a^(m-j)/(m-j)! u^j/j! tau^(j+1)/(j+1), and J_m has
+    tau^(j+2)/(j+2).  Sums over j and over segments are sequential folds
+    from +0.0 (`+ 0.0` turns a leading -0.0 of `np.cumsum` into +0.0).
+    Returns (I, J), shape (2, K, n), and the states, shape (K, n + 1).
     """
-    i_vals = np.zeros(max_m + 1)
-    j_vals = np.zeros(max_m + 1)
-    for m in range(max_m + 1):
-        acc_i = 0.0
-        acc_j = 0.0
-        for j in range(m + 1):
-            base = x1 ** (m - j) / factorial(m - j) * u1**j / factorial(j)
-            acc_i += base * tau ** (j + 1) / (j + 1)
-            acc_j += base * tau ** (j + 2) / (j + 2)
-        i_vals[m] = acc_i
-        j_vals[m] = acc_j
-    return i_vals, j_vals
-
-
-def segment_flow(
-    group: FiliformGroup, x: np.ndarray, u1: float, u2: float, tau: float
-):
-    """One segment: endpoint, state Jacobian, control Jacobian.
-
-    The state Jacobian is the identity plus a first-column correction
-    u2 * I_(k-3) in rows k >= 3 (dependence enters through x1 only).
-    """
-    d = group.dimension
-    i_vals, j_vals = _poly_integrals(float(x[0]), u1, tau, d - 2)
-    new = x.copy()
-    new[0] += u1 * tau
-    for k in range(2, d + 1):
-        new[k - 1] += u2 * i_vals[k - 2]
-
-    jac_x_col = np.zeros(d)
-    for k in range(3, d + 1):
-        jac_x_col[k - 1] = u2 * i_vals[k - 3]
-
-    jac_u = np.zeros((d, 2))
-    jac_u[0, 0] = tau
-    for k in range(3, d + 1):
-        jac_u[k - 1, 0] = u2 * j_vals[k - 3]
-    for k in range(2, d + 1):
-        jac_u[k - 1, 1] = i_vals[k - 2]
-    return new, jac_x_col, jac_u
+    k_seg = controls.shape[0]
+    lower, gap, powers, fact, tau_pow, div, _ = _kernel_constants(n, k_seg)
+    u1, u2 = controls[:, 0], controls[:, 1:]
+    x1 = np.cumsum(u1 * (1.0 / k_seg)) + 0.0
+    # Scalar pow through an object array (see the module docstring).  The
+    # x1 levels are Python floats and u1 stays NumPy scalars, so overflow
+    # raises OverflowError or gives inf with a warning, as in the
+    # reference loop.
+    bases = np.array([0.0, *x1[:-1].tolist(), *u1], dtype=object)
+    pows = (bases[:, None] ** powers).astype(np.float64)
+    base = (pows[:k_seg] / fact)[:, gap] * pows[k_seg:, None, :] / fact
+    terms = np.where(lower, base, 0.0) * tau_pow / div
+    moments = np.cumsum(terms, axis=-1)[..., -1] + 0.0
+    states = np.empty((k_seg, n + 1))
+    states[:, 0] = x1
+    states[:, 1:] = np.cumsum(u2 * moments[0], axis=0) + 0.0
+    return moments, states
 
 
 def endpoint_and_jacobian(group: FiliformGroup, controls: np.ndarray):
-    """Endpoint of the path from the identity, plus d x 2K Jacobian."""
-    k_seg = controls.shape[0]
-    tau = 1.0 / k_seg
-    d = group.dimension
-    x = np.zeros(d)
-    jac = np.zeros((d, 2 * k_seg))
-    for s in range(k_seg):
-        u1, u2 = controls[s]
-        x_new, col, jac_u = segment_flow(group, x, u1, u2, tau)
-        # Chain rule: previous columns feel this segment only through x1.
-        jac += np.outer(col, jac[0, :])
-        jac[:, 2 * s : 2 * s + 2] = jac_u
-        x = x_new
-    return x, jac
+    """Endpoint of the path from the identity, plus d x 2K Jacobian.
+
+    A control of segment t enters row c >= 2 directly, then through x1 in
+    every later segment s as (u2_s I_(c-2)) * dx1.  Those terms are folded
+    in segment order after a prefix of -0.0, the additive identity.
+    """
+    n, k_seg = group.step, controls.shape[0]
+    later = _kernel_constants(n, k_seg)[-1]
+    (i_tab, j_tab), states = _path_tables(controls, n)
+    u2, seg = controls[:, 1:], np.arange(k_seg)
+    dx1 = np.array([1.0 / k_seg, 0.0])[:, None, None]
+    # terms[t, r, s, c]: control r of segment t, row c + 2, segment s.
+    terms = np.where(later, (u2 * i_tab[:, :-1]) * dx1, -0.0)
+    terms[seg, 0, seg] = u2 * j_tab[:, :-1]
+    terms[seg, 1, seg] = i_tab[:, 1:]
+    jac = np.zeros((n + 1, 2 * k_seg))
+    jac[0, 0::2] = 1.0 / k_seg
+    jac[1, 1::2] = i_tab[:, 0]
+    jac[2:] = np.cumsum(terms, axis=2)[:, :, -1].reshape(2 * k_seg, n - 1).T
+    return states[-1], jac
 
 
 def endpoint_only(group: FiliformGroup, controls: np.ndarray) -> np.ndarray:
-    k_seg = controls.shape[0]
-    tau = 1.0 / k_seg
-    x = np.zeros(group.dimension)
-    for s in range(k_seg):
-        u1, u2 = controls[s]
-        i_vals, _ = _poly_integrals(float(x[0]), u1, tau, group.dimension - 2)
-        x_new = x.copy()
-        x_new[0] += u1 * tau
-        for k in range(2, group.dimension + 1):
-            x_new[k - 1] += u2 * i_vals[k - 2]
-        x = x_new
-    return x
+    return _path_tables(controls, group.step)[1][-1]
 
 
 def rk4_endpoint(
@@ -183,20 +184,7 @@ class HorizontalPath:
 
     def states(self) -> np.ndarray:
         """States after each segment, shape (K, dimension)."""
-        out = np.zeros((self.segments, self.group.dimension))
-        x = np.zeros(self.group.dimension)
-        tau = 1.0 / self.segments
-        for s in range(self.segments):
-            u1, u2 = self.controls[s]
-            i_vals, _ = _poly_integrals(
-                float(x[0]), u1, tau, self.group.dimension - 2
-            )
-            x = x.copy()
-            x[0] += u1 * tau
-            for k in range(2, self.group.dimension + 1):
-                x[k - 1] += u2 * i_vals[k - 2]
-            out[s] = x
-        return out
+        return _path_tables(self.controls, self.group.step)[1]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ conditioned on the boxes used throughout the package.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,7 +209,3 @@ class GroupPoint:
 def engel_group() -> FiliformGroup:
     """The step-3 group on R^4."""
     return FiliformGroup(3)
-
-
-# Exact factorials up to MAX_STEP, used by modules that need raw coefficients.
-FACTORIALS = tuple(math.factorial(j) for j in range(MAX_STEP + 1))

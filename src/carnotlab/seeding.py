@@ -30,9 +30,3 @@ def seed_sequence(master: int, *path: str | int) -> np.random.SeedSequence:
 def derive_rng(master: int, *path: str | int) -> np.random.Generator:
     """Generator for the stream named by `path` under `master`."""
     return np.random.default_rng(seed_sequence(master, *path))
-
-
-def spawn_rngs(master: int, count: int, *path: str | int) -> list[np.random.Generator]:
-    """`count` independent generators under one derived stream."""
-    children = seed_sequence(master, *path).spawn(count)
-    return [np.random.default_rng(c) for c in children]

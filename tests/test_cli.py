@@ -205,6 +205,32 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC_ERROR
         assert "numerical error" in capsys.readouterr().err
 
+    def test_overflowing_geodesic_target_exits_four(self, tmp_path, capsys):
+        code = run(["geodesic", "--target", "1e200,0,0,0"], tmp_path)
+        assert code == EXIT_NUMERIC_ERROR
+        err = capsys.readouterr().err
+        assert "numerical error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["nan,0,0,0", "inf,0,0,0", "0,0,-inf,0"])
+    def test_non_finite_geodesic_target_exits_three(self, tmp_path, capsys, target):
+        code = run(["geodesic", "--target", target], tmp_path)
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "finite" in err
+        assert "Traceback" not in err
+
+    def test_too_few_geodesic_segments_exits_three(self, tmp_path, capsys):
+        code = run(
+            ["geodesic", "--kind", "filiform", "--step", "4",
+             "--target", "0,0,0,0,1", "--segments", "8"],
+            tmp_path,
+        )
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "segments must be at least 9 for step 4" in err
+        assert "Traceback" not in err
+
     def test_no_command_prints_help(self, capsys):
         code = main([])
         assert code == EXIT_INPUT_ERROR

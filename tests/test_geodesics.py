@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,89 @@ from carnotlab.group import FiliformGroup, GroupPoint
 from carnotlab.norms import engel_kind, norm_value
 
 ENGEL = FiliformGroup(3)
+
+
+# Reference: the per-segment scalar loop the vectorised kernel replaces.
+# The kernel must reproduce its floating-point operations in order, so the
+# comparison below is byte equality, not a tolerance.
+
+
+def _ref_poly_integrals(x1, u1, tau, max_m):
+    i_vals = np.zeros(max_m + 1)
+    j_vals = np.zeros(max_m + 1)
+    for m in range(max_m + 1):
+        acc_i = 0.0
+        acc_j = 0.0
+        for j in range(m + 1):
+            base = x1 ** (m - j) / factorial(m - j) * u1**j / factorial(j)
+            acc_i += base * tau ** (j + 1) / (j + 1)
+            acc_j += base * tau ** (j + 2) / (j + 2)
+        i_vals[m] = acc_i
+        j_vals[m] = acc_j
+    return i_vals, j_vals
+
+
+def _ref_segment_flow(d, x, u1, u2, tau):
+    i_vals, j_vals = _ref_poly_integrals(float(x[0]), u1, tau, d - 2)
+    new = x.copy()
+    new[0] += u1 * tau
+    for k in range(2, d + 1):
+        new[k - 1] += u2 * i_vals[k - 2]
+    jac_x_col = np.zeros(d)
+    for k in range(3, d + 1):
+        jac_x_col[k - 1] = u2 * i_vals[k - 3]
+    jac_u = np.zeros((d, 2))
+    jac_u[0, 0] = tau
+    for k in range(3, d + 1):
+        jac_u[k - 1, 0] = u2 * j_vals[k - 3]
+    for k in range(2, d + 1):
+        jac_u[k - 1, 1] = i_vals[k - 2]
+    return new, jac_x_col, jac_u
+
+
+def _ref_path(group, controls):
+    """States after each segment and the endpoint Jacobian."""
+    k_seg = controls.shape[0]
+    tau = 1.0 / k_seg
+    d = group.dimension
+    x = np.zeros(d)
+    states = np.zeros((k_seg, d))
+    jac = np.zeros((d, 2 * k_seg))
+    for s in range(k_seg):
+        u1, u2 = controls[s]
+        x, col, jac_u = _ref_segment_flow(d, x, u1, u2, tau)
+        jac += np.outer(col, jac[0, :])
+        jac[:, 2 * s : 2 * s + 2] = jac_u
+        states[s] = x
+    return states, jac
+
+
+def _signed_zero_controls(rng, k_seg, scale):
+    controls = rng.normal(scale=scale, size=(k_seg, 2))
+    mask = rng.random(size=controls.shape)
+    controls[mask < 0.2] = 0.0
+    controls[mask > 0.8] = -0.0
+    return controls
+
+
+class TestKernelMatchesReferenceLoop:
+    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("k_seg", [4, 7, 13, 32])
+    def test_byte_equal(self, n, k_seg):
+        g = FiliformGroup(n)
+        rng = np.random.default_rng(1000 * n + k_seg)
+        cases = [np.zeros((k_seg, 2)), np.full((k_seg, 2), -0.0)]
+        for scale in (1e-3, 1.0, 30.0):
+            cases.append(rng.normal(scale=scale, size=(k_seg, 2)))
+            cases.append(_signed_zero_controls(rng, k_seg, scale))
+        for controls in cases:
+            ref_states, ref_jac = _ref_path(g, controls)
+            end, jac = endpoint_and_jacobian(g, controls)
+            assert end.tobytes() == ref_states[-1].tobytes()
+            assert jac.tobytes() == ref_jac.tobytes()
+            assert endpoint_only(g, controls).tobytes() == ref_states[-1].tobytes()
+            states = HorizontalPath(g, controls).states()
+            assert states.tobytes() == ref_states.tobytes()
 
 
 class TestSegmentFlow:
