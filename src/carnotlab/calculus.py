@@ -293,12 +293,6 @@ class FiliformNormTable(NormDerivativeTable):
     and the field has no d/dx_1 component, so no correction term appears).
     N = g^(1/n) then gives X_i N = X_i g/(n N^(n-1)) and
     X_i^2 N = X_i^2 g/(n N^(n-1)) - ((n-1)/n^2)(X_i g)^2/N^(2n-1).
-
-    The coefficient constants the closed form produces are recorded:
-    `c_first` = `c_second` = n(n-1)/2 multiply the two |x_1|-power sums in
-    X_1^2 g, and `sj_coefficients[j]` holds the pair multiplying
-    S_j^(beta-1)|x_j|^(alpha_j-2) and S_j^(beta-2)|x_j|^(2 alpha_j-2) in
-    d^2 g/dx_j^2.
     """
 
     def __init__(self, kind: NormKind):
@@ -310,15 +304,6 @@ class FiliformNormTable(NormDerivativeTable):
         self.n = n
         self.beta = 2.0 * n / (n + 1)
         self.alphas = {j: (n + 1) / (2.0 * (j - 1)) for j in range(2, n + 1)}
-        self.c_first = n * (n - 1) / 2.0
-        self.c_second = n * (n - 1) / 2.0
-        self.sj_coefficients = {
-            j: (
-                self.beta * a * (a - 1.0),
-                self.beta * (self.beta - 1.0) * a**2,
-            )
-            for j, a in self.alphas.items()
-        }
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return filiform_norm(self.kind.group, x)

@@ -15,7 +15,9 @@ Nine subcommands cover the library surface:
 Every command reads an optional JSON config (--config), merges explicit
 flags over it, validates the result against the schema in
 docs/config_schema.json (unknown keys are rejected), and writes its
-artifacts plus a one-page summary.txt into --out.  Outputs embed the
+artifacts plus a one-page summary.txt into --out.  The defaults, the
+schemas and the flags all come from the COMMANDS table below, which that
+file copies.  Outputs embed the
 resolved config, the master seed, and package versions; nothing embeds a
 timestamp, so a rerun with the same config and seed is bit-identical.
 
@@ -28,7 +30,7 @@ input or configuration, 4 a numerical procedure failed to converge.
 
 Failure messages are prefixed with stable check ids (for example
 [ub-holdout]); the full id list lives in the README.  CARNOT_THREADS caps
-the process CPU affinity and the BLAS thread pools at startup.
+the process CPU affinity at startup.
 """
 
 from __future__ import annotations
@@ -98,13 +100,6 @@ EXIT_CHECK_FAIL = 2
 EXIT_INPUT_ERROR = 3
 EXIT_NUMERIC_ERROR = 4
 
-THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
 CHECK_IDS = {
     "cfg-schema": "run configuration validates against the shipped schema",
     "alg-assoc": "group composition is associative on random triples",
@@ -137,221 +132,120 @@ CHECK_IDS = {
     "geo-band": "equivalence scan ratios are positive and finite",
 }
 
-DEFAULTS: dict[str, dict] = {
-    "verify-algebra": {
-        "steps": [3, 4, 5, 6],
-        "samples": 100_000,
-        "invariance_samples": 1_000,
-        "tolerance": 1e-10,
-        "comm_tolerance": 1e-12,
-        "fd_tolerance": 1e-8,
-        "seed": 0,
-    },
-    "verify-bounds": {
-        "samples": 1_000_000,
-        "filiform_steps": [3, 4, 5, 6],
-        "box": 5.0,
-        "standoff": 1e-2,
-        "seed": 0,
-    },
-    "sample": {
-        "kind": "engel",
-        "step": 3,
-        "a": 1.0,
-        "p": None,
-        "count": 100_000,
-        "step_scale": 0.7,
-        "burn_in": 10_000,
-        "chains": 256,
-        "csv_rows": 10_000,
-        "z_budget": 0,
-        "seed": 0,
-    },
-    "ubound": {
-        "kind": "engel",
-        "step": 3,
-        "a": 1.0,
-        "p": None,
-        "count": 200_000,
-        "holdout_count": None,
-        "seed": 0,
-    },
-    "poincare": {
-        "kind": "engel",
-        "step": 3,
-        "a": 1.0,
-        "p": None,
-        "count": 200_000,
-        "holdout_count": None,
-        "seed": 0,
-    },
-    "gap": {
-        "kind": "engel",
-        "step": 3,
-        "a": 1.0,
-        "p": None,
-        "count": 200_000,
-        "degrees": [2, 3],
-        "calibration_count": 0,
-        "jackknife_blocks": 20,
-        "seed": 0,
-    },
-    "ball-check": {
-        "kind": "engel",
-        "step": 3,
-        "radii": [1.0, 2.0, 4.0],
-        "exponent": None,
-        "count": 100_000,
-        "seed": 0,
-    },
-    "localize": {
-        "kind": "engel",
-        "step": 3,
-        "a": 1.0,
-        "p": None,
-        "count": 200_000,
-        "radius_r": 1.0,
-        "level_l": 2.0,
-        "member": "x2",
-        "translation_count": 10_000,
-        "seed": 0,
-    },
-    "geodesic": {
-        "kind": "engel",
-        "step": 3,
-        "target": [1.0, 0.0, 0.0, 0.0],
-        "segments": 8,
-        "restarts": 3,
-        "scan_points": 0,
-        "scan_box": 1.5,
-        "seed": 0,
-    },
-}
-
 _INT = {"type": "integer", "minimum": 1}
-_SEED = {"type": "integer", "minimum": 0}
+_NONNEG = {"type": "integer", "minimum": 0}
 _POS = {"type": "number", "exclusiveMinimum": 0}
-_KIND = {"enum": ["engel", "filiform"]}
 _STEP = {"type": "integer", "minimum": 3, "maximum": 12}
 _P_OR_NULL = {"anyOf": [{"type": "number", "exclusiveMinimum": 1}, {"type": "null"}]}
 
 
-def _schema(properties: dict) -> dict:
-    return {
+def _array(items: dict, min_items: int = 1) -> dict:
+    return {"type": "array", "items": items, "minItems": min_items}
+
+
+def _count(default: int) -> tuple:
+    return (default, _INT, "sample count")
+
+
+# A config field is (default, schema, help); a None default also carries the
+# prose its help shows in place of the default.  Each field yields its entry
+# in DEFAULTS and SCHEMAS and one flag, --<key> with "_" turned into "-".
+_GROUP = {
+    "kind": ("engel", {"enum": ["engel", "filiform"]}, "norm and frame family"),
+    "step": (3, _STEP, "group step n"),
+}
+_GIBBS = {
+    **_GROUP,
+    "a": (1.0, _POS, "potential coefficient"),
+    "p": (None, _P_OR_NULL, "potential exponent", "3 for engel, n for filiform"),
+}
+_HOLDOUT_COUNT = (
+    None, {"anyOf": [_INT, {"type": "null"}]}, "fresh samples for holdout", "same as count"
+)
+_SEED = {"seed": (0, _NONNEG, "master seed")}
+
+COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
+    "verify-algebra": ("group axioms, commutators, invariance", {
+        "steps": ([3, 4, 5, 6], _array(_STEP), "steps to check"),
+        "samples": (100_000, _INT, "random instances per axiom"),
+        "invariance_samples": (1_000, _INT, "random (alpha, x) pairs per frame"),
+        "tolerance": (1e-10, _POS, "axiom tolerance"),
+        "comm_tolerance": (1e-12, _POS, "structure-constant tolerance"),
+        "fd_tolerance": (1e-8, _POS, "finite-difference commutator tolerance"),
+        **_SEED,
+    }),
+    "verify-bounds": ("norm-derivative bound certification", {
+        "samples": (1_000_000, _INT, "sample count per bound"),
+        "filiform_steps": ([3, 4, 5, 6], _array(_STEP), "filiform steps to scan"),
+        "box": (5.0, _POS, "sampling box half-width"),
+        "standoff": (1e-2, _POS, "distance kept from singular hyperplanes"),
+        **_SEED,
+    }),
+    "sample": ("Metropolis sampling to CCMB and CSV", {
+        **_GIBBS,
+        "count": _count(100_000),
+        "step_scale": (0.7, _POS, "initial proposal scale"),
+        "burn_in": (10_000, _NONNEG, "burn-in sweeps"),
+        "chains": (256, _INT, "parallel chains"),
+        "csv_rows": (10_000, _NONNEG, "rows mirrored to CSV, 0 disables"),
+        "z_budget": (0, _NONNEG, "integrand evaluations for the Z estimate, 0 skips"),
+        **_SEED,
+    }),
+    "ubound": ("U-bound moment fit with holdout", {
+        **_GIBBS, "count": _count(200_000), "holdout_count": _HOLDOUT_COUNT, **_SEED,
+    }),
+    "poincare": ("q-Poincare ratio scan with holdout", {
+        **_GIBBS, "count": _count(200_000), "holdout_count": _HOLDOUT_COUNT, **_SEED,
+    }),
+    "gap": ("Galerkin spectral-gap estimates", {
+        **_GIBBS,
+        "count": _count(200_000),
+        "degrees": ([2, 3], _array(_INT), "basis degrees"),
+        "calibration_count": (0, _NONNEG, "Gaussian calibration samples, 0 skips"),
+        "jackknife_blocks": (
+            20, {"type": "integer", "minimum": 2}, "jackknife blocks for standard errors"
+        ),
+        **_SEED,
+    }),
+    "ball-check": ("Poincare ratios on uniform norm balls", {
+        **_GROUP,
+        "radii": ([1.0, 2.0, 4.0], _array(_POS), "ball radii"),
+        "exponent": (None, _P_OR_NULL, "moment exponent", "3 for engel, n for filiform"),
+        "count": _count(100_000),
+        **_SEED,
+    }),
+    "localize": ("localization split and translation trick", {
+        **_GIBBS,
+        "count": _count(200_000),
+        "radius_r": (1.0, _POS, "far-region level R"),
+        "level_l": (2.0, {"type": "number", "exclusiveMinimum": 1}, "ball level L"),
+        "member": ("x2", {"type": "string", "minLength": 1}, "family member label to decompose"),
+        "translation_count": (10_000, _INT, "annulus samples for the shift claims"),
+        **_SEED,
+    }),
+    "geodesic": ("distance upper bound and scan", {
+        **_GROUP,
+        "target": ([1.0, 0.0, 0.0, 0.0], _array({"type": "number"}, 4),
+                   "comma-separated coordinates"),
+        "segments": (8, {"type": "integer", "minimum": 4}, "path segments K, at least 2n+1"),
+        "restarts": (3, _INT, "randomized restarts"),
+        "scan_points": (0, _NONNEG, "points for the equivalence scan, 0 skips"),
+        "scan_box": (1.5, _POS, "scale of the scan point cloud"),
+        **_SEED,
+    }),
+}
+
+DEFAULTS: dict[str, dict] = {
+    cmd: {key: f[0] for key, f in fields.items()} for cmd, (_, fields) in COMMANDS.items()
+}
+SCHEMAS: dict[str, dict] = {
+    cmd: {
         "type": "object",
-        "properties": properties,
-        "required": sorted(properties),
+        "properties": {key: f[1] for key, f in fields.items()},
+        "required": sorted(fields),
         "additionalProperties": False,
     }
-
-
-SCHEMAS: dict[str, dict] = {
-    "verify-algebra": _schema(
-        {
-            "steps": {"type": "array", "items": _STEP, "minItems": 1},
-            "samples": _INT,
-            "invariance_samples": _INT,
-            "tolerance": _POS,
-            "comm_tolerance": _POS,
-            "fd_tolerance": _POS,
-            "seed": _SEED,
-        }
-    ),
-    "verify-bounds": _schema(
-        {
-            "samples": _INT,
-            "filiform_steps": {"type": "array", "items": _STEP, "minItems": 1},
-            "box": _POS,
-            "standoff": _POS,
-            "seed": _SEED,
-        }
-    ),
-    "sample": _schema(
-        {
-            "kind": _KIND,
-            "step": _STEP,
-            "a": _POS,
-            "p": _P_OR_NULL,
-            "count": _INT,
-            "step_scale": _POS,
-            "burn_in": {"type": "integer", "minimum": 0},
-            "chains": _INT,
-            "csv_rows": {"type": "integer", "minimum": 0},
-            "z_budget": {"type": "integer", "minimum": 0},
-            "seed": _SEED,
-        }
-    ),
-    "ubound": _schema(
-        {
-            "kind": _KIND,
-            "step": _STEP,
-            "a": _POS,
-            "p": _P_OR_NULL,
-            "count": _INT,
-            "holdout_count": {"anyOf": [_INT, {"type": "null"}]},
-            "seed": _SEED,
-        }
-    ),
-    "poincare": _schema(
-        {
-            "kind": _KIND,
-            "step": _STEP,
-            "a": _POS,
-            "p": _P_OR_NULL,
-            "count": _INT,
-            "holdout_count": {"anyOf": [_INT, {"type": "null"}]},
-            "seed": _SEED,
-        }
-    ),
-    "gap": _schema(
-        {
-            "kind": _KIND,
-            "step": _STEP,
-            "a": _POS,
-            "p": _P_OR_NULL,
-            "count": _INT,
-            "degrees": {"type": "array", "items": _INT, "minItems": 1},
-            "calibration_count": {"type": "integer", "minimum": 0},
-            "jackknife_blocks": {"type": "integer", "minimum": 2},
-            "seed": _SEED,
-        }
-    ),
-    "ball-check": _schema(
-        {
-            "kind": _KIND,
-            "step": _STEP,
-            "radii": {"type": "array", "items": _POS, "minItems": 1},
-            "exponent": _P_OR_NULL,
-            "count": _INT,
-            "seed": _SEED,
-        }
-    ),
-    "localize": _schema(
-        {
-            "kind": _KIND,
-            "step": _STEP,
-            "a": _POS,
-            "p": _P_OR_NULL,
-            "count": _INT,
-            "radius_r": _POS,
-            "level_l": {"type": "number", "exclusiveMinimum": 1},
-            "member": {"type": "string", "minLength": 1},
-            "translation_count": _INT,
-            "seed": _SEED,
-        }
-    ),
-    "geodesic": _schema(
-        {
-            "kind": _KIND,
-            "step": _STEP,
-            "target": {"type": "array", "items": {"type": "number"}, "minItems": 4},
-            "segments": {"type": "integer", "minimum": 4},
-            "restarts": _INT,
-            "scan_points": {"type": "integer", "minimum": 0},
-            "scan_box": _POS,
-            "seed": _SEED,
-        }
-    ),
+    for cmd, (_, fields) in COMMANDS.items()
 }
 
 
@@ -374,8 +268,6 @@ def _apply_thread_cap() -> None:
         n = max(1, int(cap))
     except ValueError:
         raise ConfigError(f"CARNOT_THREADS must be an integer, got {cap!r}")
-    for var in THREAD_ENV_VARS:
-        os.environ[var] = str(n)
     if hasattr(os, "sched_setaffinity"):
         try:
             current = os.sched_getaffinity(0)
@@ -390,15 +282,6 @@ def _versions() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "python": platform.python_version(),
-    }
-
-
-def _payload(command: str, params: dict, results: dict) -> dict:
-    return {
-        "command": command,
-        "config": params,
-        "versions": _versions(),
-        "results": results,
     }
 
 
@@ -461,36 +344,25 @@ class RunContext:
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return lines
 
-    def finish(self) -> int:
+    def finish(self, json_name: str, results: dict) -> int:
+        """Write the JSON artifact and summary.txt; return the exit code."""
+        results["checks"] = [
+            {"id": cid, "passed": ok, "detail": detail}
+            for cid, ok, detail in self.checks
+        ]
+        _write_json(
+            self.out / json_name,
+            {
+                "command": self.command,
+                "config": self.params,
+                "versions": _versions(),
+                "results": results,
+            },
+        )
         lines = self.summary_lines()
         _write_lines(self.out / "summary.txt", lines)
         print("\n".join(lines))
         return EXIT_PASS if self.passed else EXIT_CHECK_FAIL
-
-    def results_checks(self) -> list[dict]:
-        return [
-            {"id": cid, "passed": ok, "detail": detail}
-            for cid, ok, detail in self.checks
-        ]
-
-
-def _measure_spec(params: dict) -> MeasureSpec:
-    kind_name = params["kind"]
-    step = params["step"]
-    if kind_name == "engel":
-        if step != 3:
-            raise ConfigError("the engel kind fixes step = 3")
-        kind = engel_kind()
-        default_p = 3.0
-    else:
-        kind = filiform_kind(step)
-        default_p = float(step)
-    p = params["p"] if params["p"] is not None else default_p
-    params["p"] = p
-    try:
-        return MeasureSpec(kind=kind, a=params["a"], p=p)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _norm_kind(params: dict):
@@ -499,6 +371,26 @@ def _norm_kind(params: dict):
             raise ConfigError("the engel kind fixes step = 3")
         return engel_kind()
     return filiform_kind(params["step"])
+
+
+def _measure_spec(params: dict) -> MeasureSpec:
+    kind = _norm_kind(params)
+    if params["p"] is None:
+        # The default exponent is the step: 3 for engel, n for filiform.
+        params["p"] = float(params["step"])
+    try:
+        return MeasureSpec(kind=kind, a=params["a"], p=params["p"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _write_holdout_csv(path: Path, holdout) -> None:
+    rows = ["label,lhs,rhs,slack,passed"]
+    for h in holdout:
+        rows.append(
+            f"{h.label},{_fmt(h.lhs)},{_fmt(h.rhs)},{_fmt(h.slack)},{str(h.passed).lower()}"
+        )
+    _write_lines(path, rows)
 
 
 # ---------------------------------------------------------------- commands
@@ -616,15 +508,7 @@ def _run_verify_algebra(params: dict, out: Path) -> int:
         ctx.check(cid, all_ok[cid], f"worst defect {_fmt(worst[cid])}")
 
     _write_lines(out / "algebra.csv", csv_rows)
-    _write_json(
-        out / "algebra.json",
-        _payload(
-            "verify-algebra",
-            params,
-            {"defects": per_step, "checks": ctx.results_checks()},
-        ),
-    )
-    return ctx.finish()
+    return ctx.finish("algebra.json", {"defects": per_step})
 
 
 def _run_verify_bounds(params: dict, out: Path) -> int:
@@ -669,18 +553,7 @@ def _run_verify_bounds(params: dict, out: Path) -> int:
     ctx.check("bnd-fil-x1", lower_ok, f"worst inf {_fmt(lower_worst)}")
 
     (out / "bounds.csv").write_text(reports_to_csv(reports), encoding="utf-8")
-    _write_json(
-        out / "bounds.json",
-        _payload(
-            "verify-bounds",
-            params,
-            {
-                "reports": [dataclasses.asdict(r) for r in reports],
-                "checks": ctx.results_checks(),
-            },
-        ),
-    )
-    return ctx.finish()
+    return ctx.finish("bounds.json", {"reports": [dataclasses.asdict(r) for r in reports]})
 
 
 def _run_sample(params: dict, out: Path) -> int:
@@ -726,9 +599,7 @@ def _run_sample(params: dict, out: Path) -> int:
             f"Z {_fmt(z.value)} se {_fmt(z.standard_error)} via {z.method}",
         )
         results["normalization"] = dataclasses.asdict(z)
-    results["checks"] = ctx.results_checks()
-    _write_json(out / "sample.json", _payload("sample", params, results))
-    return ctx.finish()
+    return ctx.finish("sample.json", results)
 
 
 def _run_ubound(params: dict, out: Path) -> int:
@@ -755,21 +626,8 @@ def _run_ubound(params: dict, out: Path) -> int:
             f"{_fmt(fm.b_se)},{_fmt(fm.c)},{_fmt(fm.c_se)}"
         )
     _write_lines(out / "ubound_train.csv", train_rows)
-    hold_rows = ["label,lhs,rhs,slack,passed"]
-    for h in report.holdout:
-        hold_rows.append(
-            f"{h.label},{_fmt(h.lhs)},{_fmt(h.rhs)},{_fmt(h.slack)},{str(h.passed).lower()}"
-        )
-    _write_lines(out / "ubound_holdout.csv", hold_rows)
-    _write_json(
-        out / "ubound.json",
-        _payload(
-            "ubound",
-            params,
-            {"report": dataclasses.asdict(report), "checks": ctx.results_checks()},
-        ),
-    )
-    return ctx.finish()
+    _write_holdout_csv(out / "ubound_holdout.csv", report.holdout)
+    return ctx.finish("ubound.json", {"report": dataclasses.asdict(report)})
 
 
 def _run_poincare(params: dict, out: Path) -> int:
@@ -796,21 +654,8 @@ def _run_poincare(params: dict, out: Path) -> int:
     for e in report.entries:
         rows.append(f"{e.label},{_fmt(e.ratio)},{_fmt(e.ratio_se)}")
     _write_lines(out / "poincare_ratios.csv", rows)
-    hold_rows = ["label,lhs,rhs,slack,passed"]
-    for h in report.holdout:
-        hold_rows.append(
-            f"{h.label},{_fmt(h.lhs)},{_fmt(h.rhs)},{_fmt(h.slack)},{str(h.passed).lower()}"
-        )
-    _write_lines(out / "poincare_holdout.csv", hold_rows)
-    _write_json(
-        out / "poincare.json",
-        _payload(
-            "poincare",
-            params,
-            {"report": dataclasses.asdict(report), "checks": ctx.results_checks()},
-        ),
-    )
-    return ctx.finish()
+    _write_holdout_csv(out / "poincare_holdout.csv", report.holdout)
+    return ctx.finish("poincare.json", {"report": dataclasses.asdict(report)})
 
 
 def _run_gap(params: dict, out: Path) -> int:
@@ -855,9 +700,7 @@ def _run_gap(params: dict, out: Path) -> int:
             f"{_fmt(e.standard_error)},{e.sample_count}"
         )
     _write_lines(out / "gap.csv", rows)
-    results["checks"] = ctx.results_checks()
-    _write_json(out / "gap.json", _payload("gap", params, results))
-    return ctx.finish()
+    return ctx.finish("gap.json", results)
 
 
 def _run_ball_check(params: dict, out: Path) -> int:
@@ -865,7 +708,7 @@ def _run_ball_check(params: dict, out: Path) -> int:
     kind = _norm_kind(params)
     exponent = params["exponent"]
     if exponent is None:
-        exponent = 3.0 if params["kind"] == "engel" else float(params["step"])
+        exponent = float(params["step"])
         params["exponent"] = exponent
     family = default_family(kind, q=exponent)
     reports = [
@@ -890,26 +733,20 @@ def _run_ball_check(params: dict, out: Path) -> int:
             f"{rep.sample_count},{_fmt(rep.acceptance_rate)}"
         )
     _write_lines(out / "ball.csv", rows)
-    _write_json(
-        out / "ball.json",
-        _payload(
-            "ball-check",
-            params,
-            {
-                "reports": [
-                    {
-                        key: val
-                        for key, val in dataclasses.asdict(rep).items()
-                        if key != "entries"
-                    }
-                    for rep in reports
-                ],
-                "sup_ratios": sups,
-                "checks": ctx.results_checks(),
-            },
-        ),
+    return ctx.finish(
+        "ball.json",
+        {
+            "reports": [
+                {
+                    key: val
+                    for key, val in dataclasses.asdict(rep).items()
+                    if key != "entries"
+                }
+                for rep in reports
+            ],
+            "sup_ratios": sups,
+        },
     )
-    return ctx.finish()
 
 
 def _run_localize(params: dict, out: Path) -> int:
@@ -956,19 +793,13 @@ def _run_localize(params: dict, out: Path) -> int:
         f"{trn.norm_claim_passes}/{trn.sample_count} norm, "
         f"{trn.aux_claim_passes}/{trn.sample_count} seminorm",
     )
-    _write_json(
-        out / "localize.json",
-        _payload(
-            "localize",
-            params,
-            {
-                "localization": dataclasses.asdict(rep),
-                "translation": dataclasses.asdict(trn),
-                "checks": ctx.results_checks(),
-            },
-        ),
+    return ctx.finish(
+        "localize.json",
+        {
+            "localization": dataclasses.asdict(rep),
+            "translation": dataclasses.asdict(trn),
+        },
     )
-    return ctx.finish()
 
 
 def _run_geodesic(params: dict, out: Path) -> int:
@@ -1023,9 +854,7 @@ def _run_geodesic(params: dict, out: Path) -> int:
         )
         results["scan"] = dataclasses.asdict(band)
 
-    results["checks"] = ctx.results_checks()
-    _write_json(out / "geodesic.json", _payload("geodesic", params, results))
-    return ctx.finish()
+    return ctx.finish("geodesic.json", results)
 
 
 RUNNERS = {
@@ -1049,27 +878,24 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _add_measure_flags(sub: argparse.ArgumentParser, command: str) -> None:
-    d = DEFAULTS[command]
-    sub.add_argument(
-        "--kind", choices=["engel", "filiform"],
-        help=f"norm and frame family (default: {d['kind']})",
-    )
-    sub.add_argument(
-        "--step", type=int, help=f"group step n (default: {d['step']})"
-    )
-    if "a" in d:
-        sub.add_argument(
-            "--a", type=float, help=f"potential coefficient (default: {d['a']})"
-        )
-        sub.add_argument(
-            "--p", type=float,
-            help="potential exponent (default: 3 for engel, n for filiform)",
-        )
-    if "count" in d:
-        sub.add_argument(
-            "--count", type=int, help=f"sample count (default: {d['count']})"
-        )
+_FLAG_TYPES = {"integer": int, "number": float, "string": str}
+_LIST_TYPES = {"integer": _int_list, "number": _float_list}
+
+
+def _flag_type(schema: dict) -> dict:
+    """argparse keywords that parse a flag value of this schema."""
+    schema = schema.get("anyOf", [schema])[0]
+    if "enum" in schema:
+        return {"choices": schema["enum"]}
+    if schema["type"] == "array":
+        return {"type": _LIST_TYPES[schema["items"]["type"]]}
+    return {"type": _FLAG_TYPES[schema["type"]]}
+
+
+def _flag_help(text: str, default, prose: str | None = None) -> str:
+    if prose is None:
+        prose = ",".join(map(str, default)) if isinstance(default, list) else str(default)
+    return f"{text} (default: {prose})"
 
 
 def build_parser() -> _Parser:
@@ -1085,143 +911,23 @@ def build_parser() -> _Parser:
             "validates against docs/config_schema.json, and writes "
             "artifacts plus summary.txt to --out.  Reruns with identical "
             "config and seed are bit-identical.  CARNOT_THREADS caps CPU "
-            "affinity and BLAS threads."
+            "affinity."
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def common(sub):
+    for command, (summary, fields) in COMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
         sub.add_argument(
             "--out", default=None,
             help="output directory (default: carnotlab-out/<command>)",
         )
         sub.add_argument("--config", default=None, help="JSON config file")
-        sub.add_argument(
-            "--seed", type=int, default=None, help="master seed (default: 0)"
-        )
-
-    sub = subs.add_parser(
-        "verify-algebra", help="group axioms, commutators, invariance"
-    )
-    common(sub)
-    sub.add_argument("--steps", type=_int_list, help="steps to check (default: 3,4,5,6)")
-    sub.add_argument("--samples", type=int, help="random instances per axiom (default: 100000)")
-    sub.add_argument(
-        "--invariance-samples", dest="invariance_samples", type=int,
-        help="random (alpha, x) pairs per frame (default: 1000)",
-    )
-    sub.add_argument("--tolerance", type=float, help="axiom tolerance (default: 1e-10)")
-    sub.add_argument(
-        "--comm-tolerance", dest="comm_tolerance", type=float,
-        help="structure-constant tolerance (default: 1e-12)",
-    )
-    sub.add_argument(
-        "--fd-tolerance", dest="fd_tolerance", type=float,
-        help="finite-difference commutator tolerance (default: 1e-8)",
-    )
-
-    sub = subs.add_parser("verify-bounds", help="norm-derivative bound certification")
-    common(sub)
-    sub.add_argument("--samples", type=int, help="sample count per bound (default: 1000000)")
-    sub.add_argument(
-        "--filiform-steps", dest="filiform_steps", type=_int_list,
-        help="filiform steps to scan (default: 3,4,5,6)",
-    )
-    sub.add_argument("--box", type=float, help="sampling box half-width (default: 5.0)")
-    sub.add_argument(
-        "--standoff", type=float,
-        help="distance kept from singular hyperplanes (default: 0.01)",
-    )
-
-    sub = subs.add_parser("sample", help="Metropolis sampling to CCMB and CSV")
-    common(sub)
-    _add_measure_flags(sub, "sample")
-    sub.add_argument(
-        "--step-scale", dest="step_scale", type=float,
-        help="initial proposal scale (default: 0.7)",
-    )
-    sub.add_argument("--burn-in", dest="burn_in", type=int, help="burn-in sweeps (default: 10000)")
-    sub.add_argument("--chains", type=int, help="parallel chains (default: 256)")
-    sub.add_argument(
-        "--csv-rows", dest="csv_rows", type=int,
-        help="rows mirrored to CSV, 0 disables (default: 10000)",
-    )
-    sub.add_argument(
-        "--z-budget", dest="z_budget", type=int,
-        help="integrand evaluations for the Z estimate, 0 skips (default: 0)",
-    )
-
-    sub = subs.add_parser("ubound", help="U-bound moment fit with holdout")
-    common(sub)
-    _add_measure_flags(sub, "ubound")
-    sub.add_argument(
-        "--holdout-count", dest="holdout_count", type=int,
-        help="fresh samples for holdout (default: same as count)",
-    )
-
-    sub = subs.add_parser("poincare", help="q-Poincare ratio scan with holdout")
-    common(sub)
-    _add_measure_flags(sub, "poincare")
-    sub.add_argument(
-        "--holdout-count", dest="holdout_count", type=int,
-        help="fresh samples for holdout (default: same as count)",
-    )
-
-    sub = subs.add_parser("gap", help="Galerkin spectral-gap estimates")
-    common(sub)
-    _add_measure_flags(sub, "gap")
-    sub.add_argument("--degrees", type=_int_list, help="basis degrees (default: 2,3)")
-    sub.add_argument(
-        "--calibration-count", dest="calibration_count", type=int,
-        help="Gaussian calibration samples, 0 skips (default: 0)",
-    )
-    sub.add_argument(
-        "--jackknife-blocks", dest="jackknife_blocks", type=int,
-        help="jackknife blocks for standard errors (default: 20)",
-    )
-
-    sub = subs.add_parser("ball-check", help="Poincare ratios on uniform norm balls")
-    common(sub)
-    _add_measure_flags(sub, "ball-check")
-    sub.add_argument("--radii", type=_float_list, help="ball radii (default: 1,2,4)")
-    sub.add_argument(
-        "--exponent", type=float,
-        help="moment exponent (default: 3 for engel, n for filiform)",
-    )
-
-    sub = subs.add_parser("localize", help="localization split and translation trick")
-    common(sub)
-    _add_measure_flags(sub, "localize")
-    sub.add_argument("--radius-r", dest="radius_r", type=float, help="far-region level R (default: 1.0)")
-    sub.add_argument("--level-l", dest="level_l", type=float, help="ball level L (default: 2.0)")
-    sub.add_argument("--member", help="family member label to decompose (default: x2)")
-    sub.add_argument(
-        "--translation-count", dest="translation_count", type=int,
-        help="annulus samples for the shift claims (default: 10000)",
-    )
-
-    sub = subs.add_parser("geodesic", help="distance upper bound and scan")
-    common(sub)
-    sub.add_argument(
-        "--kind", choices=["engel", "filiform"],
-        help="norm used for ratios (default: engel)",
-    )
-    sub.add_argument("--step", type=int, help="group step n (default: 3)")
-    sub.add_argument(
-        "--target", type=_float_list,
-        help="comma-separated coordinates (default: 1,0,0,0)",
-    )
-    sub.add_argument("--segments", type=int, help="path segments K, at least 2n+1 (default: 8)")
-    sub.add_argument("--restarts", type=int, help="randomized restarts (default: 3)")
-    sub.add_argument(
-        "--scan-points", dest="scan_points", type=int,
-        help="points for the equivalence scan, 0 skips (default: 0)",
-    )
-    sub.add_argument(
-        "--scan-box", dest="scan_box", type=float,
-        help="scale of the scan point cloud (default: 1.5)",
-    )
+        for key, (default, schema, text, *prose) in fields.items():
+            sub.add_argument(
+                "--" + key.replace("_", "-"), dest=key,
+                help=_flag_help(text, default, *prose), **_flag_type(schema),
+            )
     return parser
 
 

@@ -97,8 +97,8 @@ class FiliformGroup:
             out[j] = out[j - 1] * x1 / j
         return out
 
-    def compose(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Group product x o y.  Accepts single points or batches."""
+    def _product(self, x: np.ndarray, y: np.ndarray, reflect: bool) -> np.ndarray:
+        """x o y, with the Taylor powers taken in -x_1 when `reflect` is set."""
         d = self.dimension
         xb, xs = _as_batch(x, d)
         yb, ys = _as_batch(y, d)
@@ -110,13 +110,17 @@ class FiliformGroup:
             else:
                 raise ValueError("batch sizes do not broadcast")
         out = xb + yb
-        pw = self._taylor_powers(xb[:, 0])
+        pw = self._taylor_powers(-xb[:, 0] if reflect else xb[:, 0])
         for k in range(3, d + 1):
             acc = np.zeros(out.shape[0])
             for i in range(2, k):
                 acc += yb[:, i - 1] * pw[k - i]
             out[:, k - 1] += acc
         return _restore(out, xs and ys)
+
+    def compose(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Group product x o y.  Accepts single points or batches."""
+        return self._product(x, y, reflect=False)
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         """Group inverse, via back-substitution in the triangular product."""
@@ -152,24 +156,7 @@ class FiliformGroup:
         under which the canonical right frame (see frames.right_frame_engel)
         is exactly invariant.
         """
-        d = self.dimension
-        xb, xs = _as_batch(x, d)
-        ab, as_ = _as_batch(alpha, d)
-        if xb.shape[0] != ab.shape[0]:
-            if xb.shape[0] == 1:
-                xb = np.broadcast_to(xb, ab.shape)
-            elif ab.shape[0] == 1:
-                ab = np.broadcast_to(ab, xb.shape)
-            else:
-                raise ValueError("batch sizes do not broadcast")
-        out = xb + ab
-        pw = self._taylor_powers(-xb[:, 0])
-        for k in range(3, d + 1):
-            acc = np.zeros(out.shape[0])
-            for i in range(2, k):
-                acc += ab[:, i - 1] * pw[k - i]
-            out[:, k - 1] += acc
-        return _restore(out, xs and as_)
+        return self._product(x, alpha, reflect=True)
 
     def point(self, coords: np.ndarray) -> "GroupPoint":
         return GroupPoint(self, np.asarray(coords, dtype=np.float64))

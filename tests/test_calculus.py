@@ -203,12 +203,6 @@ class TestFiliformTable:
         scaled = g.dilate(3.0, pts)
         np.testing.assert_allclose(table.first(scaled), table.first(pts), rtol=1e-10)
 
-    def test_recorded_constants(self, n):
-        table = norm_derivative_tables(filiform_kind(n))
-        assert table.c_first == n * (n - 1) / 2.0
-        assert table.c_second == n * (n - 1) / 2.0
-        assert set(table.sj_coefficients) == set(range(2, n + 1))
-
 
 class TestLeibnizAndChain:
     def test_leibniz_identity(self):

