@@ -1,14 +1,16 @@
 """Empirical sup/inf certification of the pointwise norm-derivative bounds.
 
-Each verifier samples the smooth region of its norm, evaluates a
-scale-invariant ratio built from the norm, its paired seminorm, and its
-frame derivatives, and reports the extreme value together with the witness
-point.  Ratios with an explicit target constant (the step-3 gradient bound
-sqrt(5), the step-3 sub-Laplacian bound 7, and the two exact lower bounds
-at 1) get a pass flag; the filiform upper-ratio constants are only recorded,
-since no closed-form target exists, and for steps n >= 4 the ratios genuinely
-diverge as the singular hyperplanes are approached (the sampled sup then
-reflects the standoff, which the domain description states).
+The six ratios sit in one table, each built from the norm, its paired
+seminorm, and its frame derivatives.  One driver samples the smooth region
+of the norm once, evaluates the requested ratios there, and reports each
+extreme value together with its witness point; the public `verify_*`
+functions each make one call into it.  Ratios with an explicit target
+constant (the step-3 gradient bound sqrt(5), the step-3 sub-Laplacian bound
+7, and the two exact lower bounds at 1) get a pass flag; the filiform
+upper-ratio constants are only recorded, since no closed-form target exists,
+and for steps n >= 4 the ratios genuinely diverge as the singular
+hyperplanes are approached (the sampled sup then reflects the standoff,
+which the domain description states).
 
 Sampling follows a fixed design: uniform points in [-box, box]^(n+1) with
 points closer than `standoff` to any singular hyperplane rejected, plus a
@@ -22,7 +24,8 @@ of the box.  Reports are bit-identical for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 from scipy.stats import qmc
@@ -34,6 +37,7 @@ DEFAULT_BOX = 5.0
 DEFAULT_STANDOFF = 1e-2
 SHELL_PER_AXIS = 4096
 PASS_SLACK = 1e-9
+RATIO_CHUNK = 250_000
 
 
 class EmptyDomainError(ValueError):
@@ -162,22 +166,6 @@ def stratified_smooth_samples(
     return out
 
 
-def _chunked(fn, pts: np.ndarray, chunk: int = 250_000) -> np.ndarray:
-    parts = [fn(pts[i : i + chunk]) for i in range(0, pts.shape[0], chunk)]
-    return np.concatenate(parts)
-
-
-def _domain_text(kind: NormKind, box: float, standoff: float, extra: str = "") -> str:
-    d = kind.group.dimension
-    txt = (
-        f"box [-{box:g},{box:g}]^{d}, smooth region with hyperplane standoff "
-        f"{standoff:g}, deterministic shell batches at the standoff"
-    )
-    if extra:
-        txt += "; " + extra
-    return txt
-
-
 def _extremal_report(
     spec: BoundSpec,
     kind: NormKind,
@@ -209,25 +197,101 @@ def _extremal_report(
     )
 
 
+_FILIFORM_NOTE = "recorded sup is standoff-dependent for n >= 4"
+
+# One row per bound: its spec (the name may hold {n}, the step), its ratio
+# as (derivative table, points, n) -> values, the axis whose points with
+# |x_axis| <= 1e-8 are dropped because the ratio divides by |x_axis| (None
+# keeps every point), and a note appended to the domain text.
+_Ratio = Callable[[NormDerivativeTable, np.ndarray, int], np.ndarray]
+_BOUNDS: dict[str, tuple[BoundSpec, _Ratio, int | None, str]] = {
+    "engel-gradient": (
+        BoundSpec("engel-gradient-sup", "upper", math.sqrt(5.0),
+                  "|grad N| N^2 / seminorm^2 bounded by sqrt(5)"),
+        lambda t, x, n: t.gradient_norm(x) * t.value(x) ** 2 / t.seminorm(x) ** 2,
+        None, "",
+    ),
+    "engel-laplacian": (
+        BoundSpec("engel-laplacian-sup", "upper", 7.0,
+                  "(Delta N) N^2 / seminorm bounded by 7; may be negative below"),
+        lambda t, x, n: t.laplacian(x) * t.value(x) ** 2 / t.seminorm(x),
+        None, "",
+    ),
+    "engel-x2-lower": (
+        BoundSpec("engel-x2-lower", "lower", 1.0,
+                  "|X_2 N| N^2 / (seminorm |x_2|) equals 1 identically", tolerance=1e-12),
+        lambda t, x, n: (
+            np.abs(t.first(x)[:, 1]) * t.value(x) ** 2 / (t.seminorm(x) * np.abs(x[:, 1]))
+        ),
+        1, "points with |x_2| <= 1e-8 excluded",
+    ),
+    "filiform-gradient": (
+        BoundSpec("filiform-gradient-sup-n{n}", "upper", None,
+                  "|grad N| N^(n-1) / seminorm^(n-1), constant recorded"),
+        lambda t, x, n: t.gradient_norm(x) * t.value(x) ** (n - 1) / t.seminorm(x) ** (n - 1),
+        None, _FILIFORM_NOTE,
+    ),
+    "filiform-laplacian": (
+        BoundSpec("filiform-laplacian-sup-n{n}", "upper", None,
+                  "(Delta N) N^(n-1) / seminorm^(n-2), constant recorded"),
+        lambda t, x, n: t.laplacian(x) * t.value(x) ** (n - 1) / t.seminorm(x) ** (n - 2),
+        None, _FILIFORM_NOTE,
+    ),
+    "filiform-x1-lower": (
+        BoundSpec("filiform-x1-lower-n{n}", "lower", 1.0,
+                  "power-sum lower bound for the first horizontal derivative"),
+        lambda t, x, n: (
+            np.abs(t.first(x)[:, 0])
+            * t.value(x) ** (n - 1)
+            / (t.seminorm(x) * np.abs(x[:, 0])) ** ((n - 1) / 2.0)
+        ),
+        0, "points with |x_1| <= 1e-8 excluded",
+    ),
+}
+
+
+def _verify(
+    kind: NormKind, keys: tuple[str, ...], samples: int, seed: int, box: float,
+    standoff: float,
+) -> list[BoundReport]:
+    """One report per `_BOUNDS` key, from one derivative table and one draw.
+
+    The keys of one call share one axis filter.  The filtered points
+    replace the draw, so no unfiltered copy stays alive while the ratios
+    are evaluated.
+    """
+    (axis,) = {_BOUNDS[key][2] for key in keys}
+    n = kind.group.step
+    table = norm_derivative_tables(kind)
+    pts = stratified_smooth_samples(kind, samples, seed, box, standoff)
+    if axis is not None:
+        pts = pts[np.abs(pts[:, axis]) > 1e-8]
+    domain = (
+        f"box [-{box:g},{box:g}]^{kind.group.dimension}, smooth region with hyperplane "
+        f"standoff {standoff:g}, deterministic shell batches at the standoff"
+    )
+    chunks = range(0, pts.shape[0], RATIO_CHUNK)
+    reports = []
+    for key in keys:
+        spec, ratio, _, note = _BOUNDS[key]
+        # The ratio array is a temporary, freed before the next key's.
+        reports.append(_extremal_report(
+            replace(spec, name=spec.name.format(n=n)),
+            kind,
+            np.concatenate([ratio(table, pts[i : i + RATIO_CHUNK], n) for i in chunks]),
+            pts,
+            seed,
+            f"{domain}; {note}" if note else domain,
+        ))
+    return reports
+
+
 def verify_engel_gradient_bound(
     samples: int = 1_000_000, seed: int = 0, box: float = DEFAULT_BOX,
     standoff: float = DEFAULT_STANDOFF,
 ) -> BoundReport:
     """sup |grad N| N^2 / |x|^2 over smooth samples; target sqrt(5)."""
-    kind = engel_kind()
-    table = norm_derivative_tables(kind)
-    pts = stratified_smooth_samples(kind, samples, seed, box, standoff)
-
-    def ratio(chunk: np.ndarray) -> np.ndarray:
-        return table.gradient_norm(chunk) * table.value(chunk) ** 2 / table.seminorm(chunk) ** 2
-
-    spec = BoundSpec(
-        name="engel-gradient-sup",
-        direction="upper",
-        target=math.sqrt(5.0),
-        description="|grad N| N^2 / seminorm^2 bounded by sqrt(5)",
-    )
-    return _extremal_report(spec, kind, _chunked(ratio, pts), pts, seed, _domain_text(kind, box, standoff))
+    return _verify(engel_kind(), ("engel-gradient",), samples, seed, box, standoff)[0]
 
 
 def verify_engel_laplacian_bound(
@@ -235,20 +299,7 @@ def verify_engel_laplacian_bound(
     standoff: float = DEFAULT_STANDOFF,
 ) -> BoundReport:
     """sup (Delta N) N^2 / |x| over smooth samples; target 7 (upper only)."""
-    kind = engel_kind()
-    table = norm_derivative_tables(kind)
-    pts = stratified_smooth_samples(kind, samples, seed, box, standoff)
-
-    def ratio(chunk: np.ndarray) -> np.ndarray:
-        return table.laplacian(chunk) * table.value(chunk) ** 2 / table.seminorm(chunk)
-
-    spec = BoundSpec(
-        name="engel-laplacian-sup",
-        direction="upper",
-        target=7.0,
-        description="(Delta N) N^2 / seminorm bounded by 7; may be negative below",
-    )
-    return _extremal_report(spec, kind, _chunked(ratio, pts), pts, seed, _domain_text(kind, box, standoff))
+    return _verify(engel_kind(), ("engel-laplacian",), samples, seed, box, standoff)[0]
 
 
 def verify_engel_x2_lower(
@@ -256,28 +307,7 @@ def verify_engel_x2_lower(
     standoff: float = DEFAULT_STANDOFF,
 ) -> BoundReport:
     """inf |X_2 N| N^2 / (|x| |x_2|), an exact cancellation equal to 1."""
-    kind = engel_kind()
-    table = norm_derivative_tables(kind)
-    pts = stratified_smooth_samples(kind, samples, seed, box, standoff)
-    pts = pts[np.abs(pts[:, 1]) > 1e-8]
-
-    def ratio(chunk: np.ndarray) -> np.ndarray:
-        first = table.first(chunk)
-        return (
-            np.abs(first[:, 1])
-            * table.value(chunk) ** 2
-            / (table.seminorm(chunk) * np.abs(chunk[:, 1]))
-        )
-
-    spec = BoundSpec(
-        name="engel-x2-lower",
-        direction="lower",
-        target=1.0,
-        tolerance=1e-12,
-        description="|X_2 N| N^2 / (seminorm |x_2|) equals 1 identically",
-    )
-    domain = _domain_text(kind, box, standoff, "points with |x_2| <= 1e-8 excluded")
-    return _extremal_report(spec, kind, _chunked(ratio, pts), pts, seed, domain)
+    return _verify(engel_kind(), ("engel-x2-lower",), samples, seed, box, standoff)[0]
 
 
 def verify_filiform_bounds(
@@ -292,41 +322,11 @@ def verify_filiform_bounds(
     powers of |x_j| survive in the derivatives), so the recorded values are
     standoff-dependent by design.
     """
-    kind = filiform_kind(n)
-    table = norm_derivative_tables(kind)
-    pts = stratified_smooth_samples(kind, samples, seed, box, standoff)
-
-    def grad_ratio(chunk: np.ndarray) -> np.ndarray:
-        return (
-            table.gradient_norm(chunk)
-            * table.value(chunk) ** (n - 1)
-            / table.seminorm(chunk) ** (n - 1)
-        )
-
-    def lap_ratio(chunk: np.ndarray) -> np.ndarray:
-        return (
-            table.laplacian(chunk)
-            * table.value(chunk) ** (n - 1)
-            / table.seminorm(chunk) ** (n - 2)
-        )
-
-    domain = _domain_text(kind, box, standoff, "recorded sup is standoff-dependent for n >= 4")
-    g_spec = BoundSpec(
-        name=f"filiform-gradient-sup-n{n}",
-        direction="upper",
-        target=None,
-        description="|grad N| N^(n-1) / seminorm^(n-1), constant recorded",
+    grad, lap = _verify(
+        filiform_kind(n), ("filiform-gradient", "filiform-laplacian"), samples, seed, box,
+        standoff,
     )
-    l_spec = BoundSpec(
-        name=f"filiform-laplacian-sup-n{n}",
-        direction="upper",
-        target=None,
-        description="(Delta N) N^(n-1) / seminorm^(n-2), constant recorded",
-    )
-    return (
-        _extremal_report(g_spec, kind, _chunked(grad_ratio, pts), pts, seed, domain),
-        _extremal_report(l_spec, kind, _chunked(lap_ratio, pts), pts, seed, domain),
-    )
+    return grad, lap
 
 
 def verify_filiform_x1_lower(
@@ -339,24 +339,4 @@ def verify_filiform_x1_lower(
     so the power-sum inequality forces it >= 1 with equality only when a
     single summand survives.
     """
-    kind = filiform_kind(n)
-    table = norm_derivative_tables(kind)
-    pts = stratified_smooth_samples(kind, samples, seed, box, standoff)
-    pts = pts[np.abs(pts[:, 0]) > 1e-8]
-
-    def ratio(chunk: np.ndarray) -> np.ndarray:
-        first = table.first(chunk)
-        return (
-            np.abs(first[:, 0])
-            * table.value(chunk) ** (n - 1)
-            / (table.seminorm(chunk) * np.abs(chunk[:, 0])) ** ((n - 1) / 2.0)
-        )
-
-    spec = BoundSpec(
-        name=f"filiform-x1-lower-n{n}",
-        direction="lower",
-        target=1.0,
-        description="power-sum lower bound for the first horizontal derivative",
-    )
-    domain = _domain_text(kind, box, standoff, "points with |x_1| <= 1e-8 excluded")
-    return _extremal_report(spec, kind, _chunked(ratio, pts), pts, seed, domain)
+    return _verify(filiform_kind(n), ("filiform-x1-lower",), samples, seed, box, standoff)[0]

@@ -225,8 +225,8 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     }),
     "geodesic": ("distance upper bound and scan", {
         **_GROUP,
-        "target": ([1.0, 0.0, 0.0, 0.0], _array({"type": "number"}, 4),
-                   "comma-separated coordinates"),
+        "target": (None, {"anyOf": [_array({"type": "number"}, 4), {"type": "null"}]},
+                   "comma-separated coordinates", "unit point on x1"),
         "segments": (8, {"type": "integer", "minimum": 4}, "path segments K, at least 2n+1"),
         "restarts": (3, _INT, "randomized restarts"),
         "scan_points": (0, _NONNEG, "points for the equivalence scan, 0 skips"),
@@ -806,6 +806,8 @@ def _run_geodesic(params: dict, out: Path) -> int:
     ctx = RunContext("geodesic", params, out)
     kind = _norm_kind(params)
     group = kind.group
+    if params["target"] is None:
+        params["target"] = [1.0] + [0.0] * group.step
     target = np.asarray(params["target"], dtype=np.float64)
     if target.shape != (group.dimension,):
         raise ConfigError(
@@ -813,6 +815,10 @@ def _run_geodesic(params: dict, out: Path) -> int:
         )
     if not np.all(np.isfinite(target)):
         raise ConfigError("target coordinates must be finite")
+    with np.errstate(over="ignore"):
+        nval = float(norm_value(kind, target))
+    if not np.isfinite(nval):
+        raise ConfigError(f"target {params['target']} is too large: its norm overflows")
     if params["segments"] < 2 * group.step + 1:
         raise ConfigError(
             f"segments must be at least {2 * group.step + 1} for step {group.step}"
@@ -823,7 +829,6 @@ def _run_geodesic(params: dict, out: Path) -> int:
         restarts=params["restarts"],
         seed=params["seed"],
     )
-    nval = float(norm_value(kind, target))
     ctx.check(
         "geo-residual",
         est.residual <= 1e-6 * (1.0 + nval),

@@ -367,6 +367,19 @@ def default_family(kind: NormKind, q: float) -> TestFunctionFamily:
     )
 
 
+def member_series(
+    member: TestFunction, xb: np.ndarray, q: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values f and |grad f|^q of one member on a point batch.
+
+    The one place members are evaluated for moment statistics: each call
+    makes one `value` and one `gradient` call.
+    """
+    vals = member.value(xb)
+    grads = member.gradient(xb)
+    return vals, np.sqrt(np.sum(grads**2, axis=-1)) ** q
+
+
 @dataclass(frozen=True)
 class FamilyAudit:
     """Empirical finiteness audit of the family's q-moments."""
@@ -386,10 +399,8 @@ def family_audit(family: TestFunctionFamily, coords: np.ndarray) -> FamilyAudit:
     gmoms = []
     ok = True
     for member in family.members:
-        vals = np.abs(member.value(xb)) ** q
-        grads = member.gradient(xb)
-        gmag = np.sqrt(np.sum(grads**2, axis=-1)) ** q
-        vm = float(np.mean(vals))
+        vals, gmag = member_series(member, xb, q)
+        vm = float(np.mean(np.abs(vals) ** q))
         gm = float(np.mean(gmag))
         ok = ok and np.isfinite(vm) and np.isfinite(gm)
         labels.append(member.label)

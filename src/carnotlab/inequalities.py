@@ -1,6 +1,6 @@
 """Empirical functional-inequality checks for the Gibbs measures.
 
-Five pipelines, all Monte Carlo over shared immutable sample batches with
+Six pipelines, all Monte Carlo over shared immutable sample batches with
 batch-means standard errors (50 batches):
 
   * `ubound_fit`: per-function moments (A, B, C) = (mu(|f|^q w), mu(|grad
@@ -25,6 +25,7 @@ Reports are plain frozen dataclasses; CSV/JSON shaping lives in the CLI.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +34,14 @@ import scipy.linalg
 from .family import (
     TestFunction,
     TestFunctionFamily,
+    member_series,
     weighted_monomial_exponents,
     monomial_member,
 )
-from .measures import MeasureSpec, SampleBatch, sample
+from .measures import MeasureSpec, SampleBatch, batch_mean_se, sample
 from .norms import ENGEL, NormKind, aux_seminorm, norm_value
 from .seeding import derive_rng
 
-N_BATCHES = 50
 HOLDOUT_MARGIN = 1.05
 CANDIDATE_FACTOR = 1.1
 SE_SLACK = 3.0
@@ -53,21 +54,6 @@ class ConditioningError(RuntimeError):
 
 class InfeasibleFitError(RuntimeError):
     """The U-bound feasibility problem has contradictory constraints."""
-
-
-def batch_mean_se(values: np.ndarray, n_batches: int = N_BATCHES) -> tuple[float, float]:
-    """Mean and batch-means standard error of a series."""
-    m = values.shape[0]
-    nb = min(n_batches, m)
-    usable = m - (m % nb)
-    means = values[:usable].reshape(nb, -1).mean(axis=1)
-    se = float(np.std(means, ddof=1) / np.sqrt(nb)) if nb > 1 else 0.0
-    return float(np.mean(values)), se
-
-
-def gradient_magnitude(member: TestFunction, xb: np.ndarray) -> np.ndarray:
-    comps = member.gradient(xb)
-    return np.sqrt(np.sum(comps**2, axis=-1))
 
 
 def ubound_weight(spec: MeasureSpec, xb: np.ndarray) -> np.ndarray:
@@ -113,18 +99,17 @@ class UBoundReport:
     holdout_seed: int
 
 
-def _function_moments(
-    spec: MeasureSpec, members, xb: np.ndarray
-) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-member series (|f|^q w, |grad f|^q, |f|^q) on shared samples."""
-    q = spec.q
-    weight = ubound_weight(spec, xb)
-    out = []
-    for member in members:
-        fq = np.abs(member.value(xb)) ** q
-        gq = gradient_magnitude(member, xb) ** q
-        out.append((member.label, fq * weight, gq, fq))
-    return out
+def _holdout_batch(
+    spec: MeasureSpec, samples: SampleBatch, holdout_count: int | None, label: str
+) -> tuple[SampleBatch, int]:
+    """A fresh batch for holdout members and its seed.
+
+    The seed is derived from the training batch's seed under `label`; the
+    count defaults to the training batch's.
+    """
+    count = holdout_count or samples.coords.shape[0]
+    holdout_seed = int(derive_rng(samples.seed, label).integers(2**31))
+    return sample(spec, count, seed=holdout_seed), holdout_seed
 
 
 def _fit_vertex_lp(
@@ -188,15 +173,18 @@ def ubound_fit(
     training batch's seed; each holdout member must satisfy the fitted
     inequality with multiplicative margin 1.05 plus 3 SE slack.
     """
-    xb = samples.coords
+    q = spec.q
+    weight = ubound_weight(spec, samples.coords)
     train_stats: list[FunctionMoments] = []
     constraints = []
-    for label, wa, wb, wc in _function_moments(spec, family.train_members, xb):
-        a, a_se = batch_mean_se(wa)
-        b, b_se = batch_mean_se(wb)
-        c, c_se = batch_mean_se(wc)
-        train_stats.append(FunctionMoments(label, a, a_se, b, b_se, c, c_se))
-        constraints.append((label, a, b, c))
+    for member in family.train_members:
+        vals, gq = member_series(member, samples.coords, q)
+        fq = np.abs(vals) ** q
+        a, a_se = batch_mean_se(fq * weight)
+        b, b_se = batch_mean_se(gq)
+        c, c_se = batch_mean_se(fq)
+        train_stats.append(FunctionMoments(member.label, a, a_se, b, b_se, c, c_se))
+        constraints.append((member.label, a, b, c))
 
     fitted_c, fitted_d = _fit_vertex_lp(constraints)
     feasible = all(
@@ -204,20 +192,20 @@ def ubound_fit(
         for fm in train_stats
     )
 
-    count = holdout_count or xb.shape[0]
-    holdout_seed = int(derive_rng(samples.seed, "ubound-holdout").integers(2**31))
-    fresh = sample(spec, count, seed=holdout_seed)
+    fresh, holdout_seed = _holdout_batch(spec, samples, holdout_count, "ubound-holdout")
+    weight = ubound_weight(spec, fresh.coords)
     checks = []
-    for label, wa, wb, wc in _function_moments(
-        spec, family.holdout_members, fresh.coords
-    ):
-        resid, resid_se = batch_mean_se(wa - fitted_c * wb - fitted_d * wc)
-        rhs_mean = float(np.mean(fitted_c * wb + fitted_d * wc))
+    for member in family.holdout_members:
+        vals, gq = member_series(member, fresh.coords, q)
+        fq = np.abs(vals) ** q
+        fqw = fq * weight
+        resid, resid_se = batch_mean_se(fqw - fitted_c * gq - fitted_d * fq)
+        rhs_mean = float(np.mean(fitted_c * gq + fitted_d * fq))
         slack = (HOLDOUT_MARGIN - 1.0) * rhs_mean + SE_SLACK * resid_se
         checks.append(
             HoldoutCheck(
-                label=label,
-                lhs=float(np.mean(wa)),
+                label=member.label,
+                lhs=float(np.mean(fqw)),
                 rhs=rhs_mean,
                 slack=slack,
                 passed=resid <= slack,
@@ -262,11 +250,36 @@ class PoincareReport:
     holdout_seed: int
 
 
-def _poincare_series(member: TestFunction, xb: np.ndarray, q: float):
-    vals = member.value(xb)
-    centered = np.abs(vals - np.mean(vals)) ** q
-    grads = gradient_magnitude(member, xb) ** q
-    return centered, grads
+def _screened_series(
+    members, coords: np.ndarray, q: float, excluded: list[str]
+) -> Iterator[tuple[str, np.ndarray, np.ndarray, float, float]]:
+    """Yield (label, |f - mu f|^q, |grad f|^q, b, b_se) per member.
+
+    b is the batch-means gradient moment.  A member whose b sits within
+    EXCLUSION_SE_FACTOR SE of zero, or is zero, is skipped and its label
+    appended to `excluded`; the constant member lands here.
+    """
+    for member in members:
+        vals, grads = member_series(member, coords, q)
+        b, b_se = batch_mean_se(grads)
+        if b <= EXCLUSION_SE_FACTOR * b_se or b == 0.0:
+            excluded.append(member.label)
+            continue
+        yield member.label, np.abs(vals - np.mean(vals)) ** q, grads, b, b_se
+
+
+def _ratio_scan(
+    members, coords: np.ndarray, q: float
+) -> tuple[list[RatioEntry], list[str]]:
+    """Ratios mu(|f - mu f|^q) / mu(|grad f|^q) and the excluded labels."""
+    entries: list[RatioEntry] = []
+    excluded: list[str] = []
+    for label, centered, _, b, b_se in _screened_series(members, coords, q, excluded):
+        l, l_se = batch_mean_se(centered)
+        ratio = l / b
+        ratio_se = ratio * float(np.hypot(l_se / l if l > 0 else 0.0, b_se / b))
+        entries.append(RatioEntry(label, ratio, ratio_se))
+    return entries, excluded
 
 
 def poincare_scan(
@@ -283,38 +296,21 @@ def poincare_scan(
     lhs <= c0 * rhs within 3 SE on independently drawn samples.
     """
     q = spec.q
-    xb = samples.coords
-    entries = []
-    excluded = []
-    for member in family.train_members:
-        centered, grads = _poincare_series(member, xb, q)
-        b, b_se = batch_mean_se(grads)
-        if b <= EXCLUSION_SE_FACTOR * b_se or b == 0.0:
-            excluded.append(member.label)
-            continue
-        l, l_se = batch_mean_se(centered)
-        ratio = l / b
-        ratio_se = ratio * float(np.hypot(l_se / l if l > 0 else 0.0, b_se / b))
-        entries.append(RatioEntry(member.label, ratio, ratio_se))
+    entries, excluded = _ratio_scan(family.train_members, samples.coords, q)
     if not entries:
         raise ValueError("every training member was excluded")
     sup_ratio = max(e.ratio for e in entries)
     c0 = CANDIDATE_FACTOR * sup_ratio
 
-    count = holdout_count or xb.shape[0]
-    holdout_seed = int(derive_rng(samples.seed, "poincare-holdout").integers(2**31))
-    fresh = sample(spec, count, seed=holdout_seed)
+    fresh, holdout_seed = _holdout_batch(spec, samples, holdout_count, "poincare-holdout")
     checks = []
-    for member in family.holdout_members:
-        centered, grads = _poincare_series(member, fresh.coords, q)
-        b, b_se = batch_mean_se(grads)
-        if b <= EXCLUSION_SE_FACTOR * b_se or b == 0.0:
-            excluded.append(member.label)
-            continue
+    for label, centered, grads, b, _ in _screened_series(
+        family.holdout_members, fresh.coords, q, excluded
+    ):
         resid, resid_se = batch_mean_se(centered - c0 * grads)
         checks.append(
             HoldoutCheck(
-                label=member.label,
+                label=label,
                 lhs=float(np.mean(centered)),
                 rhs=c0 * b,
                 slack=SE_SLACK * resid_se,
@@ -393,18 +389,7 @@ def ball_poincare_check(
     ratio is recorded as an empirical lower bound only.
     """
     coords, acc = uniform_ball_samples(kind, radius, count, seed)
-    entries = []
-    excluded = []
-    for member in family.members:
-        centered, grads = _poincare_series(member, coords, exponent)
-        b, b_se = batch_mean_se(grads)
-        if b <= EXCLUSION_SE_FACTOR * b_se or b == 0.0:
-            excluded.append(member.label)
-            continue
-        l, l_se = batch_mean_se(centered)
-        ratio = l / b
-        ratio_se = ratio * float(np.hypot(l_se / l if l > 0 else 0.0, b_se / b))
-        entries.append(RatioEntry(member.label, ratio, ratio_se))
+    entries, excluded = _ratio_scan(family.members, coords, exponent)
     if not entries:
         raise ValueError("every member was excluded in the ball check")
     return BallPoincareReport(

@@ -43,6 +43,7 @@ FORMAT_VERSION = 1
 KIND_CODES = {ENGEL: 0.0, FILIFORM: 1.0}
 DEFAULT_BURN_IN = 10_000
 TARGET_ACCEPTANCE = 0.35
+N_BATCHES = 50
 
 
 class PrecisionError(RuntimeError):
@@ -410,12 +411,22 @@ def _log_student_t3_pdf(z: np.ndarray) -> np.ndarray:
     return np.log(2.0 / (np.pi * np.sqrt(3.0))) - 2.0 * np.log1p(z**2 / 3.0)
 
 
+def batch_mean_se(values: np.ndarray, n_batches: int = N_BATCHES) -> tuple[float, float]:
+    """Mean and batch-means standard error of a series."""
+    m = values.shape[0]
+    nb = min(n_batches, m)
+    usable = m - (m % nb)
+    means = values[:usable].reshape(nb, -1).mean(axis=1)
+    se = float(np.std(means, ddof=1) / np.sqrt(nb)) if nb > 1 else 0.0
+    return float(np.mean(values)), se
+
+
 def expectation(
     target: MeasureSpec | SampleBatch,
     f,
     count: int = 100_000,
     seed: int = 0,
-    n_batches: int = 50,
+    n_batches: int = N_BATCHES,
 ) -> tuple[float, float]:
     """Monte Carlo mean of f under the measure, with batch-means SE.
 
@@ -441,12 +452,7 @@ def expectation(
             UserWarning,
             stacklevel=2,
         )
-    m = vals.shape[0]
-    nb = min(n_batches, m)
-    usable = m - (m % nb)
-    means = vals[:usable].reshape(nb, -1).mean(axis=1)
-    se = float(np.std(means, ddof=1) / np.sqrt(nb)) if nb > 1 else 0.0
-    return float(np.mean(vals)), se
+    return batch_mean_se(vals, n_batches)
 
 
 @dataclass(frozen=True)

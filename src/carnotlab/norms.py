@@ -184,21 +184,3 @@ def smooth_mask(kind: NormKind, x: np.ndarray) -> np.ndarray:
     for j in kind.singular_axes:
         ok &= np.abs(xb[:, j]) >= tol
     return ok[0] if single else ok
-
-
-def equivalence_band(
-    nsamples: int = 100_000, seed: int = 0, box: float = 5.0
-) -> tuple[float, float]:
-    """Empirical band of filiform(3)-norm over step-3-norm ratios.
-
-    Samples nonzero points uniformly in a box and returns (min, max) of the
-    ratio.  The two norms are equivalent but not equal, so the band is a
-    proper interval with positive lower edge.
-    """
-    g = engel_group()
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-box, box, size=(nsamples, 4))
-    keep = np.max(np.abs(pts), axis=1) > 1e-12
-    pts = pts[keep]
-    ratio = filiform_norm(g, pts) / engel_norm(pts)
-    return float(np.min(ratio)), float(np.max(ratio))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -247,12 +248,27 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC_ERROR
         assert "numerical error" in capsys.readouterr().err
 
-    def test_overflowing_geodesic_target_exits_four(self, tmp_path, capsys):
-        code = run(["geodesic", "--target", "1e200,0,0,0"], tmp_path)
-        assert code == EXIT_NUMERIC_ERROR
+    def test_overflowing_geodesic_target_exits_three(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["geodesic", "--target", "1e200,0,0,0"], tmp_path)
+        assert code == EXIT_INPUT_ERROR
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
-        assert "numerical error" in err
+        assert "target [1e+200, 0.0, 0.0, 0.0]" in err
+        assert "overflows" in err
         assert "Traceback" not in err
+
+    def test_default_geodesic_target_follows_step(self, tmp_path, capsys):
+        code = run(
+            ["geodesic", "--kind", "filiform", "--step", "4",
+             "--segments", "9", "--restarts", "1"],
+            tmp_path,
+        )
+        assert code == EXIT_PASS
+        assert "target=[1.0, 0.0, 0.0, 0.0, 0.0]" in capsys.readouterr().out
+        config = json.loads((tmp_path / "geodesic.json").read_text())["config"]
+        assert config["target"] == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("target", ["nan,0,0,0", "inf,0,0,0", "0,0,-inf,0"])
     def test_non_finite_geodesic_target_exits_three(self, tmp_path, capsys, target):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from carnotlab.family import TestFunction, default_family, monomial_member
+from carnotlab.family import TestFunction, default_family, family_audit, monomial_member
 from carnotlab.inequalities import (
     ConditioningError,
     InfeasibleFitError,
@@ -138,6 +138,21 @@ class TestUBound:
         r1 = ubound_fit(ENGEL_SPEC, engel_family, batch, holdout_count=20_000)
         r2 = ubound_fit(ENGEL_SPEC, engel_family, batch, holdout_count=20_000)
         assert r1 == r2
+
+
+@pytest.mark.parametrize("spec", [ENGEL_SPEC, FIL4_SPEC], ids=["engel", "filiform-n4"])
+def test_ubound_training_moments_equal_family_audit(spec):
+    # ubound_fit and family_audit evaluate members through one series, so
+    # the training moments C and B equal the audit moments bit for bit.
+    fam = default_family(spec.kind, q=spec.q)
+    batch = sample(spec, 4_000, seed=31)
+    report = ubound_fit(spec, fam, batch, holdout_count=500)
+    audit = family_audit(fam, batch.coords)
+    assert len(report.train) == len(fam.train_indices)
+    for idx, fm in zip(fam.train_indices, report.train):
+        assert fm.label == audit.labels[idx]
+        assert fm.c == audit.value_moments[idx]
+        assert fm.b == audit.gradient_moments[idx]
 
 
 class TestPoincare:
