@@ -174,8 +174,6 @@ def _extremal_report(
     seed: int,
     domain: str,
 ) -> BoundReport:
-    if ratios.size == 0:
-        raise EmptyDomainError(f"no admissible samples for bound {spec.name}")
     if spec.direction == "upper":
         idx = int(np.argmax(ratios))
         passed = None if spec.target is None else bool(ratios[idx] <= spec.target + spec.tolerance)
@@ -274,9 +272,12 @@ def _verify(
     reports = []
     for key in keys:
         spec, ratio, _, note = _BOUNDS[key]
+        spec = replace(spec, name=spec.name.format(n=n))
+        if pts.shape[0] == 0:
+            raise EmptyDomainError(f"no admissible samples for bound {spec.name}")
         # The ratio array is a temporary, freed before the next key's.
         reports.append(_extremal_report(
-            replace(spec, name=spec.name.format(n=n)),
+            spec,
             kind,
             np.concatenate([ratio(table, pts[i : i + RATIO_CHUNK], n) for i in chunks]),
             pts,

@@ -49,6 +49,7 @@ import scipy
 
 from . import __version__
 from .bounds import (
+    EmptyDomainError,
     reports_to_csv,
     verify_engel_gradient_bound,
     verify_engel_laplacian_bound,
@@ -972,7 +973,7 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out) if args.out else Path("carnotlab-out") / args.command
         out.mkdir(parents=True, exist_ok=True)
         return RUNNERS[args.command](params, out)
-    except ConfigError as exc:
+    except (ConfigError, EmptyDomainError) as exc:
         print(f"carnotlab: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (

@@ -354,7 +354,8 @@ def approx_distance(
     for level_idx, k_seg in enumerate(levels):
         starts: list[np.ndarray] = []
         if best_controls is not None:
-            starts.append(np.repeat(best_controls, 2, axis=0))
+            # Each previous segment split in two; an odd level repeats the last once more.
+            starts.append(best_controls[np.minimum(np.arange(k_seg) // 2, len(best_controls) - 1)])
         stair = staircase_controls(group, tvec, k_seg)
         if stair is not None:
             starts.append(stair)

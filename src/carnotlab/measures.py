@@ -16,6 +16,10 @@ batch-means errors, and an empirical check of the perturbation certificate
 
 with n the group step and |||.||| the kind's scalar seminorm.
 
+One log-density closure per spec serves both `log_unnormalized_density`
+and the sampler, which resolves it once per call over one norm kernel;
+its chains are bit-identical to sweeps through `log_unnormalized_density`.
+
 Sample batches serialise to a small binary format ("CCMB"): magic bytes,
 u32 version and step, f64 spec fields (a, p, kind code, perturbation flag),
 u64 seed and count, then the points row-major as little-endian f64.  A CSV
@@ -29,13 +33,14 @@ import struct
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .calculus import ScalarField, fd_frame_first
 from .frames import Frame, left_frame, right_frame_engel
 from .group import GroupPoint, _as_batch
-from .norms import ENGEL, FILIFORM, NormKind, aux_seminorm, norm_value
+from .norms import ENGEL, FILIFORM, NormKind, aux_seminorm, norm_kernel, norm_value
 from .seeding import seed_sequence
 
 MAGIC = b"CCMB"
@@ -139,17 +144,19 @@ class SampleBatch:
         return [GroupPoint(g, row) for row in self.coords]
 
 
+def _log_density(spec: MeasureSpec, norm: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """xb -> -a N(xb)^p - W(xb) on validated batches, N = norm(xb)."""
+    neg_a, p, pert = -spec.a, spec.p, spec.perturbation
+    if pert is None:
+        return lambda xb: neg_a * norm(xb) ** p
+    return lambda xb: neg_a * norm(xb) ** p - pert.potential.value(xb)
+
+
 def log_unnormalized_density(spec: MeasureSpec, x: np.ndarray) -> np.ndarray:
     """log u(x) = -a N(x)^p - W(x); vectorised."""
     xb, single = _as_batch(x, spec.kind.group.dimension)
-    out = -spec.a * norm_value(spec.kind, xb) ** spec.p
-    if spec.perturbation is not None:
-        out = out - spec.perturbation.potential.value(xb)
+    out = _log_density(spec, lambda y: norm_value(spec.kind, y))(xb)
     return out[0] if single else out
-
-
-def _proposal_scales(spec: MeasureSpec, step_scale: float) -> np.ndarray:
-    return np.array([step_scale**w for w in spec.kind.group.weights])
 
 
 def sample(
@@ -168,43 +175,51 @@ def sample(
     burn-in only and frozen afterwards, so retained draws form a genuine
     Markov chain.  Chains get independent generators spawned from the master
     seed and are merged chain-major, making the batch bit-reproducible.
+
+    The log density is resolved once per call over the kind's norm kernel,
+    with chains bit-identical to sweeps through `log_unnormalized_density`.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if step_scale <= 0:
         raise ValueError("step scale must be positive")
     d = spec.kind.group.dimension
+    weights = spec.kind.group.weights
     chains = int(min(chains, max(1, count)))
     per_chain = -(-count // chains)  # ceil
+    log_density = _log_density(spec, norm_kernel(spec.kind))
 
     ss = seed_sequence(seed, "measure-sampler")
     rng = np.random.default_rng(ss)
 
-    x = rng.normal(scale=1.0, size=(chains, d)) * _proposal_scales(spec, 1.0)
-    logu = log_unnormalized_density(spec, x)
+    # Unit proposal scales: 1.0**weight is 1.0, and x * 1.0 == x.
+    x = rng.normal(scale=1.0, size=(chains, d))
+    logu = log_density(x)
 
     log_step = np.log(step_scale)
     kept = np.empty((chains, per_chain, d))
+    prop = np.empty((chains, d))
     accepted = 0
-    proposed = 0
-    total_iters = burn_in + per_chain
-    for t in range(total_iters):
-        scales = _proposal_scales(spec, float(np.exp(log_step)))
-        prop = x + rng.normal(size=(chains, d)) * scales
-        logu_prop = log_unnormalized_density(spec, prop)
-        accept = np.log(rng.uniform(size=chains)) < logu_prop - logu
-        x = np.where(accept[:, None], prop, x)
-        logu = np.where(accept, logu_prop, logu)
+    for t in range(burn_in + per_chain):
+        step = float(np.exp(log_step))
+        # normal(size) gives 0.0 + 1.0 * z for the same draws z: z itself but
+        # for z = -0.0, and x is never -0.0, so x + z * scale is unchanged.
+        rng.standard_normal(out=prop)
+        prop *= [step**w for w in weights]
+        prop += x
+        logu_prop = log_density(prop)
+        accept = np.log(rng.random(chains)) < logu_prop - logu
+        np.copyto(x, prop, where=accept[:, None])
+        np.copyto(logu, logu_prop, where=accept)
         if t < burn_in:
-            rate = float(np.mean(accept))
+            rate = np.count_nonzero(accept) / chains
             gamma = 0.25 / (1.0 + t / 100.0) ** 0.6
             log_step += gamma * (rate - TARGET_ACCEPTANCE)
         else:
             kept[:, t - burn_in, :] = x
-            accepted += int(np.sum(accept))
-            proposed += chains
+            accepted += np.count_nonzero(accept)
 
-    acc_rate = accepted / max(proposed, 1)
+    acc_rate = accepted / (per_chain * chains)
     if not 0.05 <= acc_rate <= 0.95:
         warnings.warn(
             f"post-adaptation acceptance rate {acc_rate:.3f} outside [0.05, 0.95]; "

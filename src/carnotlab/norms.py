@@ -28,6 +28,8 @@ the measures and inequality modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -91,59 +93,69 @@ class SmoothRegionFlag:
     component_signs: tuple[int, ...]
 
 
+def _engel_kernel(xb: np.ndarray, with_top: bool = True) -> np.ndarray:
+    sem = np.sqrt(xb[:, 0] ** 2 + xb[:, 1] ** 2 + np.abs(xb[:, 2]))
+    return np.cbrt(sem**3 + np.abs(xb[:, 3])) if with_top else sem
+
+
+@lru_cache(maxsize=None)
+def _filiform_kernel(n: int, with_top: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """N (or |x|, without the top term) on validated (m, n+1) batches of step n."""
+    half = (n + 1) / 2.0
+    alphas = [(n + 1) / (2.0 * (j - 1)) for j in range(3, n + 1)]
+    beta, inv_n = 2.0 * n / (n + 1), 1.0 / n
+
+    def kernel(xb: np.ndarray) -> np.ndarray:
+        b_pow = np.abs(xb[:, 1]) ** half
+        ab = np.abs(xb[:, 0]) ** half + b_pow  # S_2 has T_2 = B
+        rows = [ab + b_pow] + [ab + np.abs(xb[:, j]) ** al for j, al in enumerate(alphas, 2)]
+        # np.sum, not a row fold: NumPy sums a one-point column pairwise.
+        total = np.sum(np.stack(rows) ** beta, axis=0)
+        if with_top:
+            total += np.abs(xb[:, -1])
+        return total**inv_n
+
+    return kernel
+
+
+def norm_kernel(kind: NormKind) -> Callable[[np.ndarray], np.ndarray]:
+    """The closed-form norm of `kind` on validated (m, d) float64 batches."""
+    return _engel_kernel if kind.variant == ENGEL else _filiform_kernel(kind.group.step, True)
+
+
 def engel_seminorm(x: np.ndarray) -> np.ndarray:
     """(x_1^2 + x_2^2 + |x_3|)^(1/2) on the step-3 group."""
     xb, single = _as_batch(x, 4)
-    out = np.sqrt(xb[:, 0] ** 2 + xb[:, 1] ** 2 + np.abs(xb[:, 2]))
+    out = _engel_kernel(xb, with_top=False)
     return out[0] if single else out
 
 
 def engel_norm(x: np.ndarray) -> np.ndarray:
     """(seminorm^3 + |x_4|)^(1/3) on the step-3 group."""
     xb, single = _as_batch(x, 4)
-    sem = np.sqrt(xb[:, 0] ** 2 + xb[:, 1] ** 2 + np.abs(xb[:, 2]))
-    out = np.cbrt(sem**3 + np.abs(xb[:, 3]))
+    out = _engel_kernel(xb)
     return out[0] if single else out
-
-
-def _filiform_s_terms(group: FiliformGroup, xb: np.ndarray) -> np.ndarray:
-    """Stack of S_j for j = 2..n, shape (n-1, m)."""
-    n = group.step
-    half = (n + 1) / 2.0
-    a_pow = np.abs(xb[:, 0]) ** half
-    b_pow = np.abs(xb[:, 1]) ** half
-    rows = []
-    for j in range(2, n + 1):
-        t = np.abs(xb[:, j - 1]) ** ((n + 1) / (2.0 * (j - 1)))
-        rows.append(a_pow + b_pow + t)
-    return np.stack(rows, axis=0)
 
 
 def filiform_seminorm(group: FiliformGroup, x: np.ndarray) -> np.ndarray:
     """The degree-1 homogeneous seminorm |x| with |x|^n = sum_j S_j^(2n/(n+1))."""
     xb, single = _as_batch(x, group.dimension)
-    n = group.step
-    beta = 2.0 * n / (n + 1)
-    s = _filiform_s_terms(group, xb)
-    out = np.sum(s**beta, axis=0) ** (1.0 / n)
+    out = _filiform_kernel(group.step, False)(xb)
     return out[0] if single else out
 
 
 def filiform_norm(group: FiliformGroup, x: np.ndarray) -> np.ndarray:
     """(|x|^n + |x_{n+1}|)^(1/n) for the filiform seminorm above."""
     xb, single = _as_batch(x, group.dimension)
-    n = group.step
-    beta = 2.0 * n / (n + 1)
-    s = _filiform_s_terms(group, xb)
-    out = (np.sum(s**beta, axis=0) + np.abs(xb[:, -1])) ** (1.0 / n)
+    out = _filiform_kernel(group.step, True)(xb)
     return out[0] if single else out
 
 
 def norm_value(kind: NormKind, x: np.ndarray) -> np.ndarray:
     """Evaluate the norm selected by `kind`."""
-    if kind.variant == ENGEL:
-        return engel_norm(x)
-    return filiform_norm(kind.group, x)
+    xb, single = _as_batch(x, kind.group.dimension)
+    out = norm_kernel(kind)(xb)
+    return out[0] if single else out
 
 
 def seminorm_value(kind: NormKind, x: np.ndarray) -> np.ndarray:

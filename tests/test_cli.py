@@ -289,6 +289,26 @@ class TestExitCodes:
         assert "segments must be at least 9 for step 4" in err
         assert "Traceback" not in err
 
+    def test_odd_segment_count_is_kept(self, tmp_path, capsys):
+        code = run(
+            ["geodesic", "--kind", "filiform", "--step", "4",
+             "--segments", "9", "--restarts", "1"],
+            tmp_path,
+        )
+        assert code == EXIT_PASS
+        assert "segments 9" in capsys.readouterr().out
+        assert json.loads((tmp_path / "geodesic.json").read_text())["results"]["segments"] == 9
+
+    def test_empty_axis_filter_exits_three(self, tmp_path, capsys):
+        code = run(
+            ["verify-bounds", "--samples", "1", "--standoff", "1e-9", "--filiform-steps", "3"],
+            tmp_path,
+        )
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "input error: no admissible samples for bound" in err
+        assert "Traceback" not in err
+
     def test_no_command_prints_help(self, capsys):
         code = main([])
         assert code == EXIT_INPUT_ERROR

@@ -1,5 +1,8 @@
 """Tests for the Gibbs measure module: densities, sampling, Z, certificates."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -425,3 +428,90 @@ def test_filiform_kind_code_roundtrip(tmp_path):
     assert header["kind_code"] == 1.0
     assert header["a"] == 1.5
     assert coords.shape == (100, 6)
+
+
+# SHA-256 of coords.tobytes() followed by repr((acceptance rate, effective
+# samples, step scale, tail count)) for sample(spec, count, seed,
+# burn_in=300), p = 3 for Engel and p = n for filiform step n.  They pin
+# the chains byte for byte: any change to a sweep's RNG calls or to the order
+# of its float operations that moves a draw shows here.
+SAMPLER_DIGESTS = {
+    ("engel", 3, 1, 0): "42d8b2517ec711399777042e80df4f06701f6a1814a4c12e0bc89bbed20f701c",
+    ("engel", 3, 1, 7): "9d7a09bdef69ed71b45c9b1fe2de37dac10f9e1a6617971c150031864362bc6d",
+    ("engel", 3, 37, 0): "bd2cec19c06e44fd0a31280c7c8cfd2ea40facb301fba83e4e3c8f84b5245ce2",
+    ("engel", 3, 37, 7): "34365c5a5ca5932a9ca50bb194d8122d454e69450f2107528e6ceb1899e8d4ab",
+    ("engel", 3, 300, 0): "04f533b9c656321593d571b618765176b6cd0842f8024987b9cc7a4f330a796d",
+    ("engel", 3, 300, 7): "c0d59278dd54aa768f566760be0c60bc9838a723c269f28a0496cd10978b64b1",
+    ("filiform", 3, 1, 0): "ec9b547a243e9cab55394e772d0eaadbd07e9dbab0111da9fa47ab6d5e698e7f",
+    ("filiform", 3, 1, 7): "353fff4f8a9da9eb558cbc65e1e925d213adbf0d25ed3525d33be215f32020cc",
+    ("filiform", 3, 37, 0): "1de9dbc51d056923287ba685703246a839e33ea2aad72b8165f47f7114c0733d",
+    ("filiform", 3, 37, 7): "b426d382e164b146c3dbd7ab11da5d8ec5d74a708a6b1961cb6ccccf56716be0",
+    ("filiform", 3, 300, 0): "8dff0c6b8de133171f49ae6aee8af27323fa0b6cf37bcaa89082e3738edf227a",
+    ("filiform", 3, 300, 7): "4e10954bd1d158e4041041fe1798a3908f615c72e4b10e626af1248cd27cfaa0",
+    ("filiform", 4, 1, 0): "8e5501c00a16c84fd0c892358f1ea91f399c99bfe46f2b46c49383b851c3c38e",
+    ("filiform", 4, 1, 7): "8bde3968bf6219ba95d85ce983f30bc34556d29e1985ba1bc433cbb4b694e38f",
+    ("filiform", 4, 37, 0): "1f472cabb38ce1d392ea5e8b9182cd768ace4a8803dc3172604151aedc734f53",
+    ("filiform", 4, 37, 7): "b1d52232e055be11ecba82f0d97d44b485e23e461be4182818a23dacf84c218a",
+    ("filiform", 4, 300, 0): "ff8705a43cb5b59d5b67a8f8406f152c51dc39fdb85e63d26617cfea5d47622f",
+    ("filiform", 4, 300, 7): "e79fec1d05656b5830c2c9a00d1c94137da9a0450e65eee210ac01572cb698eb",
+    ("filiform", 5, 1, 0): "ca3f0d93ec22b536935693da692b9a2d4b05e3a9be8ca54cd04fd47179623160",
+    ("filiform", 5, 1, 7): "05dda8b182ee640a1dbbc974288f808620f6f32a14c8fb1ea9c476844cc6b177",
+    ("filiform", 5, 37, 0): "2f696c2c02b3e5fb79399a756e56c5e5999332f73ee7d7cd2202dd826a741a70",
+    ("filiform", 5, 37, 7): "aae1ab0c67f0558535abd1b9072c382f0ea448411baf68bc82e0ac1c73a95336",
+    ("filiform", 5, 300, 0): "e5221072466e2261b31bc41d42d23884e818059a3a263ec118d8565a8a0685f8",
+    ("filiform", 5, 300, 7): "97d153ddf4a588ee6c52c82381e99c7795ae9c38809485453f535260fae1db76",
+    ("filiform", 6, 1, 0): "4b29ca04f533f3484011154d5744bcd660cbe8d76de7b5f749259c81d38099bb",
+    ("filiform", 6, 1, 7): "b9fff97f27416e36362d1a60d47e3591813cfd8009d15665ce00eed0d8f5408d",
+    ("filiform", 6, 37, 0): "a15778f31fef80564db136f9f10b8fb77b3503882c7b989ee5df08e9dfe9d96b",
+    ("filiform", 6, 37, 7): "507494e3ce585e8e649d12ae7a1d5fbfa15c1391b54232a086158127d4485820",
+    ("filiform", 6, 300, 0): "3dd0468babbf442097189477e7f7dcaa21637a389a19f7eb397c9bd30f7a5e10",
+    ("filiform", 6, 300, 7): "7e5069c01269c79453cdbeab4999f407d8eb25f29e1dd614999a873818d13950",
+    ("filiform", 7, 1, 0): "682bd3cc8550229c2d35b650ff21e29fe049361209b5c58e52ef10a93b7f4113",
+    ("filiform", 7, 1, 7): "6945016f140c35d8d572a52ece850cf494e86e4a91f852574a8eab54c4a53972",
+    ("filiform", 7, 37, 0): "448192780341211d3cd9be13aac5021569ebd05e0cff3f9ad8a3f655d9f1c2da",
+    ("filiform", 7, 37, 7): "d322088c6804845695c6e78bdce182a8e2b131d3c3c57d94ac8cd55eed9f7f8e",
+    ("filiform", 7, 300, 0): "64c7d6f1400c6ede958cdfab99a85af376824ce62303fa15102eccce8a1cc005",
+    ("filiform", 7, 300, 7): "5b6f026e7b1a5b50b09e368b6361a14cb6a6041259faa575b25034078d8c5d70",
+    ("filiform", 8, 1, 0): "ea1bb7e3e13736e9e08c550f0ba7065c29ff3c1ab0870f05d8d37a5ddf92108c",
+    ("filiform", 8, 1, 7): "3834e49acec6c01a21e639359244ba610c8eadf0f6a447d878226211ef01170d",
+    ("filiform", 8, 37, 0): "bf1f28a20443f74de1e2f9e32daa9ce68fa4fc9eecb012073a1ff41db25854fd",
+    ("filiform", 8, 37, 7): "cee73e4d6bdc69a4f8a2d87634bc7014c7f55d91a74c063fef2b8cc29e0db0ad",
+    ("filiform", 8, 300, 0): "9e19e1689aa1c09ef0fe70cdddaeaecc4c91a692af8238efe4050efff9040b00",
+    ("filiform", 8, 300, 7): "d5cdc66c576ba5de1fedebea8b8fe98508ae868243e4d75ea51e88b9d09a0bb3",
+    ("filiform", 9, 1, 0): "6c0ae3c85a5021b4aebcbeb58bd6228d2bbc53f15698cf65a13a981beb77deb5",
+    ("filiform", 9, 1, 7): "5c3bbf98791885e6433ad5d0579f00581bac49c43832ea2d03038f74920a94c0",
+    ("filiform", 9, 37, 0): "4266427fefee5c263775ff17a9bf32dacecfd6ac1cec2619e9ea6b0e9bbd2033",
+    ("filiform", 9, 37, 7): "54d6c49fae0614d7ae98b0752d6932965683a3677f31733fcb0d26b07792feff",
+    ("filiform", 9, 300, 0): "550d348cca7460219064a54fbab82321ad7a1f9d679a7b7a01603da15d7c3c36",
+    ("filiform", 9, 300, 7): "25752e0f9b88f9aeb26abc59708e6b3260d4868bbe7b64a48b2d216a090deae9",
+    ("filiform", 10, 1, 0): "401b81b97e0f51cc9bfc9385bdac8082cf3bfaaad999a4d2166b387f0eb7b650",
+    ("filiform", 10, 1, 7): "49027303de0613a8ceac7cb85cc596dc287f0d20ac010723f2a55ea0ee62b937",
+    ("filiform", 10, 37, 0): "18011addf6bca3f0110ace4b69f2766ac1bfefe17d20cba29e38096b6b2e6dc2",
+    ("filiform", 10, 37, 7): "f89848fa3500936f7d3fcb406926bd3eba2fcbca389135828cb9f166c7343b40",
+    ("filiform", 10, 300, 0): "8c7aa2f2c98e2366d0bafa62d58122f458dc18cb6a6aeda49049ee2d2158b820",
+    ("filiform", 10, 300, 7): "8238d8d0ad74776ea8e4a3b19e8b55eef7fff9a2682739b28c1195fdbc86345c",
+    ("filiform", 11, 1, 0): "dfea670173d5483a0bc3f9bc9a1a437c5a3386cb94973c6b745c870e22f5fe15",
+    ("filiform", 11, 1, 7): "4f0493c9c28132385c01d455fcd622a848fa54a14ec5bd8dd6d0d74aeb1da1da",
+    ("filiform", 11, 37, 0): "736cbe010403b118edc7f02a83a9b8251bb396f04e21e637b78da6f528729c38",
+    ("filiform", 11, 37, 7): "e337ee62ae18ea2241121c5b46f67558bf7bb24f88062e6cefaa1f0a568b7840",
+    ("filiform", 11, 300, 0): "bcb0cf62773a00b64db1c9e0751a67e26798b723f9769e62285d33d215e4a753",
+    ("filiform", 11, 300, 7): "49e5387211cdbf302bac0ea77940c15e0105879d2717b5b5c1519df0d9f76513",
+    ("filiform", 12, 1, 0): "fc08319ce79b18662e1a07cf092787b70dbf3133cbd394f7e1cdccf5472a4c8d",
+    ("filiform", 12, 1, 7): "e6fdff7a9958aed681fd65fb74b8786b19cd08e90b7d190e8e05d981f9234135",
+    ("filiform", 12, 37, 0): "4fe9502b13e917cf755f539dc47af22da172a075408aa09b438924fe394e74b9",
+    ("filiform", 12, 37, 7): "26c80d548e7d12418a72fc67772142a11877fdca28d2e982c2c1c8332c4eeb82",
+    ("filiform", 12, 300, 0): "c127737a85e9fa552cf1d4ea4cc2aa76126c3c26fcec236e3eab1aa6645d8e42",
+    ("filiform", 12, 300, 7): "5a610a632e0dc9106c8dfd2f21709d6a3a1dcc55e79f7d4f8fa007b497326dac",
+}
+
+
+@pytest.mark.parametrize("variant,step,count,seed", sorted(SAMPLER_DIGESTS))
+def test_sampler_bytes_pinned(variant, step, count, seed):
+    kind = engel_kind() if variant == "engel" else filiform_kind(step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        batch = sample(MeasureSpec(kind, a=1.0, p=float(step)), count, seed, burn_in=300)
+    d = batch.diagnostics
+    digest = hashlib.sha256(batch.coords.tobytes())
+    digest.update(repr((d.acceptance_rate, d.effective_samples, d.step_scale, d.tail_audit_count)).encode())
+    assert digest.hexdigest() == SAMPLER_DIGESTS[variant, step, count, seed]

@@ -17,6 +17,7 @@ from carnotlab.norms import (
     filiform_kind,
     filiform_norm,
     filiform_seminorm,
+    norm_kernel,
     norm_value,
     smooth_mask,
     smooth_region,
@@ -202,3 +203,44 @@ def test_seminorm_homogeneity():
         lam * filiform_seminorm(g, x),
         rtol=1e-12,
     )
+
+
+def _reference_filiform(n: int, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|x|^n and N written as np.stack / np.sum over S_j^beta, the formula's plain form."""
+    half = (n + 1) / 2.0
+    a_pow = np.abs(xb[:, 0]) ** half
+    b_pow = np.abs(xb[:, 1]) ** half
+    rows = [a_pow + b_pow + np.abs(xb[:, j - 1]) ** ((n + 1) / (2.0 * (j - 1))) for j in range(2, n + 1)]
+    power_sum = np.sum(np.stack(rows, axis=0) ** (2.0 * n / (n + 1)), axis=0)
+    return power_sum ** (1.0 / n), (power_sum + np.abs(xb[:, -1])) ** (1.0 / n)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_kernel_bytes_match_stack_sum_formula(n):
+    # NumPy sums one column pairwise once it has eight terms (n >= 9), so the
+    # one-point batches check the kernel keeps np.sum's order there.
+    g = FiliformGroup(n)
+    rng = np.random.default_rng(900 + n)
+    xb = rng.normal(size=(4099, n + 1)) * rng.uniform(0.01, 30.0, size=(4099, 1)) ** np.array(g.weights)
+    xb[::97, rng.integers(0, n + 1)] = 0.0
+    sem_ref, norm_ref = _reference_filiform(n, xb)
+    kernel = norm_kernel(filiform_kind(n))
+    assert kernel(xb).tobytes() == norm_ref.tobytes()
+    assert filiform_norm(g, xb).tobytes() == norm_ref.tobytes()
+    assert filiform_seminorm(g, xb).tobytes() == sem_ref.tobytes()
+    for i in range(64):
+        sem_one, norm_one = _reference_filiform(n, xb[i : i + 1])
+        assert kernel(xb[i : i + 1]).tobytes() == norm_one.tobytes()
+        assert norm_value(filiform_kind(n), xb[i]).tobytes() == norm_one[0].tobytes()
+        assert filiform_seminorm(g, xb[i]).tobytes() == sem_one[0].tobytes()
+
+
+def test_engel_kernel_bytes_match_formula():
+    rng = np.random.default_rng(902)
+    xb = rng.normal(size=(4099, 4)) * np.array([1.0, 1.0, 4.0, 8.0])
+    sem = np.sqrt(xb[:, 0] ** 2 + xb[:, 1] ** 2 + np.abs(xb[:, 2]))
+    ref = np.cbrt(sem**3 + np.abs(xb[:, 3]))
+    assert norm_kernel(engel_kind())(xb).tobytes() == ref.tobytes()
+    assert engel_norm(xb).tobytes() == ref.tobytes()
+    assert engel_seminorm(xb).tobytes() == sem.tobytes()
+    assert all(norm_value(engel_kind(), xb[i]).tobytes() == ref[i].tobytes() for i in range(64))
