@@ -4,7 +4,7 @@ Nine subcommands cover the library surface:
 
   verify-algebra   group axioms, commutator tables, frame invariance
   verify-bounds    pointwise norm-derivative bound certification
-  sample           Metropolis sampling to CCMB + CSV, optional Z estimate
+  sample           exact sampling to CCMB + CSV, optional Z estimate
   ubound           U-bound moment fit with holdout validation
   poincare         q-Poincare ratio scan with holdout validation
   gap              Galerkin spectral-gap estimates, optional calibration
@@ -88,6 +88,7 @@ from .measures import (
     MeasureSpec,
     PrecisionError,
     SampleBatch,
+    batch_mean_se,
     estimate_Z,
     export_csv,
     sample,
@@ -100,6 +101,9 @@ EXIT_PASS = 0
 EXIT_CHECK_FAIL = 2
 EXIT_INPUT_ERROR = 3
 EXIT_NUMERIC_ERROR = 4
+
+# Standard errors allowed between the sample mean of a N^p and Q/p.
+MOMENT_SE_FACTOR = 5.0
 
 CHECK_IDS = {
     "cfg-schema": "run configuration validates against the shipped schema",
@@ -116,6 +120,7 @@ CHECK_IDS = {
     "bnd-fil-x1": "filiform first-derivative ratio stays above 1",
     "bnd-fil-sup": "filiform ratio sups are finite (values recorded)",
     "smp-finite": "all retained samples are finite",
+    "smp-moment": "E[a N^p] matches Q/p within 5 standard errors",
     "smp-z": "the normalization estimate converged within budget",
     "ub-feasible": "the U-bound fit is feasible on training members",
     "ub-holdout": "fitted coefficients validate on holdout members",
@@ -182,12 +187,9 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
         "standoff": (1e-2, _POS, "distance kept from singular hyperplanes"),
         **_SEED,
     }),
-    "sample": ("Metropolis sampling to CCMB and CSV", {
+    "sample": ("exact sampling to CCMB and CSV", {
         **_GIBBS,
         "count": _count(100_000),
-        "step_scale": (0.7, _POS, "initial proposal scale"),
-        "burn_in": (10_000, _NONNEG, "burn-in sweeps"),
-        "chains": (256, _INT, "parallel chains"),
         "csv_rows": (10_000, _NONNEG, "rows mirrored to CSV, 0 disables"),
         "z_budget": (0, _NONNEG, "integrand evaluations for the Z estimate, 0 skips"),
         **_SEED,
@@ -560,14 +562,7 @@ def _run_verify_bounds(params: dict, out: Path) -> int:
 def _run_sample(params: dict, out: Path) -> int:
     ctx = RunContext("sample", params, out)
     spec = _measure_spec(params)
-    batch = sample(
-        spec,
-        params["count"],
-        seed=params["seed"],
-        step_scale=params["step_scale"],
-        burn_in=params["burn_in"],
-        chains=params["chains"],
-    )
+    batch = sample(spec, params["count"], seed=params["seed"])
     finite = bool(np.all(np.isfinite(batch.coords)))
     ctx.check(
         "smp-finite",
@@ -576,6 +571,12 @@ def _run_sample(params: dict, out: Path) -> int:
         f"{_fmt(batch.diagnostics.acceptance_rate)}, "
         f"ess {_fmt(batch.diagnostics.effective_samples)}",
     )
+    # a N^p is Gamma(Q/p, 1) distributed, so its mean is exactly Q/p.
+    mean, se = batch_mean_se(spec.a * norm_value(spec.kind, batch.coords) ** spec.p)
+    target = spec.kind.group.homogeneous_dimension / spec.p
+    margin = MOMENT_SE_FACTOR * se - abs(mean - target)
+    detail = f"E[a N^p] {_fmt(mean)} vs Q/p {_fmt(target)}, se {_fmt(se)}, margin {_fmt(margin)}"
+    ctx.check("smp-moment", margin >= 0.0, detail)
     save_batch(out / "samples.ccmb", batch)
     rows = min(params["csv_rows"], batch.coords.shape[0])
     if rows > 0:
@@ -591,6 +592,7 @@ def _run_sample(params: dict, out: Path) -> int:
     results = {
         "diagnostics": dataclasses.asdict(batch.diagnostics),
         "count": int(batch.coords.shape[0]),
+        "moment": {"mean": mean, "se": se, "target": target, "margin": margin},
     }
     if params["z_budget"] > 0:
         z = estimate_Z(spec, budget=params["z_budget"], seed=params["seed"])
@@ -818,8 +820,13 @@ def _run_geodesic(params: dict, out: Path) -> int:
         raise ConfigError("target coordinates must be finite")
     with np.errstate(over="ignore"):
         nval = float(norm_value(kind, target))
-    if not np.isfinite(nval):
-        raise ConfigError(f"target {params['target']} is too large: its norm overflows")
+    # The path optimiser squares endpoint residuals of size up to N^n.
+    limit = sys.float_info.max ** (1.0 / (2 * group.step))
+    if not nval < limit:
+        raise ConfigError(
+            f"target {params['target']} is too large: its norm {nval!r} reaches "
+            f"{limit:.6g}, where N^(2n) overflows float64"
+        )
     if params["segments"] < 2 * group.step + 1:
         raise ConfigError(
             f"segments must be at least {2 * group.step + 1} for step {group.step}"

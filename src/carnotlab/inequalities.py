@@ -10,7 +10,7 @@ batch-means standard errors (50 batches):
   * `poincare_scan`: ratios mu(|f - mu f|^q) / mu(|grad f|^q), the training
     sup, a 1.1x candidate constant, and an independent holdout validation.
   * `ball_poincare_check`: the same ratios for exponent p under the uniform
-    measure on a norm ball, by rejection sampling.
+    measure on a norm ball, drawn in homogeneous polar coordinates.
   * `localization_decomposition`: exact three-indicator split of
     mu(|f - m|^q) with the Chebyshev bound on the far region and the shift
     consistency of the intermediate region.
@@ -38,7 +38,7 @@ from .family import (
     weighted_monomial_exponents,
     monomial_member,
 )
-from .measures import MeasureSpec, SampleBatch, batch_mean_se, sample
+from .measures import MeasureSpec, SampleBatch, batch_mean_se, cone_samples, sample
 from .norms import ENGEL, NormKind, aux_seminorm, norm_value
 from .seeding import derive_rng
 
@@ -349,29 +349,16 @@ class BallPoincareReport:
 def uniform_ball_samples(
     kind: NormKind, radius: float, count: int, seed: int
 ) -> tuple[np.ndarray, float]:
-    """Uniform rejection samples from the norm ball {N <= radius}.
+    """Uniform samples from the norm ball {N <= radius}.
 
-    The bounding box half-widths radius^weight(k) contain the ball because
-    N(x) >= |x_k|^(1/weight(k)) coordinatewise; the acceptance rate is the
-    ball-to-box volume ratio.
+    The ball's volume scales as radius^Q, so delta_{radius U^(1/Q)} Theta
+    with U uniform on [0, 1] and Theta from `cone_samples` is uniform on it.
+    The returned rate is the cone sampler's envelope acceptance.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
-    rng = derive_rng(seed, "ball-rejection")
-    half = np.array([radius**w for w in kind.group.weights])
-    d = kind.group.dimension
-    rows = []
-    kept = 0
-    proposed = 0
-    while kept < count:
-        block = max(4 * count, 1024)
-        pts = rng.uniform(-1.0, 1.0, size=(block, d)) * half
-        mask = norm_value(kind, pts) <= radius
-        rows.append(pts[mask])
-        kept += int(mask.sum())
-        proposed += block
-    coords = np.concatenate(rows)[:count]
-    return coords, kept / proposed
+    theta, acc = cone_samples(kind, count, derive_rng(seed, "ball", "shape"))
+    u = derive_rng(seed, "ball", "radius").random(count)
+    radii = radius * u ** (1.0 / kind.group.homogeneous_dimension)
+    return theta * radii[:, None] ** np.array(kind.group.weights, dtype=np.float64), acc
 
 
 def ball_poincare_check(

@@ -6,19 +6,18 @@ optional perturbing potential W, giving the unnormalised density
 
     u(x) = exp(-a N(x)^p - W(x)).
 
-Provided operations: exact-density evaluation, a dilation-adapted
-random-walk Metropolis sampler with vectorised parallel chains,
-normalisation-constant estimation (tensor quadrature in dimension <= 6,
-heavy-tailed importance sampling above), Monte Carlo expectations with
-batch-means errors, and an empirical check of the perturbation certificate
+Provided operations: exact-density evaluation, sampling, normalisation-
+constant estimation (tensor quadrature in dimension <= 6, heavy-tailed
+importance sampling above), Monte Carlo expectations with batch-means
+errors, and an empirical check of the perturbation certificate
 
     |grad W|^q <= delta N^(p-n) |||x|||^n + gamma_delta,     W <= C N,
 
 with n the group step and |||.||| the kind's scalar seminorm.
 
-One log-density closure per spec serves both `log_unnormalized_density`
-and the sampler, which resolves it once per call over one norm kernel;
-its chains are bit-identical to sweeps through `log_unnormalized_density`.
+The unperturbed measures depend on x only through N, so homogeneous polar
+coordinates sample them exactly and iid (see `sample`); a perturbed spec
+runs an independence Metropolis chain with those draws as proposals.
 
 Sample batches serialise to a small binary format ("CCMB"): magic bytes,
 u32 version and step, f64 spec fields (a, p, kind code, perturbation flag),
@@ -33,7 +32,6 @@ import struct
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -41,13 +39,11 @@ from .calculus import ScalarField, fd_frame_first
 from .frames import Frame, left_frame, right_frame_engel
 from .group import GroupPoint, _as_batch
 from .norms import ENGEL, FILIFORM, NormKind, aux_seminorm, norm_kernel, norm_value
-from .seeding import seed_sequence
+from .seeding import derive_rng, seed_sequence
 
 MAGIC = b"CCMB"
 FORMAT_VERSION = 1
 KIND_CODES = {ENGEL: 0.0, FILIFORM: 1.0}
-DEFAULT_BURN_IN = 10_000
-TARGET_ACCEPTANCE = 0.35
 N_BATCHES = 50
 
 
@@ -114,12 +110,15 @@ class MeasureSpec:
 
 
 @dataclass(frozen=True)
-class ChainDiagnostics:
+class SampleDiagnostics:
+    """How a batch was drawn: "exact" iid draws (envelope acceptance, ESS =
+    count) or an "independence-metropolis" chain (move acceptance, ESS the
+    smallest over every coordinate and N^p); `tail_audit_count` counts the
+    points beyond `MeasureSpec.tail_radius`."""
+
+    method: str
     acceptance_rate: float
     effective_samples: float
-    burn_in: int
-    step_scale: float
-    chains: int
     tail_audit_count: int
 
 
@@ -130,7 +129,7 @@ class SampleBatch:
     spec: MeasureSpec
     coords: np.ndarray
     seed: int
-    diagnostics: ChainDiagnostics
+    diagnostics: SampleDiagnostics
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.coords)):
@@ -144,129 +143,128 @@ class SampleBatch:
         return [GroupPoint(g, row) for row in self.coords]
 
 
-def _log_density(spec: MeasureSpec, norm: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    """xb -> -a N(xb)^p - W(xb) on validated batches, N = norm(xb)."""
-    neg_a, p, pert = -spec.a, spec.p, spec.perturbation
-    if pert is None:
-        return lambda xb: neg_a * norm(xb) ** p
-    return lambda xb: neg_a * norm(xb) ** p - pert.potential.value(xb)
-
-
 def log_unnormalized_density(spec: MeasureSpec, x: np.ndarray) -> np.ndarray:
     """log u(x) = -a N(x)^p - W(x); vectorised."""
     xb, single = _as_batch(x, spec.kind.group.dimension)
-    out = _log_density(spec, lambda y: norm_value(spec.kind, y))(xb)
+    out = -spec.a * norm_value(spec.kind, xb) ** spec.p
+    if spec.perturbation is not None:
+        out = out - spec.perturbation.potential.value(xb)
     return out[0] if single else out
 
 
-def sample(
-    spec: MeasureSpec,
-    count: int,
-    seed: int,
-    step_scale: float = 0.7,
-    burn_in: int = DEFAULT_BURN_IN,
-    chains: int = 256,
-) -> SampleBatch:
-    """Random-walk Metropolis targeting u, vectorised over parallel chains.
+# Proposals per rejection block: enough for one block to fill most requests
+# at the 61-68% envelope acceptance, capped to bound the block's memory.
+_BLOCK_FACTOR = 1.8
+_MAX_BLOCK = 1 << 18
 
-    Proposals are coordinatewise Gaussian with standard deviation
-    (step scale)^weight(k), matching the measure's anisotropy.  The scalar
-    step scale is adapted toward 0.35 acceptance by Robbins-Monro during
-    burn-in only and frozen afterwards, so retained draws form a genuine
-    Markov chain.  Chains get independent generators spawned from the master
-    seed and are merged chain-major, making the batch bit-reproducible.
 
-    The log density is resolved once per call over the kind's norm kernel,
-    with chains bit-identical to sweeps through `log_unnormalized_density`.
+def cone_samples(kind: NormKind, count: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """`count` iid points of {N = 1} under the normalised cone measure.
+
+    Draws Y from exp(-N(Y)^n) (n the step, 3 for Engel) and returns
+    Theta = delta_{1/N(Y)} Y, independent of N(Y) by homogeneous polar
+    coordinates (Folland & Stein, Hardy Spaces on Homogeneous Groups,
+    Prop. 1.15).
+    Superadditivity of s^beta, beta >= 1, gives N^n >= sum_k c_k |y_k|^(n/w_k)
+    with w_k the weights, c = (n-1, n, 1, ..., 1) for filiform and all ones
+    for Engel.  Y is drawn from that product envelope, with each term
+    Gamma(w_k/n) distributed and a fair sign, and accepted with probability
+    exp(envelope - N(Y)^n).  Returns Theta and the acceptance rate.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if step_scale <= 0:
-        raise ValueError("step scale must be positive")
-    d = spec.kind.group.dimension
-    weights = spec.kind.group.weights
-    chains = int(min(chains, max(1, count)))
-    per_chain = -(-count // chains)  # ceil
-    log_density = _log_density(spec, norm_kernel(spec.kind))
+    group = kind.group
+    n = 3 if kind.variant == ENGEL else group.step
+    weights = np.array(group.weights, dtype=np.float64)
+    coef = np.ones(group.dimension)
+    if kind.variant != ENGEL:
+        coef[:2] = (n - 1, n)
+    shapes = weights / n
+    norm = norm_kernel(kind)
+    out = np.empty((count, group.dimension))
+    kept = accepted = proposed = 0
+    while kept < count:
+        block = min(int(_BLOCK_FACTOR * (count - kept)) + 64, _MAX_BLOCK)
+        gam = rng.standard_gamma(shapes, size=(block, group.dimension))
+        y = (gam / coef) ** shapes
+        np.negative(y, out=y, where=rng.integers(0, 2, size=y.shape, dtype=bool))
+        nv = norm(y)
+        accept = rng.random(block) < np.exp(gam.sum(axis=1) - nv**n)
+        take = np.flatnonzero(accept)
+        accepted += take.size
+        proposed += block
+        take = take[: count - kept]
+        out[kept : kept + take.size] = y[take] / nv[take, None] ** weights
+        kept += take.size
+    return out, accepted / proposed
 
-    ss = seed_sequence(seed, "measure-sampler")
-    rng = np.random.default_rng(ss)
 
-    # Unit proposal scales: 1.0**weight is 1.0, and x * 1.0 == x.
-    x = rng.normal(scale=1.0, size=(chains, d))
-    logu = log_density(x)
+def sample(spec: MeasureSpec, count: int, seed: int) -> SampleBatch:
+    """Draw `count` points from exp(-a N^p - W)/Z.
 
-    log_step = np.log(step_scale)
-    kept = np.empty((chains, per_chain, d))
-    prop = np.empty((chains, d))
-    accepted = 0
-    for t in range(burn_in + per_chain):
-        step = float(np.exp(log_step))
-        # normal(size) gives 0.0 + 1.0 * z for the same draws z: z itself but
-        # for z = -0.0, and x is never -0.0, so x + z * scale is unchanged.
-        rng.standard_normal(out=prop)
-        prop *= [step**w for w in weights]
-        prop += x
-        logu_prop = log_density(prop)
-        accept = np.log(rng.random(chains)) < logu_prop - logu
-        np.copyto(x, prop, where=accept[:, None])
-        np.copyto(logu, logu_prop, where=accept)
-        if t < burn_in:
-            rate = np.count_nonzero(accept) / chains
-            gamma = 0.25 / (1.0 + t / 100.0) ** 0.6
-            log_step += gamma * (rate - TARGET_ACCEPTANCE)
-        else:
-            kept[:, t - burn_in, :] = x
-            accepted += np.count_nonzero(accept)
-
-    acc_rate = accepted / (per_chain * chains)
-    if not 0.05 <= acc_rate <= 0.95:
-        warnings.warn(
-            f"post-adaptation acceptance rate {acc_rate:.3f} outside [0.05, 0.95]; "
-            "consider a different step scale",
-            UserWarning,
-            stacklevel=2,
-        )
-
-    merged = kept.reshape(chains * per_chain, d)[: count]
-    ess = _effective_samples(kept[:, :, 0])
-    tail = int(np.sum(norm_value(spec.kind, merged) > spec.tail_radius()))
-    diag = ChainDiagnostics(
+    Unperturbed specs are sampled exactly and iid: X = delta_R Theta with
+    Theta from `cone_samples` and a R^p ~ Gamma(Q/p, 1), Q the homogeneous
+    dimension.  A perturbed spec runs one independence Metropolis chain over
+    those draws, started at the first, moving x -> y with probability
+    min(1, exp(W(x) - W(y))).  Every draw comes from a named substream of
+    `seed`, so the batch is bit-reproducible.
+    """
+    group = spec.kind.group
+    theta, envelope_rate = cone_samples(
+        spec.kind, count, derive_rng(seed, "measure-sampler", "shape")
+    )
+    gam = derive_rng(seed, "measure-sampler", "radius").standard_gamma(
+        group.homogeneous_dimension / spec.p, size=count
+    )
+    radii = (gam / spec.a) ** (1.0 / spec.p)
+    coords = theta * radii[:, None] ** np.array(group.weights, dtype=np.float64)
+    if spec.perturbation is None:
+        method, acc_rate, ess = "exact", envelope_rate, float(count)
+    else:
+        rng = derive_rng(seed, "measure-sampler", "metropolis")
+        idx = _independence_chain(spec.perturbation.potential.value(coords), rng)
+        coords, radii = coords[idx], radii[idx]
+        moves = np.count_nonzero(idx[1:] != idx[:-1])
+        method, acc_rate = "independence-metropolis", moves / max(count - 1, 1)
+        ess = _effective_samples(np.column_stack([coords, radii**spec.p]))
+    diag = SampleDiagnostics(
+        method=method,
         acceptance_rate=float(acc_rate),
         effective_samples=float(ess),
-        burn_in=burn_in,
-        step_scale=float(np.exp(log_step)),
-        chains=chains,
-        tail_audit_count=tail,
+        tail_audit_count=int(np.count_nonzero(radii > spec.tail_radius())),
     )
-    return SampleBatch(spec=spec, coords=merged, seed=seed, diagnostics=diag)
+    return SampleBatch(spec=spec, coords=coords, seed=seed, diagnostics=diag)
 
 
-def _effective_samples(series: np.ndarray, max_lag: int = 200) -> float:
-    """Initial-positive-sequence ESS of per-chain series, summed over chains.
+def _independence_chain(potential: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Proposal index held at each step; proposal t replaces the state x with
+    probability min(1, exp(W(x) - W_t)), the target-to-proposal ratio."""
+    log_u = np.log(rng.random(potential.shape[0])).tolist()
+    held, w_held = 0, float(potential[0])
+    idx = []
+    for t, (w_t, lu) in enumerate(zip(potential.tolist(), log_u)):
+        if lu < w_held - w_t:
+            held, w_held = t, w_t
+        idx.append(held)
+    return np.array(idx, dtype=np.intp)
 
-    Autocorrelation is measured on a pilot subset of chains (they are iid
-    copies) and the per-chain ESS is scaled up, keeping the cost flat in the
-    chain count.
-    """
-    chains, length = series.shape
-    if length < 10:
-        return float(chains * length)
-    pilot = min(chains, 16)
-    lags = min(max_lag, length // 2)
-    centered = series[:pilot] - series[:pilot].mean(axis=1, keepdims=True)
-    var = np.mean(centered**2, axis=1)
-    var = np.where(var <= 0, 1.0, var)
-    total = 0.0
-    for c in range(pilot):
-        acf_sum = 0.0
-        for k in range(1, lags):
-            rho = np.mean(centered[c, :-k] * centered[c, k:]) / var[c]
-            if rho <= 0.0:
-                break
-            acf_sum += rho
-        total += length / (1.0 + 2.0 * acf_sum)
-    return total * (chains / pilot)
+
+def _effective_samples(series: np.ndarray) -> float:
+    """Smallest initial-positive-sequence ESS over the columns of a chain,
+    from FFT autocovariances summed up to the first non-positive lag."""
+    length = series.shape[0]
+    smallest = float(length)
+    for column in series.T:
+        centered = column - column.mean()
+        spectrum = np.fft.rfft(centered, n=2 * length)
+        acov = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=2 * length)[:length]
+        if not acov[0] > 0:
+            continue
+        rho = acov[1:] / acov[0]
+        stop = np.flatnonzero(rho <= 0.0)
+        tau = 1.0 + 2.0 * float(np.sum(rho[: stop[0] if stop.size else rho.size]))
+        smallest = min(smallest, length / tau)
+    return smallest
 
 
 def _quadrature_box(spec: MeasureSpec) -> np.ndarray:

@@ -119,7 +119,7 @@ class TestBasicRuns:
 
     def test_sample_artifacts_round_trip(self, tmp_path):
         code = run(
-            ["sample", "--count", "5000", "--burn-in", "500", "--csv-rows", "100"],
+            ["sample", "--count", "5000", "--csv-rows", "100"],
             tmp_path,
         )
         assert code == EXIT_PASS
@@ -132,7 +132,21 @@ class TestBasicRuns:
         assert len([ln for ln in csv_lines if not ln.startswith("#")]) == 101
         payload = json.loads((tmp_path / "sample.json").read_text())
         assert payload["results"]["count"] == 5000
-        assert payload["results"]["diagnostics"]["chains"] == 256
+        assert payload["results"]["diagnostics"]["method"] == "exact"
+        assert payload["results"]["diagnostics"]["effective_samples"] == 5000.0
+
+    @pytest.mark.parametrize("seed", range(11))
+    def test_sample_moment_check_passes(self, tmp_path, capsys, seed):
+        # The benchmark's Engel sample size; a N^p has mean Q/p = 7/3.
+        code = run(
+            ["sample", "--count", "40000", "--csv-rows", "0", "--seed", str(seed)], tmp_path
+        )
+        assert code == EXIT_PASS
+        assert "[smp-moment] PASS E[a N^p] " in capsys.readouterr().out
+        moment = json.loads((tmp_path / "sample.json").read_text())["results"]["moment"]
+        assert moment["target"] == 7.0 / 3.0
+        assert moment["margin"] == 5.0 * moment["se"] - abs(moment["mean"] - moment["target"])
+        assert moment["margin"] >= 0.0
 
     def test_localize_all_checks_listed(self, tmp_path, capsys):
         code = run(
@@ -155,7 +169,7 @@ class TestBasicRuns:
 
     def test_config_file_merges_under_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"count": 4000, "burn_in": 300, "csv_rows": 0}))
+        cfg.write_text(json.dumps({"count": 4000, "a": 1.5, "csv_rows": 0}))
         out = tmp_path / "out"
         code = main(
             ["sample", "--config", str(cfg), "--count", "6000", "--out", str(out)]
@@ -164,7 +178,7 @@ class TestBasicRuns:
         payload = json.loads((out / "sample.json").read_text())
         # Flag wins over config; config wins over defaults.
         assert payload["config"]["count"] == 6000
-        assert payload["config"]["burn_in"] == 300
+        assert payload["config"]["a"] == 1.5
         assert not (out / "samples.csv").exists()
 
 
@@ -184,7 +198,7 @@ class TestReproducibility:
     def test_seed_changes_output(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        base = ["sample", "--count", "2000", "--burn-in", "200", "--csv-rows", "0"]
+        base = ["sample", "--count", "2000", "--csv-rows", "0"]
         assert run(base + ["--seed", "1"], a) == EXIT_PASS
         assert run(base + ["--seed", "2"], b) == EXIT_PASS
         assert (a / "samples.ccmb").read_bytes() != (b / "samples.ccmb").read_bytes()
@@ -240,9 +254,16 @@ class TestExitCodes:
             main(["sample", "--frobnicate", "1", "--out", str(tmp_path)])
         assert exc.value.code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("flag", ["--burn-in", "--step-scale", "--chains"])
+    def test_removed_sampler_flags_exit_three(self, tmp_path, flag):
+        # The exact sampler has no burn-in, proposal scale or chain count.
+        with pytest.raises(SystemExit) as exc:
+            run(["sample", "--count", "100", flag, "1"], tmp_path)
+        assert exc.value.code == EXIT_INPUT_ERROR
+
     def test_numeric_failure_exits_four(self, tmp_path, capsys):
         code = run(
-            ["sample", "--count", "1000", "--burn-in", "100", "--z-budget", "100"],
+            ["sample", "--count", "1000", "--z-budget", "100"],
             tmp_path,
         )
         assert code == EXIT_NUMERIC_ERROR
@@ -256,6 +277,18 @@ class TestExitCodes:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert "target [1e+200, 0.0, 0.0, 0.0]" in err
+        assert "overflows" in err
+        assert "Traceback" not in err
+
+    def test_geodesic_target_beyond_float_range_exits_three(self, tmp_path, capsys):
+        # The norm (2.2e83) is finite, but N^(2n) overflows float64.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["geodesic", "--target", "0,0,0,1e250"], tmp_path)
+        assert code == EXIT_INPUT_ERROR
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "target [0.0, 0.0, 0.0, 1e+250]" in err
         assert "overflows" in err
         assert "Traceback" not in err
 

@@ -215,6 +215,16 @@ class TestBallUniform:
         np.testing.assert_array_equal(a, b)
         assert acc_a == acc_b
 
+    @pytest.mark.parametrize("kind", [engel_kind(), filiform_kind(4), filiform_kind(8), filiform_kind(12)])
+    def test_radial_law_is_uniform(self, kind):
+        # Uniform on B_r means P(N <= s) = (s/r)^Q, so (N/r)^Q is U(0, 1).
+        coords, acc = uniform_ball_samples(kind, 1.5, 100_000, seed=4)
+        assert 0.5 < acc < 0.8
+        vals = (norm_value(kind, coords) / 1.5) ** kind.group.homogeneous_dimension
+        mean, se = batch_mean_se(vals)
+        assert abs(mean - 0.5) <= 4.0 * se
+        assert np.max(vals) <= 1.0 + 1e-12
+
     def test_ball_check_reports(self, engel_family):
         rep = ball_poincare_check(
             engel_kind(), 2.0, ENGEL_SPEC.p, engel_family, 20_000, seed=2
@@ -360,7 +370,7 @@ class TestSpectralGap:
         batch = sample(ENGEL_SPEC, 2_000, seed=0)
         frozen = batch.coords.copy()
         frozen[:] = frozen[0]
-        from carnotlab.measures import ChainDiagnostics, SampleBatch
+        from carnotlab.measures import SampleBatch
 
         fake = SampleBatch(
             spec=ENGEL_SPEC,
@@ -372,7 +382,7 @@ class TestSpectralGap:
             spectral_gap_galerkin(ENGEL_SPEC, 2, fake)
 
     def test_too_few_samples_for_jackknife(self):
-        batch = sample(ENGEL_SPEC, 30, seed=0, burn_in=10)
+        batch = sample(ENGEL_SPEC, 30, seed=0)
         with pytest.raises(ValueError, match="jackknife"):
             spectral_gap_galerkin(ENGEL_SPEC, 2, batch, jackknife_blocks=20)
 

@@ -5,16 +5,19 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.signal import lfilter
 
 from carnotlab.calculus import ScalarField, norm_derivative_tables
 from carnotlab.group import GroupPoint
 from carnotlab.measures import (
-    ChainDiagnostics,
+    SampleDiagnostics,
     MeasureSpec,
     Perturbation,
     PrecisionError,
     SampleBatch,
     ZEstimate,
+    _effective_samples,
     check_perturbation_certificate,
     estimate_Z,
     expectation,
@@ -95,27 +98,26 @@ def test_no_warning_at_threshold(recwarn):
 
 
 def test_sample_deterministic():
-    a = sample(ENGEL_SPEC, 4000, seed=11, burn_in=500)
-    b = sample(ENGEL_SPEC, 4000, seed=11, burn_in=500)
+    a = sample(ENGEL_SPEC, 4000, seed=11)
+    b = sample(ENGEL_SPEC, 4000, seed=11)
     assert np.array_equal(a.coords, b.coords)
     assert a.diagnostics == b.diagnostics
 
 
 def test_sample_seed_sensitivity():
-    a = sample(ENGEL_SPEC, 2000, seed=1, burn_in=300)
-    b = sample(ENGEL_SPEC, 2000, seed=2, burn_in=300)
+    a = sample(ENGEL_SPEC, 2000, seed=1)
+    b = sample(ENGEL_SPEC, 2000, seed=2)
     assert not np.array_equal(a.coords, b.coords)
 
 
 def test_sample_count_and_diagnostics():
-    batch = sample(ENGEL_SPEC, 1003, seed=5, burn_in=300)
+    batch = sample(ENGEL_SPEC, 1003, seed=5)
     assert batch.coords.shape == (1003, 4)
     assert len(batch) == 1003
     d = batch.diagnostics
+    assert d.method == "exact"
     assert 0.0 < d.acceptance_rate < 1.0
-    assert d.burn_in == 300
-    assert d.step_scale > 0
-    assert d.effective_samples > 0
+    assert d.effective_samples == 1003.0
     assert d.tail_audit_count == 0
 
 
@@ -159,24 +161,76 @@ def test_sampler_stationarity_identity():
 
 def test_sampler_filiform_runs():
     spec = MeasureSpec(filiform_kind(4), a=1.0, p=4.0)
-    batch = sample(spec, 50_000, seed=9, burn_in=2000)
+    batch = sample(spec, 50_000, seed=9)
     assert 0.05 < batch.diagnostics.acceptance_rate < 0.95
     mean, se = expectation(batch, lambda X: norm_value(spec.kind, X) ** 4)
     # Q = 1 + 4*5/2 = 11 and p = 4.
     assert mean == pytest.approx(11.0 / 4.0, abs=5.0 * se)
 
 
-def test_sample_acceptance_warning():
-    # Frozen oversized steps (no adaptation) drive acceptance to ~0.
-    with pytest.warns(UserWarning, match="acceptance"):
-        sample(ENGEL_SPEC, 2000, seed=4, step_scale=200.0, burn_in=0)
+def _kind(variant, step):
+    return engel_kind() if variant == "engel" else filiform_kind(step)
+
+
+# (variant, step) over Engel and filiform steps 3-12, each at p = n with
+# a = 1 and a = 2, and at p = n + 1.5 with a = 0.5.
+KINDS = [("engel", 3)] + [("filiform", n) for n in range(3, 13)]
+MOMENT_CASES = [
+    (variant, step, a, p)
+    for variant, step in KINDS
+    for a, p in ((1.0, float(step)), (2.0, float(step)), (0.5, step + 1.5))
+]
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+@pytest.mark.parametrize("variant,step,a,p", MOMENT_CASES)
+def test_radial_and_top_moments_are_exact(variant, step, a, p, seed):
+    # a N^p is Gamma(Q/p, 1) distributed, so E[a N^p] = Q/p.  At p = n the
+    # density factorises as exp(-a |x'|^n) exp(-a |x_top|) (n = 3 for
+    # Engel), so x_top is Laplace(1/a) and E|x_top| = 1/a.
+    kind = _kind(variant, step)
+    batch = sample(MeasureSpec(kind, a=a, p=p), 100_000, seed)
+    mean, se = expectation(batch, lambda X: a * norm_value(kind, X) ** p)
+    assert abs(mean - kind.group.homogeneous_dimension / p) <= 4.0 * se
+    if p == step:
+        mean, se = expectation(batch, lambda X: a * np.abs(X[:, -1]))
+        assert abs(mean - 1.0) <= 4.0 * se
+
+
+@pytest.mark.parametrize(
+    "variant,step,a,b", [("engel", 3, 1.0, 1.0), ("filiform", 5, 1.0, 2.0), ("filiform", 8, 0.5, 1.0)]
+)
+def test_perturbed_chain_radial_moment(variant, step, a, b):
+    # W = b N keeps the law radial, so by polar coordinates E[N^p] is the
+    # ratio of the integrals of r^(Q-1+p) and r^(Q-1) against exp(-a r^p - b r).
+    kind = _kind(variant, step)
+    p = float(step)
+    potential = ScalarField(value=lambda X: b * norm_value(kind, X), smooth=None, table=None)
+    spec = MeasureSpec(kind, a=a, p=p, perturbation=Perturbation(potential, 1.0, 1.0, b))
+    batch = sample(spec, 100_000, seed=5)
+    d = batch.diagnostics
+    assert d.method == "independence-metropolis"
+    assert 0.0 < d.acceptance_rate < 1.0
+    assert 1_000.0 < d.effective_samples < 100_000.0
+    q_hom = kind.group.homogeneous_dimension
+    radial = lambda k: quad(lambda r: r ** (q_hom - 1 + k) * np.exp(-a * r**p - b * r), 0, np.inf)[0]
+    mean, se = expectation(batch, lambda X: norm_value(kind, X) ** p)
+    assert abs(mean - radial(p) / radial(0.0)) <= 4.0 * se
+    assert sample(spec, 100_000, seed=5).coords.tobytes() == batch.coords.tobytes()
+
+
+def test_effective_samples_is_smallest_over_columns():
+    # An AR(1) column with coefficient 0.9 has ESS about m (1 - 0.9)/(1 + 0.9).
+    rng = np.random.default_rng(0)
+    iid = rng.standard_normal(20_000)
+    ar = lfilter([1.0], [1.0, -0.9], rng.standard_normal(20_000))
+    assert _effective_samples(iid[:, None]) > 15_000
+    assert _effective_samples(np.column_stack([iid, ar])) == pytest.approx(20_000 / 19, rel=0.25)
 
 
 def test_sample_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sample(ENGEL_SPEC, 0, seed=1)
-    with pytest.raises(ValueError):
-        sample(ENGEL_SPEC, 10, seed=1, step_scale=0.0)
 
 
 def test_estimate_z_quadrature_engel():
@@ -256,7 +310,7 @@ def test_zestimate_validation():
 
 
 def test_expectation_constant():
-    batch = sample(ENGEL_SPEC, 5000, seed=7, burn_in=500)
+    batch = sample(ENGEL_SPEC, 5000, seed=7)
     mean, se = expectation(batch, lambda X: np.ones(X.shape[0]))
     assert mean == 1.0
     assert se == 0.0
@@ -282,7 +336,7 @@ def test_expectation_spec_draws_internally():
 
 
 def test_expectation_nan_reports_points():
-    batch = sample(ENGEL_SPEC, 2000, seed=12, burn_in=300)
+    batch = sample(ENGEL_SPEC, 2000, seed=12)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         expectation(batch, lambda X: np.sqrt(X[:, 0]))
 
@@ -292,7 +346,7 @@ def test_expectation_tail_warning():
     coords = np.zeros((100, 4))
     coords[:, 0] = 1.0
     coords[:5, 0] = 1e4
-    diag = ChainDiagnostics(0.3, 100.0, 0, 1.0, 1, 5)
+    diag = SampleDiagnostics("exact", 0.3, 100.0, 5)
     batch = SampleBatch(spec=ENGEL_SPEC, coords=coords, seed=0, diagnostics=diag)
     with pytest.warns(UserWarning, match="tail"):
         expectation(batch, lambda X: X[:, 0])
@@ -301,13 +355,13 @@ def test_expectation_tail_warning():
 def test_sample_batch_rejects_nonfinite():
     coords = np.zeros((3, 4))
     coords[1, 2] = np.nan
-    diag = ChainDiagnostics(0.3, 3.0, 0, 1.0, 1, 0)
+    diag = SampleDiagnostics("exact", 0.3, 3.0, 0)
     with pytest.raises(ValueError):
         SampleBatch(spec=ENGEL_SPEC, coords=coords, seed=0, diagnostics=diag)
 
 
 def test_sample_batch_group_points():
-    batch = sample(ENGEL_SPEC, 50, seed=3, burn_in=100)
+    batch = sample(ENGEL_SPEC, 50, seed=3)
     pts = batch.as_group_points()
     assert len(pts) == 50
     assert isinstance(pts[0], GroupPoint)
@@ -374,7 +428,7 @@ def test_certificate_requires_perturbation():
 
 
 def test_save_load_roundtrip(tmp_path):
-    batch = sample(ENGEL_SPEC, 750, seed=42, burn_in=200)
+    batch = sample(ENGEL_SPEC, 750, seed=42)
     path = tmp_path / "batch.ccmb"
     save_batch(path, batch)
     header, coords = load_batch(path)
@@ -389,11 +443,11 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_save_rerun_bit_identical(tmp_path):
-    batch = sample(ENGEL_SPEC, 300, seed=13, burn_in=100)
+    batch = sample(ENGEL_SPEC, 300, seed=13)
     p1 = tmp_path / "one.ccmb"
     p2 = tmp_path / "two.ccmb"
     save_batch(p1, batch)
-    save_batch(p2, sample(ENGEL_SPEC, 300, seed=13, burn_in=100))
+    save_batch(p2, sample(ENGEL_SPEC, 300, seed=13))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -405,7 +459,7 @@ def test_load_rejects_wrong_magic(tmp_path):
 
 
 def test_csv_mirror(tmp_path):
-    batch = sample(ENGEL_SPEC, 25, seed=2, burn_in=100)
+    batch = sample(ENGEL_SPEC, 25, seed=2)
     path = tmp_path / "batch.csv"
     export_csv(path, batch)
     lines = path.read_text().splitlines()
@@ -420,7 +474,7 @@ def test_csv_mirror(tmp_path):
 
 def test_filiform_kind_code_roundtrip(tmp_path):
     spec = MeasureSpec(filiform_kind(5), a=1.5, p=5.0)
-    batch = sample(spec, 100, seed=77, burn_in=100)
+    batch = sample(spec, 100, seed=77)
     path = tmp_path / "fil.ccmb"
     save_batch(path, batch)
     header, coords = load_batch(path)
@@ -430,88 +484,88 @@ def test_filiform_kind_code_roundtrip(tmp_path):
     assert coords.shape == (100, 6)
 
 
-# SHA-256 of coords.tobytes() followed by repr((acceptance rate, effective
-# samples, step scale, tail count)) for sample(spec, count, seed,
-# burn_in=300), p = 3 for Engel and p = n for filiform step n.  They pin
-# the chains byte for byte: any change to a sweep's RNG calls or to the order
-# of its float operations that moves a draw shows here.
+# SHA-256 of coords.tobytes() followed by repr((method, acceptance rate,
+# effective samples, tail count)) for sample(spec, count, seed), p = 3 for
+# Engel and p = n for filiform step n, recorded from the exact sampler.  They
+# pin the draws byte for byte: any change to the substreams, their order or
+# the float operations that form a point shows here.
 SAMPLER_DIGESTS = {
-    ("engel", 3, 1, 0): "42d8b2517ec711399777042e80df4f06701f6a1814a4c12e0bc89bbed20f701c",
-    ("engel", 3, 1, 7): "9d7a09bdef69ed71b45c9b1fe2de37dac10f9e1a6617971c150031864362bc6d",
-    ("engel", 3, 37, 0): "bd2cec19c06e44fd0a31280c7c8cfd2ea40facb301fba83e4e3c8f84b5245ce2",
-    ("engel", 3, 37, 7): "34365c5a5ca5932a9ca50bb194d8122d454e69450f2107528e6ceb1899e8d4ab",
-    ("engel", 3, 300, 0): "04f533b9c656321593d571b618765176b6cd0842f8024987b9cc7a4f330a796d",
-    ("engel", 3, 300, 7): "c0d59278dd54aa768f566760be0c60bc9838a723c269f28a0496cd10978b64b1",
-    ("filiform", 3, 1, 0): "ec9b547a243e9cab55394e772d0eaadbd07e9dbab0111da9fa47ab6d5e698e7f",
-    ("filiform", 3, 1, 7): "353fff4f8a9da9eb558cbc65e1e925d213adbf0d25ed3525d33be215f32020cc",
-    ("filiform", 3, 37, 0): "1de9dbc51d056923287ba685703246a839e33ea2aad72b8165f47f7114c0733d",
-    ("filiform", 3, 37, 7): "b426d382e164b146c3dbd7ab11da5d8ec5d74a708a6b1961cb6ccccf56716be0",
-    ("filiform", 3, 300, 0): "8dff0c6b8de133171f49ae6aee8af27323fa0b6cf37bcaa89082e3738edf227a",
-    ("filiform", 3, 300, 7): "4e10954bd1d158e4041041fe1798a3908f615c72e4b10e626af1248cd27cfaa0",
-    ("filiform", 4, 1, 0): "8e5501c00a16c84fd0c892358f1ea91f399c99bfe46f2b46c49383b851c3c38e",
-    ("filiform", 4, 1, 7): "8bde3968bf6219ba95d85ce983f30bc34556d29e1985ba1bc433cbb4b694e38f",
-    ("filiform", 4, 37, 0): "1f472cabb38ce1d392ea5e8b9182cd768ace4a8803dc3172604151aedc734f53",
-    ("filiform", 4, 37, 7): "b1d52232e055be11ecba82f0d97d44b485e23e461be4182818a23dacf84c218a",
-    ("filiform", 4, 300, 0): "ff8705a43cb5b59d5b67a8f8406f152c51dc39fdb85e63d26617cfea5d47622f",
-    ("filiform", 4, 300, 7): "e79fec1d05656b5830c2c9a00d1c94137da9a0450e65eee210ac01572cb698eb",
-    ("filiform", 5, 1, 0): "ca3f0d93ec22b536935693da692b9a2d4b05e3a9be8ca54cd04fd47179623160",
-    ("filiform", 5, 1, 7): "05dda8b182ee640a1dbbc974288f808620f6f32a14c8fb1ea9c476844cc6b177",
-    ("filiform", 5, 37, 0): "2f696c2c02b3e5fb79399a756e56c5e5999332f73ee7d7cd2202dd826a741a70",
-    ("filiform", 5, 37, 7): "aae1ab0c67f0558535abd1b9072c382f0ea448411baf68bc82e0ac1c73a95336",
-    ("filiform", 5, 300, 0): "e5221072466e2261b31bc41d42d23884e818059a3a263ec118d8565a8a0685f8",
-    ("filiform", 5, 300, 7): "97d153ddf4a588ee6c52c82381e99c7795ae9c38809485453f535260fae1db76",
-    ("filiform", 6, 1, 0): "4b29ca04f533f3484011154d5744bcd660cbe8d76de7b5f749259c81d38099bb",
-    ("filiform", 6, 1, 7): "b9fff97f27416e36362d1a60d47e3591813cfd8009d15665ce00eed0d8f5408d",
-    ("filiform", 6, 37, 0): "a15778f31fef80564db136f9f10b8fb77b3503882c7b989ee5df08e9dfe9d96b",
-    ("filiform", 6, 37, 7): "507494e3ce585e8e649d12ae7a1d5fbfa15c1391b54232a086158127d4485820",
-    ("filiform", 6, 300, 0): "3dd0468babbf442097189477e7f7dcaa21637a389a19f7eb397c9bd30f7a5e10",
-    ("filiform", 6, 300, 7): "7e5069c01269c79453cdbeab4999f407d8eb25f29e1dd614999a873818d13950",
-    ("filiform", 7, 1, 0): "682bd3cc8550229c2d35b650ff21e29fe049361209b5c58e52ef10a93b7f4113",
-    ("filiform", 7, 1, 7): "6945016f140c35d8d572a52ece850cf494e86e4a91f852574a8eab54c4a53972",
-    ("filiform", 7, 37, 0): "448192780341211d3cd9be13aac5021569ebd05e0cff3f9ad8a3f655d9f1c2da",
-    ("filiform", 7, 37, 7): "d322088c6804845695c6e78bdce182a8e2b131d3c3c57d94ac8cd55eed9f7f8e",
-    ("filiform", 7, 300, 0): "64c7d6f1400c6ede958cdfab99a85af376824ce62303fa15102eccce8a1cc005",
-    ("filiform", 7, 300, 7): "5b6f026e7b1a5b50b09e368b6361a14cb6a6041259faa575b25034078d8c5d70",
-    ("filiform", 8, 1, 0): "ea1bb7e3e13736e9e08c550f0ba7065c29ff3c1ab0870f05d8d37a5ddf92108c",
-    ("filiform", 8, 1, 7): "3834e49acec6c01a21e639359244ba610c8eadf0f6a447d878226211ef01170d",
-    ("filiform", 8, 37, 0): "bf1f28a20443f74de1e2f9e32daa9ce68fa4fc9eecb012073a1ff41db25854fd",
-    ("filiform", 8, 37, 7): "cee73e4d6bdc69a4f8a2d87634bc7014c7f55d91a74c063fef2b8cc29e0db0ad",
-    ("filiform", 8, 300, 0): "9e19e1689aa1c09ef0fe70cdddaeaecc4c91a692af8238efe4050efff9040b00",
-    ("filiform", 8, 300, 7): "d5cdc66c576ba5de1fedebea8b8fe98508ae868243e4d75ea51e88b9d09a0bb3",
-    ("filiform", 9, 1, 0): "6c0ae3c85a5021b4aebcbeb58bd6228d2bbc53f15698cf65a13a981beb77deb5",
-    ("filiform", 9, 1, 7): "5c3bbf98791885e6433ad5d0579f00581bac49c43832ea2d03038f74920a94c0",
-    ("filiform", 9, 37, 0): "4266427fefee5c263775ff17a9bf32dacecfd6ac1cec2619e9ea6b0e9bbd2033",
-    ("filiform", 9, 37, 7): "54d6c49fae0614d7ae98b0752d6932965683a3677f31733fcb0d26b07792feff",
-    ("filiform", 9, 300, 0): "550d348cca7460219064a54fbab82321ad7a1f9d679a7b7a01603da15d7c3c36",
-    ("filiform", 9, 300, 7): "25752e0f9b88f9aeb26abc59708e6b3260d4868bbe7b64a48b2d216a090deae9",
-    ("filiform", 10, 1, 0): "401b81b97e0f51cc9bfc9385bdac8082cf3bfaaad999a4d2166b387f0eb7b650",
-    ("filiform", 10, 1, 7): "49027303de0613a8ceac7cb85cc596dc287f0d20ac010723f2a55ea0ee62b937",
-    ("filiform", 10, 37, 0): "18011addf6bca3f0110ace4b69f2766ac1bfefe17d20cba29e38096b6b2e6dc2",
-    ("filiform", 10, 37, 7): "f89848fa3500936f7d3fcb406926bd3eba2fcbca389135828cb9f166c7343b40",
-    ("filiform", 10, 300, 0): "8c7aa2f2c98e2366d0bafa62d58122f458dc18cb6a6aeda49049ee2d2158b820",
-    ("filiform", 10, 300, 7): "8238d8d0ad74776ea8e4a3b19e8b55eef7fff9a2682739b28c1195fdbc86345c",
-    ("filiform", 11, 1, 0): "dfea670173d5483a0bc3f9bc9a1a437c5a3386cb94973c6b745c870e22f5fe15",
-    ("filiform", 11, 1, 7): "4f0493c9c28132385c01d455fcd622a848fa54a14ec5bd8dd6d0d74aeb1da1da",
-    ("filiform", 11, 37, 0): "736cbe010403b118edc7f02a83a9b8251bb396f04e21e637b78da6f528729c38",
-    ("filiform", 11, 37, 7): "e337ee62ae18ea2241121c5b46f67558bf7bb24f88062e6cefaa1f0a568b7840",
-    ("filiform", 11, 300, 0): "bcb0cf62773a00b64db1c9e0751a67e26798b723f9769e62285d33d215e4a753",
-    ("filiform", 11, 300, 7): "49e5387211cdbf302bac0ea77940c15e0105879d2717b5b5c1519df0d9f76513",
-    ("filiform", 12, 1, 0): "fc08319ce79b18662e1a07cf092787b70dbf3133cbd394f7e1cdccf5472a4c8d",
-    ("filiform", 12, 1, 7): "e6fdff7a9958aed681fd65fb74b8786b19cd08e90b7d190e8e05d981f9234135",
-    ("filiform", 12, 37, 0): "4fe9502b13e917cf755f539dc47af22da172a075408aa09b438924fe394e74b9",
-    ("filiform", 12, 37, 7): "26c80d548e7d12418a72fc67772142a11877fdca28d2e982c2c1c8332c4eeb82",
-    ("filiform", 12, 300, 0): "c127737a85e9fa552cf1d4ea4cc2aa76126c3c26fcec236e3eab1aa6645d8e42",
-    ("filiform", 12, 300, 7): "5a610a632e0dc9106c8dfd2f21709d6a3a1dcc55e79f7d4f8fa007b497326dac",
+    ("engel", 3, 1, 0): "28a926503dab8a30a55bc708c612895187167d86d279c3c03cb530e935f7223a",
+    ("engel", 3, 1, 7): "8ff3fc41903c19e9b6ec876b3f358c303342b40e47b161c09b34451da5716eb6",
+    ("engel", 3, 37, 0): "7a9922973cfa1eb2a164540051d96c0332c9ce9822842bd7fd2aa35bcaa0a324",
+    ("engel", 3, 37, 7): "ced6c1706aee64811de7402c014d90477d782e49d091103b6f21c02489e2a073",
+    ("engel", 3, 300, 0): "0d38c6b40c36f2acd145212736f43c8c09b73841598906edbf3aa0937803f5a1",
+    ("engel", 3, 300, 7): "9aa8d40b73643cd493291c4122f664dd00280ad9e6f2bd6f9ef7f27919f44606",
+    ("filiform", 3, 1, 0): "c132d74997e2eb60497a7243d32db12998d5c7c93ded37904e2728e5dd9cef02",
+    ("filiform", 3, 1, 7): "68174bff4e70a259a6702b9e835d7c3b28497c3e9a2f8d46cce94ea75e42ced8",
+    ("filiform", 3, 37, 0): "d64fc63d2245beb5180e07bcbae4548a6187e18c3c065e25cf365f625ae9c7ec",
+    ("filiform", 3, 37, 7): "befb409bb613d6c6fcc7ed99e84af6d5aff531f3b5d4acaed17be6b67254d72a",
+    ("filiform", 3, 300, 0): "7c77a1d5126e08f4ebc5bd04c90f66eecdd094793c521c23d1782312d8a5c9ed",
+    ("filiform", 3, 300, 7): "3c34c66876467be2c5a7b266bf38cc780f1648545166a28b4a1198d194a05bff",
+    ("filiform", 4, 1, 0): "d412c197f5c0f9e1ea90bc6d51371ab3db9a350673c09d4444eeff4a14841f44",
+    ("filiform", 4, 1, 7): "554997f3c8c9ceda6707ec97260a84375646e6a2f1c6a15dd14b5dc95b06f1c1",
+    ("filiform", 4, 37, 0): "56aa781b8fe5e4396a3e169b8e0e950ddc40f30f1a43097eca32e0783c1fb6e8",
+    ("filiform", 4, 37, 7): "dba62fddd1c27a802d09d7f456191ef0dd87b35b50f0605a524b2798fddd4ec5",
+    ("filiform", 4, 300, 0): "f7c0a635f800e119911a9dd6de7e2fb2c08a88531668ece4de4e09d1bf7c48b6",
+    ("filiform", 4, 300, 7): "9151f7dfeea2f4792eedb42500c6f3f7be2ac9267633d3a9e53c948bb04588da",
+    ("filiform", 5, 1, 0): "dbed617792ac8977b8e4669bc6d24d581a1ffb4eefefbbc341e6968209b7eaed",
+    ("filiform", 5, 1, 7): "8ac8ea9c4abf659355f46c514a1c997adffed36f64b49154cabe706ddd4239cc",
+    ("filiform", 5, 37, 0): "612447797f5cec1c0912dc17a4322ccc157d43efacfbb8100ff87c4a2100e8ff",
+    ("filiform", 5, 37, 7): "f390cf577331fcf2700db64dda015c4dfbbc5ce78254c8cecf4aadf0fd566d2c",
+    ("filiform", 5, 300, 0): "90dc2eb6561a3e7c0d76a61cfea7d09f515de06115f23dcd8ee23470d49c05bb",
+    ("filiform", 5, 300, 7): "e56895da921f24dd6824acfe5f0273a2f6b1540880029ef665bede37e2e94ecd",
+    ("filiform", 6, 1, 0): "ec817b5f8b450ee2e7b6f6e832f9499fc237a37df615ff962fd4e5976b2f18b4",
+    ("filiform", 6, 1, 7): "42c1fe4788ae1417f1a0d05ee52fe5d528607a8d8174148b28c126564f408b8c",
+    ("filiform", 6, 37, 0): "45d4e7e33f44123c915f58b45c9c24023bd92d6144f7b2dfea0945b866d44290",
+    ("filiform", 6, 37, 7): "5957d5ae8a05b52c87f24f3818266751ac65a03e120d7c65ecfc493c7dc763a9",
+    ("filiform", 6, 300, 0): "0a33d639c65ef1335bfea20715e2129590d1c2e051d12116b3b91459ae8208c9",
+    ("filiform", 6, 300, 7): "c0763643027fd1bd5194be09d4e481fcf4abbf453db482c4e1a614281037f5b3",
+    ("filiform", 7, 1, 0): "2ea06798885560d01bdb44f8168ebe8a5af9dc69e8b523b076c61109f7ec2578",
+    ("filiform", 7, 1, 7): "0459007dcb911a38e3600ffc50c048d5ae52eb9ddf08feee3abbce40cf30c0b9",
+    ("filiform", 7, 37, 0): "c551e337d34471ceca8ff66ef06458065f55206968c7f4a6d4e6d6c854c5924e",
+    ("filiform", 7, 37, 7): "a3295295271371b2a89fef8bd08952f42beaca630a28eaeabd637c6fdb241d92",
+    ("filiform", 7, 300, 0): "cb9cfd75b8ba54b29688028117b31900a05bda076d7b647f93b0c0448ab9bae3",
+    ("filiform", 7, 300, 7): "7c8efafddaa9ebdbbfefa1ae14dd0d39d256a70b4d249dc0f73fde407a5fa4fa",
+    ("filiform", 8, 1, 0): "de0063b1d9bca29ccfacfd7849f57362640ee8b6978e38cc5ecb31fdeab38491",
+    ("filiform", 8, 1, 7): "9bdc330738a504ba40436b284681805812f0c8f70756c4102f9f27e7306dfa66",
+    ("filiform", 8, 37, 0): "d8ff342b4b4f1542b114a242321f60230e3d1c34d0b54257ef756125e8b3d279",
+    ("filiform", 8, 37, 7): "82da0a61793dd8635978b8813ac6c75cd3768c5a0af3f61f1859e7677af16ba9",
+    ("filiform", 8, 300, 0): "2926295d6e0ab84e5f0f65d87e514a21a78efa5ebd59eb38ea9a0d817cb32a40",
+    ("filiform", 8, 300, 7): "b9ceeedf1d36245225a0b644a952127ade1caf35c8ed84edc7a0205524d8b6ea",
+    ("filiform", 9, 1, 0): "b6c55cece32493f72323954f3db458d2385b9a6c55e94f0f7930948196455713",
+    ("filiform", 9, 1, 7): "4cfe48936c732e91388ead8b4be8c37c2a0d91311f7d0383bca8c10f64a496a4",
+    ("filiform", 9, 37, 0): "39004f9c6aa383ccd3c57d4c0e48208f80dbe35da79a175898639d21bdbe1621",
+    ("filiform", 9, 37, 7): "be636669f59df3350383145a85662d0e4760ee5caafd56dc29e19790e125bd93",
+    ("filiform", 9, 300, 0): "8c0d2931ed7d881f1f3cb1c85519125b169b8ecc6deae26b12b0ea1f54e3279f",
+    ("filiform", 9, 300, 7): "8d5aa321b3b49fbaab79e6789e3498d3920332970091d6053b636864f0437220",
+    ("filiform", 10, 1, 0): "6bff9b6e526055cdfc457b5a363b798d770b335135b05dca53dc6fe23f1db22a",
+    ("filiform", 10, 1, 7): "bfdf9e37012f1a59ac23ba39e7cb1fe0d57cce19d9f0128006c19a0d739d5eba",
+    ("filiform", 10, 37, 0): "ebf088aef54dff1170a508af541e54c25dbad47ddbeef8c18f457dfc7e9bcc97",
+    ("filiform", 10, 37, 7): "0a0ffce7c1ee4615c847484bab7e606ae9867f7f899327b2151fdea83a09b972",
+    ("filiform", 10, 300, 0): "200e3b0bd00a13d871403ab4a756f94dd84d77cdff627bae3c3f09dd98255752",
+    ("filiform", 10, 300, 7): "c6ca771e7602652d2480354a640bf3d2e56bf285c581f357e892902ed7ca543e",
+    ("filiform", 11, 1, 0): "ca538a25e02e9306c194dff3e4d666902e48130ddeee22f93efb87819ae79604",
+    ("filiform", 11, 1, 7): "371515e23a4699944b2251912ef71ad7bef97fef3164f1429042d181c52156b0",
+    ("filiform", 11, 37, 0): "5ea078a5382b139ae328077ed4c5cb3ce6131338f8a8f72d870c86880a02461f",
+    ("filiform", 11, 37, 7): "2c4fa08afb5f84106579184e0ff4fb39997777d672f6611f7f766a01f5d8a63e",
+    ("filiform", 11, 300, 0): "adbb2199beb1e80f67e42ad4d84542a81d11127df420d36c79d2c15690ec1327",
+    ("filiform", 11, 300, 7): "befe347ae9e886abc8e2792f33fa631d2105fa198af6d0af6a7526b3214c3aa7",
+    ("filiform", 12, 1, 0): "18059c6c18749ea3088f3e652e53c7539d144e568e89c0581305d50353c48e01",
+    ("filiform", 12, 1, 7): "bf6dfa3984d8f00ce1bbf1573d1a23e8edea5ea68ffc83b2f4887c109fe5c3d0",
+    ("filiform", 12, 37, 0): "729b1ce0dce78a78de7e25d530d8a953639b601e23b3c269b0f7c9b7c717fd91",
+    ("filiform", 12, 37, 7): "acc163e660c0fc77d1950bbcdd6930eda8601e4b62cf3497c93be9ad07e4025a",
+    ("filiform", 12, 300, 0): "d3223048dbe5073250c64382a4623d3203d941e25295931683eb14ef5e102c13",
+    ("filiform", 12, 300, 7): "66f72d22aeb42841a1958c833d7216358814f0f0542406f6ecbba25270ae2ff4",
 }
 
 
 @pytest.mark.parametrize("variant,step,count,seed", sorted(SAMPLER_DIGESTS))
 def test_sampler_bytes_pinned(variant, step, count, seed):
-    kind = engel_kind() if variant == "engel" else filiform_kind(step)
+    kind = _kind(variant, step)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        batch = sample(MeasureSpec(kind, a=1.0, p=float(step)), count, seed, burn_in=300)
+        batch = sample(MeasureSpec(kind, a=1.0, p=float(step)), count, seed)
     d = batch.diagnostics
     digest = hashlib.sha256(batch.coords.tobytes())
-    digest.update(repr((d.acceptance_rate, d.effective_samples, d.step_scale, d.tail_audit_count)).encode())
+    digest.update(repr((d.method, d.acceptance_rate, d.effective_samples, d.tail_audit_count)).encode())
     assert digest.hexdigest() == SAMPLER_DIGESTS[variant, step, count, seed]
