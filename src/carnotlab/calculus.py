@@ -31,10 +31,12 @@ from .group import _as_batch
 from .norms import (
     ENGEL,
     NormKind,
+    engel_from_seminorm,
     engel_norm,
     engel_seminorm,
     filiform_norm,
     filiform_seminorm,
+    norm_value,
     smooth_mask,
 )
 
@@ -201,16 +203,10 @@ class NormDerivativeTable:
     def as_scalar_field(self) -> ScalarField:
         kind = self.kind
         return ScalarField(
-            value=lambda X: _norm_of(kind, X),
+            value=lambda X: norm_value(kind, X),
             smooth=lambda X: smooth_mask(kind, X),
             table=self,
         )
-
-
-def _norm_of(kind: NormKind, x: np.ndarray) -> np.ndarray:
-    if kind.variant == ENGEL:
-        return engel_norm(x)
-    return filiform_norm(kind.group, x)
 
 
 class EngelNormTable(NormDerivativeTable):
@@ -244,7 +240,7 @@ class EngelNormTable(NormDerivativeTable):
 
     def _pieces(self, xb: np.ndarray):
         sem = engel_seminorm(xb)
-        nval = np.cbrt(sem**3 + np.abs(xb[:, 3]))
+        nval = engel_from_seminorm(sem, xb)
         s3 = np.sign(xb[:, 2])
         s4 = np.sign(xb[:, 3])
         w = 2.0 * xb[:, 0] - xb[:, 1] * s3

@@ -16,8 +16,8 @@ Every command reads an optional JSON config (--config), merges explicit
 flags over it, validates the result against the schema in
 docs/config_schema.json (unknown keys are rejected), and writes its
 artifacts plus a one-page summary.txt into --out.  The defaults, the
-schemas and the flags all come from the COMMANDS table below, which that
-file copies.  Outputs embed the
+schemas and the flags all come from the COMMANDS table below, and
+`carnotlab --dump-schema` generates that file from it.  Outputs embed the
 resolved config, the master seed, and package versions; nothing embeds a
 timestamp, so a rerun with the same config and seed is bit-identical.
 
@@ -85,6 +85,7 @@ from .inequalities import (
     ubound_fit,
 )
 from .measures import (
+    N_BATCHES,
     MeasureSpec,
     PrecisionError,
     SampleBatch,
@@ -143,14 +144,17 @@ _NONNEG = {"type": "integer", "minimum": 0}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _STEP = {"type": "integer", "minimum": 3, "maximum": 12}
 _P_OR_NULL = {"anyOf": [{"type": "number", "exclusiveMinimum": 1}, {"type": "null"}]}
+# Moment runs report batch-means standard errors over N_BATCHES batches, so
+# their sample counts need at least one sample per batch.
+_MOMENT_COUNT = {"type": "integer", "minimum": N_BATCHES}
 
 
 def _array(items: dict, min_items: int = 1) -> dict:
     return {"type": "array", "items": items, "minItems": min_items}
 
 
-def _count(default: int) -> tuple:
-    return (default, _INT, "sample count")
+def _count(default: int, schema: dict = _INT) -> tuple:
+    return (default, schema, "sample count")
 
 
 # A config field is (default, schema, help); a None default also carries the
@@ -166,7 +170,7 @@ _GIBBS = {
     "p": (None, _P_OR_NULL, "potential exponent", "3 for engel, n for filiform"),
 }
 _HOLDOUT_COUNT = (
-    None, {"anyOf": [_INT, {"type": "null"}]}, "fresh samples for holdout", "same as count"
+    None, {"anyOf": [_MOMENT_COUNT, {"type": "null"}]}, "fresh samples for holdout", "same as count"
 )
 _SEED = {"seed": (0, _NONNEG, "master seed")}
 
@@ -195,10 +199,12 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
         **_SEED,
     }),
     "ubound": ("U-bound moment fit with holdout", {
-        **_GIBBS, "count": _count(200_000), "holdout_count": _HOLDOUT_COUNT, **_SEED,
+        **_GIBBS, "count": _count(200_000, _MOMENT_COUNT), "holdout_count": _HOLDOUT_COUNT,
+        **_SEED,
     }),
     "poincare": ("q-Poincare ratio scan with holdout", {
-        **_GIBBS, "count": _count(200_000), "holdout_count": _HOLDOUT_COUNT, **_SEED,
+        **_GIBBS, "count": _count(200_000, _MOMENT_COUNT), "holdout_count": _HOLDOUT_COUNT,
+        **_SEED,
     }),
     "gap": ("Galerkin spectral-gap estimates", {
         **_GIBBS,
@@ -214,12 +220,12 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
         **_GROUP,
         "radii": ([1.0, 2.0, 4.0], _array(_POS), "ball radii"),
         "exponent": (None, _P_OR_NULL, "moment exponent", "3 for engel, n for filiform"),
-        "count": _count(100_000),
+        "count": _count(100_000, _MOMENT_COUNT),
         **_SEED,
     }),
     "localize": ("localization split and translation trick", {
         **_GIBBS,
-        "count": _count(200_000),
+        "count": _count(200_000, _MOMENT_COUNT),
         "radius_r": (1.0, _POS, "far-region level R"),
         "level_l": (2.0, {"type": "number", "exclusiveMinimum": 1}, "ball level L"),
         "member": ("x2", {"type": "string", "minLength": 1}, "family member label to decompose"),
@@ -250,6 +256,24 @@ SCHEMAS: dict[str, dict] = {
     }
     for cmd, (_, fields) in COMMANDS.items()
 }
+
+
+def config_schema_text() -> str:
+    """The text of docs/config_schema.json, generated from COMMANDS."""
+    doc = {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        "title": "carnotlab run configuration",
+        "description": (
+            "Per-command parameter schemas; a config file holds one flat object "
+            "validated against the invoked command's entry. Unknown keys are "
+            "rejected. Defaults listed under each command are applied before "
+            "validation, so a config may set any subset of keys."
+        ),
+        "commands": {
+            cmd: {"defaults": DEFAULTS[cmd], "schema": SCHEMAS[cmd]} for cmd in COMMANDS
+        },
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class ConfigError(ValueError):
@@ -928,6 +952,10 @@ def build_parser() -> _Parser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument(
+        "--dump-schema", action="store_true",
+        help="print the config schema document (docs/config_schema.json) and exit",
+    )
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
     for command, (summary, fields) in COMMANDS.items():
         sub = subs.add_parser(command, help=summary)
@@ -971,6 +999,9 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.dump_schema:
+        sys.stdout.write(config_schema_text())
+        return EXIT_PASS
     if args.command is None:
         parser.print_help()
         return EXIT_INPUT_ERROR

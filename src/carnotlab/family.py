@@ -18,19 +18,31 @@ moment estimation.  Shifts use the central element (0, ..., 0, u): central
 translations commute with both frames, making the shifted gradient the
 shifted original gradient exactly.
 
+Every member is defined once, by an `evaluate(batch) -> (values,
+gradients)` on a `MemberBatch`: the per-batch context that computes the
+norm N, its frame derivatives (X_1 N, X_2 N) and the bump factors once,
+and holds one child context per moved batch (the central shifts and the
+dilation of the rescales).  A family evaluated member by member on one
+context therefore computes each of those arrays once per batch, not once
+per member.  The member's `value` and `gradient` maps are read off the
+same `evaluate`; they stay replaceable fields, and a member built from
+bare maps is evaluated through its maps.
+
 The family is mirror-symmetric: flipping the sign of x_1 maps every member
 onto plus or minus another member, which keeps symmetry diagnostics exact.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 from typing import Callable
 
 import numpy as np
 
-from .calculus import NormDerivativeTable, norm_derivative_tables
+from .calculus import norm_derivative_tables
 from .group import _as_batch
 from .norms import ENGEL, NormKind
 
@@ -39,6 +51,78 @@ TANH_SCALES = (1.0, 2.0, 4.0)
 SHIFT_OFFSETS = (1.0, -1.0)
 RESCALE_FACTOR = 2.0
 TRAIN_TARGET = 50
+
+
+class MemberBatch:
+    """One point batch plus the arrays every member shares on it.
+
+    N, (X_1 N, X_2 N) and the bump factors of each scale are computed on
+    first use and then kept; `shifted` and `dilated` return child contexts
+    on the moved batch, built once each.  Nothing member-specific is kept,
+    so a context costs a few columns per batch whatever the family size.
+    """
+
+    def __init__(self, kind: NormKind, points: np.ndarray):
+        self.kind = kind
+        self.xb, _ = _as_batch(points, kind.group.dimension)
+        self.table = norm_derivative_tables(kind)
+        self._bumps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._children: dict[tuple[str, float], MemberBatch] = {}
+
+    @cached_property
+    def norm(self) -> np.ndarray:
+        return self.table.value(self.xb)
+
+    @cached_property
+    def norm_first(self) -> np.ndarray:
+        """(X_1 N, X_2 N), shape (m, 2)."""
+        return self.table.first(self.xb)
+
+    def bump(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """chi = bump(N / scale) and chi' = bump'(N / scale) / scale."""
+        if scale not in self._bumps:
+            t = self.norm / scale
+            self._bumps[scale] = (_bump(t), _bump_prime(t) / scale)
+        return self._bumps[scale]
+
+    def _child(self, key: tuple[str, float], move: Callable[[], np.ndarray]) -> MemberBatch:
+        if key not in self._children:
+            self._children[key] = MemberBatch(self.kind, move())
+        return self._children[key]
+
+    def shifted(self, offset: float) -> MemberBatch:
+        """The batch x * (0, ..., 0, offset), which is x + offset e_top."""
+        delta = np.zeros(self.kind.group.dimension)
+        delta[-1] = offset
+        return self._child(("shift", offset), lambda: self.xb + delta)
+
+    def dilated(self, factor: float) -> MemberBatch:
+        return self._child(("dilate", factor), lambda: self.kind.group.dilate(factor, self.xb))
+
+
+Evaluate = Callable[[MemberBatch], tuple[np.ndarray, np.ndarray]]
+
+
+@dataclass(frozen=True)
+class _Derived:
+    """The value map (part 0) or gradient map (part 1) of a member's evaluate.
+
+    Takes a point array, or a `MemberBatch` to evaluate on a shared context.
+    """
+
+    evaluate: Evaluate
+    kind: NormKind
+    part: int
+
+    def __call__(self, points) -> np.ndarray:
+        batch = points if isinstance(points, MemberBatch) else MemberBatch(self.kind, points)
+        return self.evaluate(batch)[self.part]
+
+
+def _map_input(fn: Callable, batch: MemberBatch):
+    """A derived map, also under pass-through wrappers that set
+    `__wrapped__`, takes the context itself; any other map its points."""
+    return batch if isinstance(inspect.unwrap(fn), _Derived) else batch.xb
 
 
 @dataclass(frozen=True)
@@ -56,6 +140,33 @@ class TestFunction:
     gradient: Callable[[np.ndarray], np.ndarray]
     is_constant: bool = False
     tags: tuple[str, ...] = ()
+
+    def evaluate(self, batch: MemberBatch) -> tuple[np.ndarray, np.ndarray]:
+        """(values, gradients) on a batch context.
+
+        One pass of the member's own evaluate while both maps are still the
+        ones derived from it; otherwise one call of each map.
+        """
+        value, gradient = self.value, self.gradient
+        if (
+            isinstance(value, _Derived)
+            and isinstance(gradient, _Derived)
+            and value.evaluate is gradient.evaluate
+        ):
+            return value.evaluate(batch)
+        return value(_map_input(value, batch)), gradient(_map_input(gradient, batch))
+
+
+def _member(
+    kind: NormKind, label: str, evaluate: Evaluate, tags: tuple[str, ...], is_constant: bool = False
+) -> TestFunction:
+    return TestFunction(
+        label=label,
+        value=_Derived(evaluate, kind, 0),
+        gradient=_Derived(evaluate, kind, 1),
+        is_constant=is_constant,
+        tags=tags,
+    )
 
 
 @dataclass(frozen=True)
@@ -151,30 +262,23 @@ def monomial_member(kind: NormKind, expts: tuple[int, ...]) -> TestFunction:
     expts = tuple(expts) + (0,) * (d - len(expts))
     active = [(k, e) for k, e in enumerate(expts) if e > 0]
 
-    def value(X: np.ndarray) -> np.ndarray:
-        xb, _ = _as_batch(X, d)
-        out = np.ones(xb.shape[0])
+    def evaluate(batch: MemberBatch) -> tuple[np.ndarray, np.ndarray]:
+        xb = batch.xb
+        m = xb.shape[0]
+        vals = np.ones(m)
         for k, e in active:
-            out = out * xb[:, k] ** e
-        return out
-
-    def gradient(X: np.ndarray) -> np.ndarray:
-        xb, _ = _as_batch(X, d)
-        total = np.zeros((xb.shape[0], 2))
+            vals = vals * xb[:, k] ** e
+        total = np.zeros((m, 2))
         for k, e in active:
-            partial = np.full(xb.shape[0], float(e)) * xb[:, k] ** (e - 1)
+            partial = np.full(m, float(e)) * xb[:, k] ** (e - 1)
             for kk, ee in active:
                 if kk != k:
                     partial = partial * xb[:, kk] ** ee
             total += partial[:, None] * _coordinate_gradient(kind, k + 1, xb)
-        return total
+        return vals, total
 
-    return TestFunction(
-        label=_monomial_label(expts),
-        value=value,
-        gradient=gradient,
-        is_constant=not active,
-        tags=("monomial",),
+    return _member(
+        kind, _monomial_label(expts), evaluate, ("monomial",), is_constant=not active
     )
 
 
@@ -186,78 +290,35 @@ def _bump_prime(t: np.ndarray) -> np.ndarray:
     return -4.0 * t**3 * np.exp(-(t**4))
 
 
-def bump_product_member(
-    kind: NormKind, base: TestFunction, table: NormDerivativeTable, scale: float
-) -> TestFunction:
-    d = kind.group.dimension
-
-    def value(X: np.ndarray) -> np.ndarray:
-        xb, _ = _as_batch(X, d)
-        return base.value(xb) * _bump(table.value(xb) / scale)
-
-    def gradient(X: np.ndarray) -> np.ndarray:
-        xb, _ = _as_batch(X, d)
-        nval = table.value(xb)
-        chi = _bump(nval / scale)
-        chi_p = _bump_prime(nval / scale) / scale
-        grad_n = table.first(xb)
-        return (
-            chi[:, None] * base.gradient(xb)
-            + (base.value(xb) * chi_p)[:, None] * grad_n
+def bump_product_member(kind: NormKind, base: TestFunction, scale: float) -> TestFunction:
+    def evaluate(batch: MemberBatch) -> tuple[np.ndarray, np.ndarray]:
+        base_vals, base_grads = base.evaluate(batch)
+        chi, chi_p = batch.bump(scale)
+        return base_vals * chi, (
+            chi[:, None] * base_grads + (base_vals * chi_p)[:, None] * batch.norm_first
         )
 
-    return TestFunction(
-        label=f"{base.label}*bump{scale:g}",
-        value=value,
-        gradient=gradient,
-        tags=("bump",) + base.tags,
-    )
+    return _member(kind, f"{base.label}*bump{scale:g}", evaluate, ("bump",) + base.tags)
 
 
-def radial_bump_member(
-    kind: NormKind, table: NormDerivativeTable, scale: float
-) -> TestFunction:
-    d = kind.group.dimension
+def radial_bump_member(kind: NormKind, scale: float) -> TestFunction:
+    def evaluate(batch: MemberBatch) -> tuple[np.ndarray, np.ndarray]:
+        nval = batch.norm
+        chi, _ = batch.bump(scale)
+        # (nval * b') / scale, not nval * chi': the two differ where b' is
+        # subnormal, and this order is the one the pinned digests record.
+        factor = chi + nval * _bump_prime(nval / scale) / scale
+        return nval * chi, factor[:, None] * batch.norm_first
 
-    def value(X: np.ndarray) -> np.ndarray:
-        xb, _ = _as_batch(X, d)
-        nval = table.value(xb)
-        return nval * _bump(nval / scale)
-
-    def gradient(X: np.ndarray) -> np.ndarray:
-        xb, _ = _as_batch(X, d)
-        nval = table.value(xb)
-        factor = _bump(nval / scale) + nval * _bump_prime(nval / scale) / scale
-        return factor[:, None] * table.first(xb)
-
-    return TestFunction(
-        label=f"N*bump{scale:g}",
-        value=value,
-        gradient=gradient,
-        tags=("radial", "bump"),
-    )
+    return _member(kind, f"N*bump{scale:g}", evaluate, ("radial", "bump"))
 
 
-def tanh_truncation_member(
-    kind: NormKind, table: NormDerivativeTable, scale: float
-) -> TestFunction:
-    d = kind.group.dimension
+def tanh_truncation_member(kind: NormKind, scale: float) -> TestFunction:
+    def evaluate(batch: MemberBatch) -> tuple[np.ndarray, np.ndarray]:
+        th = np.tanh(batch.norm / scale)
+        return scale * th, (1.0 - th**2)[:, None] * batch.norm_first
 
-    def value(X: np.ndarray) -> np.ndarray:
-        xb, _ = _as_batch(X, d)
-        return scale * np.tanh(table.value(xb) / scale)
-
-    def gradient(X: np.ndarray) -> np.ndarray:
-        xb, _ = _as_batch(X, d)
-        th = np.tanh(table.value(xb) / scale)
-        return (1.0 - th**2)[:, None] * table.first(xb)
-
-    return TestFunction(
-        label=f"tanh{scale:g}",
-        value=value,
-        gradient=gradient,
-        tags=("truncation",),
-    )
+    return _member(kind, f"tanh{scale:g}", evaluate, ("truncation",))
 
 
 def central_shift_member(kind: NormKind, base: TestFunction, offset: float) -> TestFunction:
@@ -266,45 +327,21 @@ def central_shift_member(kind: NormKind, base: TestFunction, offset: float) -> T
     Central translations commute with both natural frames, so the shifted
     gradient is the original gradient evaluated at the shifted point.
     """
-    d = kind.group.dimension
-    delta = np.zeros(d)
-    delta[-1] = offset
 
-    def value(X: np.ndarray) -> np.ndarray:
-        xb, _ = _as_batch(X, d)
-        return base.value(xb + delta)
+    def evaluate(batch: MemberBatch) -> tuple[np.ndarray, np.ndarray]:
+        return base.evaluate(batch.shifted(offset))
 
-    def gradient(X: np.ndarray) -> np.ndarray:
-        xb, _ = _as_batch(X, d)
-        return base.gradient(xb + delta)
-
-    return TestFunction(
-        label=f"{base.label}@top{offset:+g}",
-        value=value,
-        gradient=gradient,
-        tags=("shifted",) + base.tags,
-    )
+    return _member(kind, f"{base.label}@top{offset:+g}", evaluate, ("shifted",) + base.tags)
 
 
 def rescale_member(kind: NormKind, base: TestFunction, factor: float) -> TestFunction:
     """f(delta_factor x); horizontal gradients pick up one power of factor."""
-    d = kind.group.dimension
-    group = kind.group
 
-    def value(X: np.ndarray) -> np.ndarray:
-        xb, _ = _as_batch(X, d)
-        return base.value(group.dilate(factor, xb))
+    def evaluate(batch: MemberBatch) -> tuple[np.ndarray, np.ndarray]:
+        vals, grads = base.evaluate(batch.dilated(factor))
+        return vals, factor * grads
 
-    def gradient(X: np.ndarray) -> np.ndarray:
-        xb, _ = _as_batch(X, d)
-        return factor * base.gradient(group.dilate(factor, xb))
-
-    return TestFunction(
-        label=f"{base.label}|scale{factor:g}",
-        value=value,
-        gradient=gradient,
-        tags=("rescaled",) + base.tags,
-    )
+    return _member(kind, f"{base.label}|scale{factor:g}", evaluate, ("rescaled",) + base.tags)
 
 
 def default_family(kind: NormKind, q: float) -> TestFunctionFamily:
@@ -315,7 +352,6 @@ def default_family(kind: NormKind, q: float) -> TestFunctionFamily:
     """
     if q <= 1.0:
         raise ValueError("q must exceed 1")
-    table = norm_derivative_tables(kind)
     members: list[TestFunction] = []
 
     monomials = [
@@ -325,16 +361,16 @@ def default_family(kind: NormKind, q: float) -> TestFunctionFamily:
     members.extend(monomials)
     for scale in BUMP_SCALES:
         for mono in monomials:
-            members.append(bump_product_member(kind, mono, table, scale))
+            members.append(bump_product_member(kind, mono, scale))
     for scale in BUMP_SCALES:
-        members.append(radial_bump_member(kind, table, scale))
+        members.append(radial_bump_member(kind, scale))
     for scale in TANH_SCALES:
-        members.append(tanh_truncation_member(kind, table, scale))
+        members.append(tanh_truncation_member(kind, scale))
 
     shift_bases = [
-        bump_product_member(kind, monomial_member(kind, (1,)), table, 2.0),
-        bump_product_member(kind, monomial_member(kind, (0, 1)), table, 2.0),
-        tanh_truncation_member(kind, table, 2.0),
+        bump_product_member(kind, monomial_member(kind, (1,)), 2.0),
+        bump_product_member(kind, monomial_member(kind, (0, 1)), 2.0),
+        tanh_truncation_member(kind, 2.0),
     ]
     shifted = [
         central_shift_member(kind, base, offset)
@@ -368,15 +404,14 @@ def default_family(kind: NormKind, q: float) -> TestFunctionFamily:
 
 
 def member_series(
-    member: TestFunction, xb: np.ndarray, q: float
+    member: TestFunction, batch: MemberBatch, q: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values f and |grad f|^q of one member on a point batch.
+    """Values f and |grad f|^q of one member on a batch context.
 
     The one place members are evaluated for moment statistics: each call
-    makes one `value` and one `gradient` call.
+    is one `TestFunction.evaluate` on the shared context.
     """
-    vals = member.value(xb)
-    grads = member.gradient(xb)
+    vals, grads = member.evaluate(batch)
     return vals, np.sqrt(np.sum(grads**2, axis=-1)) ** q
 
 
@@ -392,14 +427,14 @@ class FamilyAudit:
 
 def family_audit(family: TestFunctionFamily, coords: np.ndarray) -> FamilyAudit:
     """Evaluate mu(|f|^q) and mu(|grad f|^q) per member on the given points."""
-    xb, _ = _as_batch(coords, family.kind.group.dimension)
+    batch = MemberBatch(family.kind, coords)
     q = family.q
     labels = []
     vmoms = []
     gmoms = []
     ok = True
     for member in family.members:
-        vals, gmag = member_series(member, xb, q)
+        vals, gmag = member_series(member, batch, q)
         vm = float(np.mean(np.abs(vals) ** q))
         gm = float(np.mean(gmag))
         ok = ok and np.isfinite(vm) and np.isfinite(gm)

@@ -32,6 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .family import (
+    MemberBatch,
     TestFunction,
     TestFunctionFamily,
     member_series,
@@ -175,10 +176,11 @@ def ubound_fit(
     """
     q = spec.q
     weight = ubound_weight(spec, samples.coords)
+    batch = MemberBatch(spec.kind, samples.coords)
     train_stats: list[FunctionMoments] = []
     constraints = []
     for member in family.train_members:
-        vals, gq = member_series(member, samples.coords, q)
+        vals, gq = member_series(member, batch, q)
         fq = np.abs(vals) ** q
         a, a_se = batch_mean_se(fq * weight)
         b, b_se = batch_mean_se(gq)
@@ -194,9 +196,10 @@ def ubound_fit(
 
     fresh, holdout_seed = _holdout_batch(spec, samples, holdout_count, "ubound-holdout")
     weight = ubound_weight(spec, fresh.coords)
+    batch = MemberBatch(spec.kind, fresh.coords)
     checks = []
     for member in family.holdout_members:
-        vals, gq = member_series(member, fresh.coords, q)
+        vals, gq = member_series(member, batch, q)
         fq = np.abs(vals) ** q
         fqw = fq * weight
         resid, resid_se = batch_mean_se(fqw - fitted_c * gq - fitted_d * fq)
@@ -251,7 +254,7 @@ class PoincareReport:
 
 
 def _screened_series(
-    members, coords: np.ndarray, q: float, excluded: list[str]
+    members, batch: MemberBatch, q: float, excluded: list[str]
 ) -> Iterator[tuple[str, np.ndarray, np.ndarray, float, float]]:
     """Yield (label, |f - mu f|^q, |grad f|^q, b, b_se) per member.
 
@@ -260,7 +263,7 @@ def _screened_series(
     appended to `excluded`; the constant member lands here.
     """
     for member in members:
-        vals, grads = member_series(member, coords, q)
+        vals, grads = member_series(member, batch, q)
         b, b_se = batch_mean_se(grads)
         if b <= EXCLUSION_SE_FACTOR * b_se or b == 0.0:
             excluded.append(member.label)
@@ -269,12 +272,12 @@ def _screened_series(
 
 
 def _ratio_scan(
-    members, coords: np.ndarray, q: float
+    members, batch: MemberBatch, q: float
 ) -> tuple[list[RatioEntry], list[str]]:
     """Ratios mu(|f - mu f|^q) / mu(|grad f|^q) and the excluded labels."""
     entries: list[RatioEntry] = []
     excluded: list[str] = []
-    for label, centered, _, b, b_se in _screened_series(members, coords, q, excluded):
+    for label, centered, _, b, b_se in _screened_series(members, batch, q, excluded):
         l, l_se = batch_mean_se(centered)
         ratio = l / b
         ratio_se = ratio * float(np.hypot(l_se / l if l > 0 else 0.0, b_se / b))
@@ -296,7 +299,9 @@ def poincare_scan(
     lhs <= c0 * rhs within 3 SE on independently drawn samples.
     """
     q = spec.q
-    entries, excluded = _ratio_scan(family.train_members, samples.coords, q)
+    entries, excluded = _ratio_scan(
+        family.train_members, MemberBatch(spec.kind, samples.coords), q
+    )
     if not entries:
         raise ValueError("every training member was excluded")
     sup_ratio = max(e.ratio for e in entries)
@@ -305,7 +310,7 @@ def poincare_scan(
     fresh, holdout_seed = _holdout_batch(spec, samples, holdout_count, "poincare-holdout")
     checks = []
     for label, centered, grads, b, _ in _screened_series(
-        family.holdout_members, fresh.coords, q, excluded
+        family.holdout_members, MemberBatch(spec.kind, fresh.coords), q, excluded
     ):
         resid, resid_se = batch_mean_se(centered - c0 * grads)
         checks.append(
@@ -376,7 +381,7 @@ def ball_poincare_check(
     ratio is recorded as an empirical lower bound only.
     """
     coords, acc = uniform_ball_samples(kind, radius, count, seed)
-    entries, excluded = _ratio_scan(family.members, coords, exponent)
+    entries, excluded = _ratio_scan(family.members, MemberBatch(kind, coords), exponent)
     if not entries:
         raise ValueError("every member was excluded in the ball check")
     return BallPoincareReport(
@@ -457,11 +462,12 @@ def localization_decomposition(
     |||x|||^n, which holds exactly on shared samples; the annulus region
     A_{L,R} is re-checked against the translation-shift claims.
     """
-    xb = samples.coords
+    batch = MemberBatch(spec.kind, samples.coords)
+    xb = batch.xb
     q = spec.q
     n = spec.kind.group.step
     aux_n = aux_seminorm(spec.kind, xb) ** n
-    nval = norm_value(spec.kind, xb)
+    nval = batch.norm
     far = aux_n >= params.radius_r
     ball = (~far) & (nval <= params.level_l)
     annulus = (~far) & (nval > params.level_l)
@@ -478,7 +484,7 @@ def localization_decomposition(
             stacklevel=2,
         )
 
-    vals = member.value(xb)
+    vals, _ = member.evaluate(batch)
     m_ball = float(np.mean(vals[ball])) if ball.any() else float(np.mean(vals))
     g = np.abs(vals - m_ball) ** q
 
@@ -712,16 +718,17 @@ def spectral_gap_galerkin(
         for expts in weighted_monomial_exponents(spec.kind, degree)
         if any(expts)
     ]
-    xb = samples.coords
-    phi = np.stack([mm.value(xb) for mm in members], axis=1)
-    grads = np.stack([mm.gradient(xb) for mm in members], axis=1)
+    batch = MemberBatch(spec.kind, samples.coords)
+    series = [mm.evaluate(batch) for mm in members]
+    phi = np.stack([vals for vals, _ in series], axis=1)
+    grads = np.stack([g for _, g in series], axis=1)
     value, se = _gap_with_jackknife(phi, grads, jackknife_blocks)
     return GapEstimate(
         value=value,
         standard_error=se,
         basis_size=len(members),
         degree=degree,
-        sample_count=xb.shape[0],
+        sample_count=batch.xb.shape[0],
         seed=samples.seed,
         mode="carnot",
     )

@@ -93,9 +93,14 @@ class SmoothRegionFlag:
     component_signs: tuple[int, ...]
 
 
+def engel_from_seminorm(sem: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """The step-3 norm (sem^3 + |x_4|)^(1/3) from a validated batch's seminorm."""
+    return np.cbrt(sem**3 + np.abs(xb[:, 3]))
+
+
 def _engel_kernel(xb: np.ndarray, with_top: bool = True) -> np.ndarray:
     sem = np.sqrt(xb[:, 0] ** 2 + xb[:, 1] ** 2 + np.abs(xb[:, 2]))
-    return np.cbrt(sem**3 + np.abs(xb[:, 3])) if with_top else sem
+    return engel_from_seminorm(sem, xb) if with_top else sem
 
 
 @lru_cache(maxsize=None)

@@ -21,9 +21,10 @@ from carnotlab.cli import (
     SCHEMAS,
     _resolve_params,
     build_parser,
+    config_schema_text,
     main,
 )
-from carnotlab.measures import load_batch
+from carnotlab.measures import N_BATCHES, load_batch
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,6 +77,12 @@ class TestSchema:
         for cmd, entry in doc["commands"].items():
             assert entry["schema"] == SCHEMAS[cmd]
             assert entry["defaults"] == DEFAULTS[cmd]
+
+    def test_docs_schema_is_the_generated_text(self, capsys):
+        doc = (REPO_ROOT / "docs" / "config_schema.json").read_text(encoding="utf-8")
+        assert doc == config_schema_text()
+        assert main(["--dump-schema"]) == EXIT_PASS
+        assert capsys.readouterr().out == doc
 
     def test_every_command_has_schema_and_defaults(self):
         assert set(SCHEMAS) == set(DEFAULTS)
@@ -239,6 +246,22 @@ class TestExitCodes:
     def test_schema_violation_exits_three(self, tmp_path):
         code = run(["sample", "--count", "-4"], tmp_path)
         assert code == EXIT_INPUT_ERROR
+
+    def test_ball_check_single_sample_exits_three(self, tmp_path, capsys):
+        # A batch-means SE needs one sample per batch; one sample used to
+        # report FAIL with sup ratio 0 and exit 2.
+        code = run(["ball-check", "--count", "1"], tmp_path)
+        assert code == EXIT_INPUT_ERROR
+        assert "cfg-schema" in capsys.readouterr().err
+        assert not (tmp_path / "ball.json").exists()
+
+    @pytest.mark.parametrize(
+        ("command", "flag"),
+        [(cmd, flag) for cmd in ("ubound", "poincare") for flag in ("--count", "--holdout-count")]
+        + [("ball-check", "--count"), ("localize", "--count")],
+    )
+    def test_moment_counts_below_batch_count_exit_three(self, tmp_path, command, flag):
+        assert run([command, flag, str(N_BATCHES - 1)], tmp_path) == EXIT_INPUT_ERROR
 
     def test_engel_step_conflict_exits_three(self, tmp_path):
         code = run(["ubound", "--kind", "engel", "--step", "4"], tmp_path)

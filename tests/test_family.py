@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,9 @@ class TestConstruction:
 
 class TestGradients:
     @pytest.mark.parametrize(
-        "kind", [engel_kind(), filiform_kind(4)], ids=["engel", "fil4"]
+        "kind",
+        [engel_kind(), filiform_kind(4), filiform_kind(5), filiform_kind(8), filiform_kind(12)],
+        ids=["engel", "fil4", "fil5", "fil8", "fil12"],
     )
     def test_every_member_matches_finite_differences(self, kind):
         fam = default_family(kind, q=1.5)
@@ -241,3 +245,50 @@ class TestTags:
         assert len(by_tag.get("shifted", [])) == 12  # 6 shifts + 6 rescaled
         assert len(by_tag.get("rescaled", [])) == 6
         assert len(by_tag.get("truncation", [])) >= 3
+
+
+# SHA-256 over every default_family member's values then gradients, in
+# member order, on standard-normal points (seed step, or 10 for Engel); the
+# one-point case is the first of those points.  Recorded before the members
+# moved onto the shared batch context, so they pin its results bit for bit.
+MEMBER_DIGESTS = {
+    ("engel", 4099): "f6fafd4f7153b89cc3d870c87d2cce95b7503d97de7d635b4964cc38a6519820",
+    ("engel", 1): "6cc79b7b2fee7626a9a0c5abae6dc837da6366fac96a2d492ef75cb37737d46f",
+    ("filiform-3", 4099): "8f3415f1acf6266e406390b94063647d2c956ee8736b4a49ccc0e26e0558fe49",
+    ("filiform-3", 1): "a3808e2be1197eca919528361e7ddb93a371ed84fc312e710c6b35d27d06e0c9",
+    ("filiform-4", 4099): "c6972dcf2b1c85b36003bd1f7dc214b6d3b12dddac7a26d6027afff765927f03",
+    ("filiform-4", 1): "b43c3909a5c8673e091094a365e6dd555de3207e3f40016bdc42518424314ff6",
+    ("filiform-5", 4099): "e02bdf0d131f74e6fd9daf9fdae3c95b6e352a79e0b87c96cee2ac957ffd2515",
+    ("filiform-5", 1): "6a9cd5d2cf59af8a7a4d88fa8c1c9b6468ac0d7102e523dc71d5ad805d080a3a",
+    ("filiform-6", 4099): "81ee874965cbe09a520dbad167f340e0dc31e92ff6cb06c72cace8cd8351235f",
+    ("filiform-6", 1): "ac6420d3bbe587b1908a0b924532b4bd6d8d30209e2e69b82058514fd15fb9b8",
+    ("filiform-7", 4099): "a8f92df0f4a8e9e0f6ada1d76f54f64a27553ca27d3a110ab9d122d36af1ba62",
+    ("filiform-7", 1): "399de8451dd2deb7e2bafe90e57dd1fedfd8bba2f0d928f19915780ea56a947f",
+    ("filiform-8", 4099): "fa9b5e254a21fa7c7653ea0cdc53c305ff7238eca4e335e987288350aac0624b",
+    ("filiform-8", 1): "161d62a7f93d68a7aadb835027191920a14f3f7a50e42a6bf0003b3ec83a97a6",
+    ("filiform-9", 4099): "1821b393d952698ab2f9d9c9f2bf5d2a875ac0acfe42f2c6145e712c3aaef7e4",
+    ("filiform-9", 1): "3628e036ef98d17e86a1a677a428ae28447ad2a1a68d49bc2a6538ab179e8bfb",
+    ("filiform-10", 4099): "99e40b8459bf54ab7e00999841a405673f7f67a598d4c29774e8ade1cd8cc6cf",
+    ("filiform-10", 1): "5a2114c54930a9c735218498eeaaafd8c5c1c897914cae3708f7b5fa8eb284d1",
+    ("filiform-11", 4099): "37220baa635f57a14324cdd907903b4dcad283f0b39b34ead3475b39bacac5ed",
+    ("filiform-11", 1): "e293fcaa00958dbff978fb7b87c883ccfd36618cb3f014d674189aaf6e8aa0ad",
+    ("filiform-12", 4099): "85ef170454ef2b84072ff111c6723530652088f88c3d3e8abc19906969fea4f6",
+    ("filiform-12", 1): "a4d886ed8d452443adcaef2f745578163bffe61d6813db60afbdf4950e779231",
+}
+DIGEST_KINDS = {"engel": engel_kind(), **{f"filiform-{n}": filiform_kind(n) for n in range(3, 13)}}
+
+
+def digest_points(kind: NormKind) -> np.ndarray:
+    seed = 10 if kind.variant == ENGEL else kind.group.step
+    return np.random.default_rng(seed).normal(size=(4099, kind.group.dimension))
+
+
+@pytest.mark.parametrize(("name", "m"), sorted(MEMBER_DIGESTS), ids=lambda v: str(v))
+def test_member_bytes_are_pinned(name, m):
+    kind = DIGEST_KINDS[name]
+    xb = digest_points(kind)[:m]
+    h = hashlib.sha256()
+    for member in default_family(kind, q=1.5).members:
+        h.update(member.value(xb).tobytes())
+        h.update(member.gradient(xb).tobytes())
+    assert h.hexdigest() == MEMBER_DIGESTS[(name, m)]
