@@ -6,18 +6,19 @@ optional perturbing potential W, giving the unnormalised density
 
     u(x) = exp(-a N(x)^p - W(x)).
 
-Provided operations: exact-density evaluation, sampling, normalisation-
-constant estimation (tensor quadrature in dimension <= 6, heavy-tailed
-importance sampling above), Monte Carlo expectations with batch-means
-errors, and an empirical check of the perturbation certificate
+Provided operations: exact-density evaluation, sampling, the normalisation
+constant, Monte Carlo expectations with batch-means errors, and an
+empirical check of the perturbation certificate
 
     |grad W|^q <= delta N^(p-n) |||x|||^n + gamma_delta,     W <= C N,
 
 with n the group step and |||.||| the kind's scalar seminorm.
 
 The unperturbed measures depend on x only through N, so homogeneous polar
-coordinates sample them exactly and iid (see `sample`); a perturbed spec
-runs an independence Metropolis chain with those draws as proposals.
+coordinates sample them exactly and iid (see `sample`) and reduce Z to
+Gamma(Q/p + 1) a^(-Q/p) times the unit-ball volume of the kind (see
+`estimate_Z`); a perturbed spec runs an independence Metropolis chain with
+those draws as proposals.
 
 Sample batches serialise to a small binary format ("CCMB"): magic bytes,
 u32 version and step, f64 spec fields (a, p, kind code, perturbation flag),
@@ -31,24 +32,21 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import gamma, roots_jacobi
 
 from .calculus import ScalarField, fd_frame_first
 from .frames import Frame, left_frame, right_frame_engel
 from .group import GroupPoint, _as_batch
 from .norms import ENGEL, FILIFORM, NormKind, aux_seminorm, norm_kernel, norm_value
-from .seeding import derive_rng, seed_sequence
+from .seeding import derive_rng
 
 MAGIC = b"CCMB"
 FORMAT_VERSION = 1
 KIND_CODES = {ENGEL: 0.0, FILIFORM: 1.0}
 N_BATCHES = 50
-
-
-class PrecisionError(RuntimeError):
-    """Quadrature failed to reach the requested tolerance within budget."""
 
 
 @dataclass(frozen=True)
@@ -267,69 +265,6 @@ def _effective_samples(series: np.ndarray) -> float:
     return smallest
 
 
-def _quadrature_box(spec: MeasureSpec) -> np.ndarray:
-    """Half-widths B_k = T^weight(k) with exp(-a T^p) ~ 1e-12 * peak.
-
-    Every coordinate obeys N(x) >= |x_k|^(1/weight(k)) for both norm kinds,
-    so outside the box the density is below the truncation target.
-    """
-    t_scale = (27.63 / spec.a) ** (1.0 / spec.p)
-    return np.array([t_scale**w for w in spec.kind.group.weights], dtype=np.float64)
-
-
-def _axis_substitution_powers(spec: MeasureSpec) -> list[int]:
-    """Per-axis power m_k turning |x_k|^alpha kinks into integer powers.
-
-    Substituting x_k = u^(m_k) with m_k the denominator of the axis exponent
-    makes the integrand's per-axis boundary behaviour polynomial, restoring
-    fast Gauss-Legendre convergence even for exponents below 1.
-    """
-    if spec.kind.variant == ENGEL:
-        # x3 appears under a square root inside the seminorm cube.
-        return [1, 1, 2, 1]
-    n = spec.kind.group.step
-    half = Fraction(n + 1, 2)
-    powers = [half.denominator, half.denominator]
-    for j in range(3, n + 1):
-        powers.append(Fraction(n + 1, 2 * (j - 1)).denominator)
-    powers.append(1)
-    return powers
-
-
-def _tensor_gauss_positive(spec: MeasureSpec, nodes_per_axis: int) -> float:
-    """Integral of u over the box via Gauss-Legendre on the positive orthant.
-
-    The integrand is even in each coordinate (norm symmetry), so the
-    positive orthant carries 2^d of the integral; per-axis power
-    substitutions keep it smooth up to the orthant boundary.
-    """
-    d = spec.kind.group.dimension
-    half = _quadrature_box(spec)
-    powers = _axis_substitution_powers(spec)
-    base_x, base_w = np.polynomial.legendre.leggauss(nodes_per_axis)
-    axes_nodes = []
-    axes_weights = []
-    for k in range(d):
-        m = powers[k]
-        top = half[k] ** (1.0 / m)
-        u = 0.5 * top * (base_x + 1.0)
-        axes_nodes.append(u**m)
-        axes_weights.append(0.5 * top * base_w * m * u ** (m - 1))
-    total = 0.0
-    # Chunk over the leading axis to bound memory.
-    mesh = np.meshgrid(*axes_nodes[1:], indexing="ij")
-    rest_pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*axes_weights[1:], indexing="ij")
-    rest_w = np.prod(np.stack([m.ravel() for m in wmesh], axis=-1), axis=-1)
-    pts = np.empty((rest_pts.shape[0], d))
-    for i in range(nodes_per_axis):
-        pts[:, 0] = axes_nodes[0][i]
-        pts[:, 1:] = rest_pts
-        vals = np.exp(log_unnormalized_density(spec, pts))
-        total += axes_weights[0][i] * float(np.dot(vals, rest_w))
-    return total * 2.0**d
-
-
 @dataclass(frozen=True)
 class ZEstimate:
     value: float
@@ -343,85 +278,79 @@ class ZEstimate:
             raise ValueError("standard error must be nonnegative")
 
 
-QUADRATURE_LADDER = (8, 12, 16, 20, 24, 28, 32)
+def estimate_Z(spec: MeasureSpec) -> ZEstimate:
+    """Normalisation constant Z = integral of exp(-a N^p), with its error.
 
-
-def estimate_Z(
-    spec: MeasureSpec,
-    budget: int = 20_000_000,
-    seed: int = 0,
-    rtol: float = 1e-6,
-) -> ZEstimate:
-    """Normalisation constant with an error estimate.
-
-    Dimension <= 6 (step <= 5): tensor Gauss-Legendre refined through a
-    ladder of resolutions until consecutive values agree to `rtol`; the last
-    difference is the reported error.  `budget` caps the cumulative number
-    of density evaluations; running out before convergence raises
-    PrecisionError with the achieved tolerance.  Higher dimensions:
-    importance sampling with a product Student-t(3) reference scaled to the
-    truncation box, with a weight-concentration check guarding the
-    finite-variance assumption.
+    The density depends on x only through N, so homogeneous polar
+    coordinates (Folland & Stein, Hardy Spaces on Homogeneous Groups,
+    Prop. 1.15) give Z(a, p) = Gamma(Q/p + 1) a^(-Q/p) |B_1|, with Q the
+    homogeneous dimension and |B_1| the volume of the unit ball, a constant
+    of the kind.  |B_1| is exact for Engel and a quadrature for filiform
+    (`_filiform_ball_volume`), whose error the estimate carries.
     """
     if spec.perturbation is not None:
-        # The certificate bounds W <= C N, so u keeps integrable tails, but
-        # the truncation box is tuned for W = 0; quadrature stays honest only
-        # for the unperturbed density.
+        # W changes the density off the level sets of N, so the polar
+        # reduction no longer applies.
         raise ValueError("Z estimation supports unperturbed specs only")
-    d = spec.kind.group.dimension
-    if d <= 6:
-        spent = 0
-        prev = None
-        achieved = np.inf
-        for nodes in QUADRATURE_LADDER:
-            cost = nodes**d
-            if spent + cost > budget:
-                break
-            value = _tensor_gauss_positive(spec, nodes)
-            spent += cost
-            if prev is not None:
-                achieved = abs(value - prev) / abs(value)
-                if achieved <= rtol:
-                    return ZEstimate(
-                        value=float(value),
-                        standard_error=float(abs(value - prev)),
-                        method="quadrature",
-                    )
-            prev = value
-        raise PrecisionError(
-            f"quadrature reached relative error {achieved:.3e} "
-            f"(target {rtol:.1e}) within the budget of {budget} evaluations"
-        )
-
-    rng = np.random.default_rng(seed_sequence(seed, "z-importance"))
-    # Reference matches the density's per-coordinate scale t^weight(k) with
-    # t the typical norm value; the Student-t(3) tails still dominate the
-    # superexponentially decaying density, keeping weights bounded.
-    t_typ = (1.0 / spec.a) ** (1.0 / spec.p)
-    scales = np.array([t_typ**w for w in spec.kind.group.weights])
-    count = max(budget, 10_000)
-    draws = rng.standard_t(df=3, size=(count, d)) * scales
-    log_ref = np.sum(
-        _log_student_t3_pdf(draws / scales) - np.log(scales), axis=1
-    )
-    logw = log_unnormalized_density(spec, draws) - log_ref
-    w = np.exp(logw)
-    value = float(np.mean(w))
-    se = float(np.std(w, ddof=1) / np.sqrt(count))
-    share = float(np.max(w) / np.sum(w))
-    if share > 0.01:
-        warnings.warn(
-            f"importance weights concentrate (max share {share:.2%}); "
-            "variance estimate may be unreliable",
-            UserWarning,
-            stacklevel=2,
-        )
-    return ZEstimate(value=value, standard_error=se, method="importance")
+    if spec.kind.variant == ENGEL:
+        # int exp(-N^3) = 4 pi int_0^inf w exp(-w^(3/2)) dw = (8 pi/3) Gamma(4/3),
+        # with w = x1^2 + x2^2 + |x3|, and equals Gamma(Q/3 + 1) |B_1|, Q = 7.
+        volume, error = 8.0 * np.pi / 3.0 * gamma(4.0 / 3.0) / gamma(10.0 / 3.0), 0.0
+        method = "polar-exact"
+    else:
+        volume, error = _filiform_ball_volume(spec.kind.group.step)
+        method = "polar-quadrature"
+    q_over_p = spec.kind.group.homogeneous_dimension / spec.p
+    with np.errstate(over="ignore"):
+        scale = gamma(q_over_p + 1.0) * np.float64(spec.a) ** -q_over_p
+    if not 0.0 < scale < np.inf:
+        raise ArithmeticError(f"Z leaves the float64 range at a = {spec.a!r}, p = {spec.p!r}")
+    return ZEstimate(float(scale * volume), float(scale * error), method)
 
 
-def _log_student_t3_pdf(z: np.ndarray) -> np.ndarray:
-    # Student-t density with 3 degrees of freedom: 2/(pi sqrt(3) (1+z^2/3)^2).
-    return np.log(2.0 / (np.pi * np.sqrt(3.0))) - 2.0 * np.log1p(z**2 / 3.0)
+# Exp-sinh spacings of the two rules whose difference is the reported error.
+# Widening the s-range or doubling the Gauss-Jacobi order moves |B_1| by at
+# most 2e-15 relative at every step from 3 to 12; below s = -6.5 the nodes
+# underflow to 0.
+_POLAR_SPACINGS = (0.05, 0.035)
+_JACOBI_NODES = 32
+
+
+@lru_cache(maxsize=None)
+def _filiform_ball_volume(n: int) -> tuple[float, float]:
+    """|B_1| of the step-n filiform norm and its quadrature error.
+
+    Integrating out x_{n+1} and the signs, then A = |x_1|^h, B = |x_2|^h with
+    c = A + B and B = c t, gives
+
+        Gamma(Q/n + 1) |B_1| = int exp(-N^n)
+            = (8/h^2) int_0^inf c^(2/h-1) T(c) prod_{j=3..n} G_j(c) dc,
+        T(c) = int_0^1 (t(1-t))^(1/h-1) exp(-(c(1+t))^beta) dt,
+        G_j(c) = 2 int_0^inf exp(-(c + y^alpha_j)^beta) dy,
+
+    with h = (n+1)/2, beta = 2n/(n+1) and alpha_j = (n+1)/(2(j-1)).  The
+    c and y integrals use exp-sinh nodes, t uses Gauss-Jacobi nodes for the
+    endpoint weight.  Returns the finer rule's value and its distance from
+    the coarser one.
+    """
+    half = (n + 1) / 2.0
+    beta = 2.0 * n / (n + 1)
+    jac = 1.0 / half - 1.0
+    u, wu = roots_jacobi(_JACOBI_NODES, jac, jac)
+    t, wt = 0.5 * (1.0 + u), wu * 2.0 ** (-2.0 * jac - 1.0)
+    values = []
+    for spacing in _POLAR_SPACINGS:
+        # Exp-sinh nodes c = exp(pi/2 sinh s) on an s-grid over [-6, 3].
+        s = spacing * np.arange(np.ceil(-6.0 / spacing), np.floor(3.0 / spacing) + 1.0)
+        c = np.exp(0.5 * np.pi * np.sinh(s))
+        wc = spacing * 0.5 * np.pi * np.cosh(s) * c
+        integrand = c ** (2.0 / half - 1.0) * (np.exp(-((c[:, None] * (1.0 + t)) ** beta)) @ wt)
+        for j in range(3, n + 1):
+            y_pow = c ** ((n + 1) / (2.0 * (j - 1)))  # the y-grid equals the c-grid
+            integrand *= 2.0 * (np.exp(-((c[:, None] + y_pow) ** beta)) @ wc)
+        values.append(8.0 / half**2 * float(integrand @ wc))
+    scale = 1.0 / gamma((1 + n * (n + 1) // 2) / n + 1.0)  # 1/Gamma(Q/n + 1)
+    return values[-1] * scale, abs(values[-1] - values[0]) * scale
 
 
 def batch_mean_se(values: np.ndarray, n_batches: int = N_BATCHES) -> tuple[float, float]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from carnotlab import cli
 from carnotlab.cli import (
     CHECK_IDS,
     DEFAULTS,
@@ -165,6 +166,40 @@ class TestBasicRuns:
         for cid in ("loc-partition", "loc-chebyshev", "loc-shift", "loc-translation"):
             assert f"[{cid}] PASS" in out
 
+    def test_localize_empty_region_is_a_note_not_a_warning(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["localize", "--count", "50", "--translation-count", "1000"], tmp_path)
+        assert code == EXIT_PASS
+        assert not [w for w in caught if issubclass(w.category, UserWarning)]
+        captured = capsys.readouterr()
+        assert "NOTE regions without samples: annulus" in captured.out
+        assert "UserWarning" not in captured.err
+
+    def test_sample_z_check_records_margin(self, tmp_path, capsys):
+        code = run(
+            ["sample", "--kind", "filiform", "--step", "5", "--count", "1000",
+             "--csv-rows", "0", "--z-budget", "1"],
+            tmp_path,
+        )
+        assert code == EXIT_PASS
+        assert "[smp-z] PASS Z " in capsys.readouterr().out
+        z = json.loads((tmp_path / "sample.json").read_text())["results"]["normalization"]
+        assert z["method"] == "polar-quadrature"
+        assert z["margin"] == 1e-9 * z["value"] - z["standard_error"]
+        assert z["margin"] >= 0.0
+
+    def test_sample_z_beyond_float_range_exits_four(self, tmp_path, capsys):
+        # Z = Gamma(Q/p + 1) a^(-Q/p) |B_1| overflows float64 for tiny a.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["sample", "--count", "1000", "--a", "1e-300", "--z-budget", "1"], tmp_path)
+        assert code == EXIT_NUMERIC_ERROR
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "numerical error: Z leaves the float64 range at a = 1e-300" in err
+        assert "Traceback" not in err
+
     def test_geodesic_path_artifact(self, tmp_path):
         code = run(["geodesic", "--segments", "8", "--restarts", "2"], tmp_path)
         assert code == EXIT_PASS
@@ -258,7 +293,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         ("command", "flag"),
         [(cmd, flag) for cmd in ("ubound", "poincare") for flag in ("--count", "--holdout-count")]
-        + [("ball-check", "--count"), ("localize", "--count")],
+        + [("ball-check", "--count"), ("localize", "--count"), ("sample", "--count")],
     )
     def test_moment_counts_below_batch_count_exit_three(self, tmp_path, command, flag):
         assert run([command, flag, str(N_BATCHES - 1)], tmp_path) == EXIT_INPUT_ERROR
@@ -284,13 +319,16 @@ class TestExitCodes:
             run(["sample", "--count", "100", flag, "1"], tmp_path)
         assert exc.value.code == EXIT_INPUT_ERROR
 
-    def test_numeric_failure_exits_four(self, tmp_path, capsys):
-        code = run(
-            ["sample", "--count", "1000", "--z-budget", "100"],
-            tmp_path,
-        )
+    def test_numeric_failure_exits_four(self, tmp_path, capsys, monkeypatch):
+        def failing_sample(*args, **kwargs):
+            raise ArithmeticError("sampler overflow")
+
+        monkeypatch.setattr(cli, "sample", failing_sample)
+        code = run(["sample", "--count", "1000"], tmp_path)
         assert code == EXIT_NUMERIC_ERROR
-        assert "numerical error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical error" in err
+        assert "Traceback" not in err
 
     def test_overflowing_geodesic_target_exits_three(self, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.signal import lfilter
+from scipy.special import gamma
 
 from carnotlab.calculus import ScalarField, norm_derivative_tables
 from carnotlab.group import GroupPoint
@@ -14,11 +15,11 @@ from carnotlab.measures import (
     SampleDiagnostics,
     MeasureSpec,
     Perturbation,
-    PrecisionError,
     SampleBatch,
     ZEstimate,
     _effective_samples,
     check_perturbation_certificate,
+    cone_samples,
     estimate_Z,
     expectation,
     export_csv,
@@ -233,61 +234,83 @@ def test_sample_rejects_bad_arguments():
         sample(ENGEL_SPEC, 0, seed=1)
 
 
+def _z_at_step(variant, step, a=1.0):
+    return estimate_Z(MeasureSpec(_kind(variant, step), a=a, p=float(step)))
+
+
 def test_estimate_z_quadrature_engel():
+    # Closed form (8 pi/3) Gamma(4/3); the retired tensor Gauss-Legendre
+    # ladder read 7.4810076598 with reported error 3.4e-6.
     z = estimate_Z(ENGEL_SPEC)
-    assert z.method == "quadrature"
-    assert z.value > 0
-    assert z.standard_error >= 0
-    assert z.value == pytest.approx(7.481008, rel=1e-5)
-
-
-def test_estimate_z_two_resolutions_agree():
-    coarse = estimate_Z(ENGEL_SPEC, rtol=1e-6)
-    fine = estimate_Z(ENGEL_SPEC, rtol=1e-7)
-    assert abs(coarse.value - fine.value) <= 3.0 * (
-        coarse.standard_error + fine.standard_error
-    )
-
-
-def test_estimate_z_scaling_law_quadrature():
-    z1 = estimate_Z(ENGEL_SPEC)
-    z2 = estimate_Z(MeasureSpec(engel_kind(), a=2.0, p=3.0))
-    lam = (1.0 / 2.0) ** (1.0 / 3.0)
-    assert z2.value == pytest.approx(lam**7 * z1.value, rel=1e-6)
+    assert z.method == "polar-exact"
+    assert z.standard_error == 0.0
+    assert z.value == pytest.approx(8.0 * np.pi / 3.0 * gamma(4.0 / 3.0), rel=1e-15)
+    assert abs(z.value - 7.4810076598) <= 3.4e-6
 
 
 def test_estimate_z_filiform_quadrature():
-    z = estimate_Z(MeasureSpec(filiform_kind(4), a=1.0, p=4.0))
-    assert z.method == "quadrature"
-    assert z.value == pytest.approx(7.273642, rel=1e-5)
+    # The retired ladder's values with its own reported errors.
+    for step, ladder, error in ((3, 4.2631320450, 2.1e-6), (4, 7.2736416703, 5.8e-6)):
+        z = _z_at_step("filiform", step)
+        assert z.method == "polar-quadrature"
+        assert abs(z.value - ladder) <= error
 
 
-def test_estimate_z_budget_exhaustion():
-    with pytest.raises(PrecisionError, match="relative error"):
-        estimate_Z(ENGEL_SPEC, budget=5000)
+def test_estimate_z_matches_nested_quad_ball_volumes():
+    # |B_1| = Z(1, n)/Gamma(Q/n + 1), computed independently with nested
+    # scipy quad/dblquad at steps 3-5, and Z(1, 6) likewise.
+    for step, volume in ((3, 1.5345167811888), (4, 1.6445084904645), (5, 1.7439751251704)):
+        q_hom = 1 + step * (step + 1) // 2
+        assert _z_at_step("filiform", step).value / gamma(q_hom / step + 1.0) == pytest.approx(
+            volume, rel=1e-12
+        )
+    assert _z_at_step("filiform", 6).value == pytest.approx(25.8841420675, rel=1e-10)
 
 
-def test_estimate_z_importance_path():
-    spec = MeasureSpec(filiform_kind(6), a=1.0, p=6.0)
-    z1 = estimate_Z(spec, budget=100_000, seed=1)
-    z2 = estimate_Z(spec, budget=100_000, seed=2)
-    assert z1.method == "importance"
-    assert z1.value > 0 and z1.standard_error > 0
-    assert abs(z1.value - z2.value) <= 3.0 * float(
-        np.hypot(z1.standard_error, z2.standard_error)
-    )
+def test_estimate_z_agrees_with_importance_value_at_step_6():
+    # The retired importance sampler read 25.890 +- 0.019 at step 6.
+    assert abs(_z_at_step("filiform", 6).value - 25.890) <= 3.0 * 0.019
 
 
-def test_estimate_z_importance_scaling_law():
-    spec1 = MeasureSpec(filiform_kind(6), a=1.0, p=6.0)
-    spec2 = MeasureSpec(filiform_kind(6), a=2.0, p=6.0)
-    z1 = estimate_Z(spec1, budget=150_000, seed=3)
-    z2 = estimate_Z(spec2, budget=150_000, seed=4)
-    lam = (1.0 / 2.0) ** (1.0 / 6.0)
-    q_hom = 1 + 6 * 7 // 2
-    target = lam**q_hom * z1.value
-    band = 3.0 * float(np.hypot(z2.standard_error, lam**q_hom * z1.standard_error))
-    assert abs(z2.value - target) <= band
+def test_estimate_z_two_resolutions_agree():
+    # The reported error is the gap between two exp-sinh node spacings; it
+    # stays within the smp-z tolerance at every step.
+    for step in range(3, 13):
+        z = _z_at_step("filiform", step)
+        assert 0.0 <= z.standard_error <= 1e-9 * z.value
+
+
+def test_estimate_z_scaling_law_quadrature():
+    # Z(a, p) a^(Q/p) = Gamma(Q/p + 1) |B_1| does not depend on a.
+    for kind, p in (
+        (engel_kind(), 3.0),
+        (filiform_kind(4), 4.0),
+        (filiform_kind(4), 5.5),
+        (filiform_kind(9), 9.0),
+    ):
+        exponent = kind.group.homogeneous_dimension / p
+        base = estimate_Z(MeasureSpec(kind, a=1.0, p=p)).value
+        for a in (0.25, 2.0, 7.5):
+            scaled = estimate_Z(MeasureSpec(kind, a=a, p=p)).value * a**exponent
+            assert scaled == pytest.approx(base, rel=1e-12)
+
+
+@pytest.mark.parametrize("variant,step", KINDS)
+def test_estimate_z_matches_cone_envelope_acceptance(variant, step):
+    # cone_samples accepts draws from the envelope exp(-sum_k c_k |y_k|^(n/w_k))
+    # with probability Z(1, n)/Z_E, where Z_E = prod_k 2 Gamma(1 + w_k/n)
+    # c_k^(-w_k/n) is the envelope's mass, so acceptance * Z_E estimates Z.
+    kind = _kind(variant, step)
+    weights = np.array(kind.group.weights, dtype=np.float64)
+    coef = np.ones(weights.size)
+    if variant == "filiform":
+        coef[:2] = (step - 1, step)
+    z_env = float(np.prod(2.0 * gamma(1.0 + weights / step) * coef ** (-weights / step)))
+    count = 200_000
+    _, acc = cone_samples(kind, count, np.random.default_rng(step))
+    # count/acc slightly undercounts the proposals, so the SE errs large.
+    se = z_env * np.sqrt(acc * (1.0 - acc) * acc / count)
+    assert abs(acc * z_env - _z_at_step(variant, step).value) <= 4.0 * se
 
 
 def test_estimate_z_rejects_perturbed_spec():
