@@ -295,6 +295,20 @@ def test_estimate_z_scaling_law_quadrature():
             assert scaled == pytest.approx(base, rel=1e-12)
 
 
+def test_estimate_z_importance_scaling_law():
+    # Filiform step 6 was the importance-sampled case; the law Z(2) =
+    # 2^(-Q/6) Z(1) must hold within the errors the estimates report.
+    spec1 = MeasureSpec(filiform_kind(6), a=1.0, p=6.0)
+    spec2 = MeasureSpec(filiform_kind(6), a=2.0, p=6.0)
+    z1 = estimate_Z(spec1)
+    z2 = estimate_Z(spec2)
+    lam = (1.0 / 2.0) ** (1.0 / 6.0)
+    q_hom = 1 + 6 * 7 // 2
+    target = lam**q_hom * z1.value
+    band = 3.0 * float(np.hypot(z2.standard_error, lam**q_hom * z1.standard_error))
+    assert abs(z2.value - target) <= band
+
+
 @pytest.mark.parametrize("variant,step", KINDS)
 def test_estimate_z_matches_cone_envelope_acceptance(variant, step):
     # cone_samples accepts draws from the envelope exp(-sum_k c_k |y_k|^(n/w_k))
