@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import qmc
 
-from .calculus import NormDerivativeTable, norm_derivative_tables
+from .calculus import NormJet, norm_derivative_tables
 from .norms import NormKind, engel_kind, filiform_kind
 
 DEFAULT_BOX = 5.0
@@ -198,50 +198,50 @@ def _extremal_report(
 _FILIFORM_NOTE = "recorded sup is standoff-dependent for n >= 4"
 
 # One row per bound: its spec (the name may hold {n}, the step), its ratio
-# as (derivative table, points, n) -> values, the axis whose points with
-# |x_axis| <= 1e-8 are dropped because the ratio divides by |x_axis| (None
-# keeps every point), and a note appended to the domain text.
-_Ratio = Callable[[NormDerivativeTable, np.ndarray, int], np.ndarray]
+# as (norm jet of a point chunk, the chunk, n) -> values, the axis whose
+# points with |x_axis| <= 1e-8 are dropped because the ratio divides by
+# |x_axis| (None keeps every point), and a note appended to the domain text.
+_Ratio = Callable[[NormJet, np.ndarray, int], np.ndarray]
 _BOUNDS: dict[str, tuple[BoundSpec, _Ratio, int | None, str]] = {
     "engel-gradient": (
         BoundSpec("engel-gradient-sup", "upper", math.sqrt(5.0),
                   "|grad N| N^2 / seminorm^2 bounded by sqrt(5)"),
-        lambda t, x, n: t.gradient_norm(x) * t.value(x) ** 2 / t.seminorm(x) ** 2,
+        lambda t, x, n: t.gradient_norm * t.value ** 2 / t.seminorm ** 2,
         None, "",
     ),
     "engel-laplacian": (
         BoundSpec("engel-laplacian-sup", "upper", 7.0,
                   "(Delta N) N^2 / seminorm bounded by 7; may be negative below"),
-        lambda t, x, n: t.laplacian(x) * t.value(x) ** 2 / t.seminorm(x),
+        lambda t, x, n: t.laplacian * t.value ** 2 / t.seminorm,
         None, "",
     ),
     "engel-x2-lower": (
         BoundSpec("engel-x2-lower", "lower", 1.0,
                   "|X_2 N| N^2 / (seminorm |x_2|) equals 1 identically", tolerance=1e-12),
         lambda t, x, n: (
-            np.abs(t.first(x)[:, 1]) * t.value(x) ** 2 / (t.seminorm(x) * np.abs(x[:, 1]))
+            np.abs(t.first[:, 1]) * t.value ** 2 / (t.seminorm * np.abs(x[:, 1]))
         ),
         1, "points with |x_2| <= 1e-8 excluded",
     ),
     "filiform-gradient": (
         BoundSpec("filiform-gradient-sup-n{n}", "upper", None,
                   "|grad N| N^(n-1) / seminorm^(n-1), constant recorded"),
-        lambda t, x, n: t.gradient_norm(x) * t.value(x) ** (n - 1) / t.seminorm(x) ** (n - 1),
+        lambda t, x, n: t.gradient_norm * t.value ** (n - 1) / t.seminorm ** (n - 1),
         None, _FILIFORM_NOTE,
     ),
     "filiform-laplacian": (
         BoundSpec("filiform-laplacian-sup-n{n}", "upper", None,
                   "(Delta N) N^(n-1) / seminorm^(n-2), constant recorded"),
-        lambda t, x, n: t.laplacian(x) * t.value(x) ** (n - 1) / t.seminorm(x) ** (n - 2),
+        lambda t, x, n: t.laplacian * t.value ** (n - 1) / t.seminorm ** (n - 2),
         None, _FILIFORM_NOTE,
     ),
     "filiform-x1-lower": (
         BoundSpec("filiform-x1-lower-n{n}", "lower", 1.0,
                   "power-sum lower bound for the first horizontal derivative"),
         lambda t, x, n: (
-            np.abs(t.first(x)[:, 0])
-            * t.value(x) ** (n - 1)
-            / (t.seminorm(x) * np.abs(x[:, 0])) ** ((n - 1) / 2.0)
+            np.abs(t.first[:, 0])
+            * t.value ** (n - 1)
+            / (t.seminorm * np.abs(x[:, 0])) ** ((n - 1) / 2.0)
         ),
         0, "points with |x_1| <= 1e-8 excluded",
     ),
@@ -256,7 +256,8 @@ def _verify(
 
     The keys of one call share one axis filter.  The filtered points
     replace the draw, so no unfiltered copy stays alive while the ratios
-    are evaluated.
+    are evaluated.  Each chunk of points gets one `NormJet`, so its norm,
+    seminorm and frame derivatives are computed once for all keys.
     """
     (axis,) = {_BOUNDS[key][2] for key in keys}
     n = kind.group.step
@@ -268,18 +269,22 @@ def _verify(
         f"box [-{box:g},{box:g}]^{kind.group.dimension}, smooth region with hyperplane "
         f"standoff {standoff:g}, deterministic shell batches at the standoff"
     )
-    chunks = range(0, pts.shape[0], RATIO_CHUNK)
+    specs = [replace(_BOUNDS[key][0], name=_BOUNDS[key][0].name.format(n=n)) for key in keys]
+    if pts.shape[0] == 0:
+        raise EmptyDomainError(f"no admissible samples for bound {specs[0].name}")
+    ratios: list[list[np.ndarray]] = [[] for _ in keys]
+    for i in range(0, pts.shape[0], RATIO_CHUNK):
+        chunk = pts[i : i + RATIO_CHUNK]
+        jet = table.jet(chunk)
+        for key, parts in zip(keys, ratios):
+            parts.append(_BOUNDS[key][1](jet, chunk, n))
     reports = []
-    for key in keys:
-        spec, ratio, _, note = _BOUNDS[key]
-        spec = replace(spec, name=spec.name.format(n=n))
-        if pts.shape[0] == 0:
-            raise EmptyDomainError(f"no admissible samples for bound {spec.name}")
-        # The ratio array is a temporary, freed before the next key's.
+    for key, spec, parts in zip(keys, specs, ratios):
+        note = _BOUNDS[key][3]
         reports.append(_extremal_report(
             spec,
             kind,
-            np.concatenate([ratio(table, pts[i : i + RATIO_CHUNK], n) for i in chunks]),
+            np.concatenate(parts),
             pts,
             seed,
             f"{domain}; {note}" if note else domain,

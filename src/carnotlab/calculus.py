@@ -22,6 +22,7 @@ smooth region only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -174,8 +175,10 @@ class NormDerivativeTable:
 
     Subclasses fix the norm kind and its natural frame and implement
     vectorised `value`, `seminorm`, `first` (X_i N, shape (m, 2)) and
-    `second` (X_i^2 N, shape (m, 2)).  Values are only meaningful on the
-    smooth region; no masking is applied here.
+    `second` (X_i^2 N, shape (m, 2)).  `first` and `second` are read off a
+    `NormJet`, built from the subclass's `_pieces`, `_jet_first` and
+    `_jet_second`.  Values are only meaningful on the smooth region; no
+    masking is applied here.
     """
 
     kind: NormKind
@@ -194,11 +197,10 @@ class NormDerivativeTable:
         raise NotImplementedError
 
     def gradient_norm(self, x: np.ndarray) -> np.ndarray:
-        comps = self.first(x)
-        return np.sqrt(np.sum(comps**2, axis=-1))
+        return self._read(x, "gradient_norm")
 
     def laplacian(self, x: np.ndarray) -> np.ndarray:
-        return np.sum(self.second(x), axis=-1)
+        return self._read(x, "laplacian")
 
     def as_scalar_field(self) -> ScalarField:
         kind = self.kind
@@ -207,6 +209,64 @@ class NormDerivativeTable:
             smooth=lambda X: smooth_mask(kind, X),
             table=self,
         )
+
+    def jet(self, x: np.ndarray) -> "NormJet":
+        """The norm quantities of the batch x, each computed at most once."""
+        return NormJet(self, _as_batch(x, self.kind.group.dimension)[0])
+
+    def _jet_value(self, jet: "NormJet") -> np.ndarray:
+        return self.value(jet.xb)
+
+    def _jet_seminorm(self, jet: "NormJet") -> np.ndarray:
+        return self.seminorm(jet.xb)
+
+    def _read(self, x: np.ndarray, name: str) -> np.ndarray:
+        xb, single = _as_batch(x, self.kind.group.dimension)
+        out = getattr(self.jet(xb), name)
+        return out[0] if single else out
+
+
+class NormJet:
+    """Norm, seminorm and frame derivatives of one point batch.
+
+    Each quantity is computed on first access and kept, so every ratio built
+    on one batch shares a single derivative pass; the table's intermediate
+    pieces (`pieces`) are likewise computed once for both derivative orders.
+    The arrays are bitwise those of the table's `value`, `seminorm`, `first`,
+    `second`, `gradient_norm` and `laplacian` on the same batch.
+    """
+
+    def __init__(self, table: NormDerivativeTable, xb: np.ndarray):
+        self.table = table
+        self.xb = xb
+
+    @cached_property
+    def pieces(self) -> tuple:
+        return self.table._pieces(self.xb)
+
+    @cached_property
+    def value(self) -> np.ndarray:
+        return self.table._jet_value(self)
+
+    @cached_property
+    def seminorm(self) -> np.ndarray:
+        return self.table._jet_seminorm(self)
+
+    @cached_property
+    def first(self) -> np.ndarray:
+        return self.table._jet_first(self)
+
+    @cached_property
+    def second(self) -> np.ndarray:
+        return self.table._jet_second(self)
+
+    @cached_property
+    def gradient_norm(self) -> np.ndarray:
+        return np.sqrt(np.sum(self.first**2, axis=-1))
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return np.sum(self.second, axis=-1)
 
 
 class EngelNormTable(NormDerivativeTable):
@@ -248,28 +308,38 @@ class EngelNormTable(NormDerivativeTable):
         g2 = 3.0 * sem * xb[:, 1]
         return sem, nval, s3, s4, w, g1, g2
 
-    def first(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, 4)
-        _, nval, _, _, _, g1, g2 = self._pieces(xb)
-        denom = 3.0 * nval**2
-        out = np.stack([g1 / denom, g2 / denom], axis=-1)
-        return out[0] if single else out
+    # The pieces already hold N and the seminorm.
+    def _jet_value(self, jet: NormJet) -> np.ndarray:
+        return jet.pieces[1]
 
-    def second(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, 4)
-        sem, nval, _, s4, w, g1, g2 = self._pieces(xb)
+    def _jet_seminorm(self, jet: NormJet) -> np.ndarray:
+        return jet.pieces[0]
+
+    def _jet_first(self, jet: NormJet) -> np.ndarray:
+        _, nval, _, _, _, g1, g2 = jet.pieces
+        denom = 3.0 * nval**2
+        return np.stack([g1 / denom, g2 / denom], axis=-1)
+
+    def _jet_second(self, jet: NormJet) -> np.ndarray:
+        xb = jet.xb
+        sem, nval, _, s4, w, g1, g2 = jet.pieces
         gg1 = 0.75 * w**2 / sem + 3.0 * sem + xb[:, 1] * s4
         gg2 = 3.0 * xb[:, 1] ** 2 / sem + 3.0 * sem
         denom = 3.0 * nval**2
         quint = nval**5
-        out = np.stack(
+        return np.stack(
             [
                 gg1 / denom - (2.0 / 9.0) * g1**2 / quint,
                 gg2 / denom - (2.0 / 9.0) * g2**2 / quint,
             ],
             axis=-1,
         )
-        return out[0] if single else out
+
+    def first(self, x: np.ndarray) -> np.ndarray:
+        return self._read(x, "first")
+
+    def second(self, x: np.ndarray) -> np.ndarray:
+        return self._read(x, "second")
 
 
 class FiliformNormTable(NormDerivativeTable):
@@ -344,7 +414,8 @@ class FiliformNormTable(NormDerivativeTable):
             out[k - 2] = out[k - 3] * xb[:, 0] / (k - 2)
         return out
 
-    def _g_derivatives(self, xb: np.ndarray):
+    def _pieces(self, xb: np.ndarray):
+        """(X_1 g, X_2 g, X_1^2 g, X_2^2 g) on the batch."""
         beta = self.beta
         n = self.n
         (s, sb1, sb2, a_p, a_pp, b_p, b_pp, t_p, t_pp) = self._core(xb)
@@ -376,25 +447,27 @@ class FiliformNormTable(NormDerivativeTable):
             gg2 = gg2 + 2.0 * c[0] * c[j - 2] * h2k + c[j - 2] ** 2 * hkk
         return g1, x2g, gg1, gg2
 
-    def first(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, self.kind.group.dimension)
-        g1, g2, _, _ = self._g_derivatives(xb)
-        nval = filiform_norm(self.kind.group, xb)
+    def _jet_first(self, jet: NormJet) -> np.ndarray:
+        g1, g2, _, _ = jet.pieces
+        nval = jet.value
         denom = self.n * nval ** (self.n - 1)
-        out = np.stack([g1 / denom, g2 / denom], axis=-1)
-        return out[0] if single else out
+        return np.stack([g1 / denom, g2 / denom], axis=-1)
 
-    def second(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, self.kind.group.dimension)
-        g1, g2, gg1, gg2 = self._g_derivatives(xb)
-        nval = filiform_norm(self.kind.group, xb)
+    def _jet_second(self, jet: NormJet) -> np.ndarray:
+        g1, g2, gg1, gg2 = jet.pieces
+        nval = jet.value
         n = self.n
         denom = n * nval ** (n - 1)
         corr = (n - 1.0) / n**2 / nval ** (2 * n - 1)
-        out = np.stack(
+        return np.stack(
             [gg1 / denom - corr * g1**2, gg2 / denom - corr * g2**2], axis=-1
         )
-        return out[0] if single else out
+
+    def first(self, x: np.ndarray) -> np.ndarray:
+        return self._read(x, "first")
+
+    def second(self, x: np.ndarray) -> np.ndarray:
+        return self._read(x, "second")
 
 
 def norm_derivative_tables(kind: NormKind) -> NormDerivativeTable:

@@ -60,9 +60,9 @@ from .bounds import (
 )
 from .family import default_family
 from .frames import (
-    check_invariance,
-    commutator_coefficients,
     commutator_table,
+    frame_commutators,
+    invariance_residuals,
     left_frame,
     right_frame_engel,
 )
@@ -155,6 +155,10 @@ def _array(items: dict, min_items: int = 1) -> dict:
     return {"type": "array", "items": items, "minItems": min_items}
 
 
+# Results are keyed by step, so a repeated step is rejected.
+_STEPS = {**_array(_STEP), "uniqueItems": True}
+
+
 def _count(default: int, schema: dict = _INT) -> tuple:
     return (default, schema, "sample count")
 
@@ -178,7 +182,7 @@ _SEED = {"seed": (0, _NONNEG, "master seed")}
 
 COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     "verify-algebra": ("group axioms, commutators, invariance", {
-        "steps": ([3, 4, 5, 6], _array(_STEP), "steps to check"),
+        "steps": ([3, 4, 5, 6], _STEPS, "steps to check"),
         "samples": (100_000, _INT, "random instances per axiom"),
         "invariance_samples": (1_000, _INT, "random (alpha, x) pairs per frame"),
         "tolerance": (1e-10, _POS, "axiom tolerance"),
@@ -188,7 +192,7 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     }),
     "verify-bounds": ("norm-derivative bound certification", {
         "samples": (1_000_000, _INT, "sample count per bound"),
-        "filiform_steps": ([3, 4, 5, 6], _array(_STEP), "filiform steps to scan"),
+        "filiform_steps": ([3, 4, 5, 6], _STEPS, "filiform steps to scan"),
         "box": (5.0, _POS, "sampling box half-width"),
         "standoff": (1e-2, _POS, "distance kept from singular hyperplanes"),
         **_SEED,
@@ -449,12 +453,13 @@ def _run_verify_algebra(params: dict, out: Path) -> int:
         x = rng.uniform(-3.0, 3.0, size=(m, d))
         y = rng.uniform(-3.0, 3.0, size=(m, d))
         z = rng.uniform(-3.0, 3.0, size=(m, d))
-        ref = np.max(np.abs(g.compose(g.compose(x, y), z)), axis=1) + 1.0
+        # Each product is built once; the checks below share them.
+        xy = g.compose(x, y)
+        xy_z = g.compose(xy, z)
+        x_yz = g.compose(x, g.compose(y, z))
+        ref = np.max(np.abs(xy_z), axis=1) + 1.0
 
-        assoc = np.max(
-            np.max(np.abs(g.compose(g.compose(x, y), z) - g.compose(x, g.compose(y, z))), axis=1)
-            / ref
-        )
+        assoc = np.max(np.max(np.abs(xy_z - x_yz), axis=1) / ref)
         ident = max(
             float(np.max(np.abs(g.compose(x, g.identity()) - x))),
             float(np.max(np.abs(g.compose(g.identity(), x) - x))),
@@ -465,7 +470,7 @@ def _run_verify_algebra(params: dict, out: Path) -> int:
         )
         dil = 0.0
         for lam in (0.5, 1.7):
-            lhs = g.dilate(lam, g.compose(x, y))
+            lhs = g.dilate(lam, xy)
             rhs = g.compose(g.dilate(lam, x), g.dilate(lam, y))
             dil = max(
                 dil,
@@ -501,13 +506,9 @@ def _run_verify_algebra(params: dict, out: Path) -> int:
 
             fd_defect = 0.0
             probe = rng.uniform(-2.0, 2.0, size=d)
-            for i in range(len(frame.fields)):
-                for j in range(i + 1, len(frame.fields)):
-                    an = commutator_coefficients(frame.fields[i], frame.fields[j], probe)
-                    fd = commutator_coefficients(
-                        frame.fields[i], frame.fields[j], probe, method="fd"
-                    )
-                    fd_defect = max(fd_defect, float(np.max(np.abs(an - fd))))
+            fd_brackets = frame_commutators(frame, probe, method="fd")
+            for pair, an in frame_commutators(frame, probe).items():
+                fd_defect = max(fd_defect, float(np.max(np.abs(an - fd_brackets[pair]))))
             ok = record(
                 "frame-comm-fd", n, frame.label, 1, fd_defect, params["fd_tolerance"]
             )
@@ -519,8 +520,8 @@ def _run_verify_algebra(params: dict, out: Path) -> int:
             alphas = rng.uniform(-2.0, 2.0, size=(k, d))
             points = rng.uniform(-2.0, 2.0, size=(k, d))
             for alpha, pt in zip(alphas, points):
-                for f in frame.fields:
-                    inv_defect = max(inv_defect, check_invariance(f, alpha, pt))
+                for residual in invariance_residuals(frame, alpha, pt):
+                    inv_defect = max(inv_defect, residual)
             ok = record("frame-invar", n, frame.label, k, inv_defect, tol)
             worst["frame-invar"] = max(worst.get("frame-invar", 0.0), inv_defect)
             all_ok["frame-invar"] = all_ok.get("frame-invar", True) and ok
@@ -691,6 +692,14 @@ def _run_poincare(params: dict, out: Path) -> int:
 def _run_gap(params: dict, out: Path) -> int:
     ctx = RunContext("gap", params, out)
     spec = _measure_spec(params)
+    # The jackknife needs at least two samples per block.
+    floor = 2 * params["jackknife_blocks"]
+    for key in ("count", "calibration_count"):
+        if 0 < params[key] < floor:
+            raise ConfigError(
+                f"{key} {params[key]} is below the jackknife floor {floor} "
+                f"(2 samples x {params['jackknife_blocks']} jackknife_blocks)"
+            )
     batch = sample(spec, params["count"], seed=params["seed"])
     estimates = [
         spectral_gap_galerkin(spec, deg, batch, params["jackknife_blocks"])

@@ -25,6 +25,14 @@ translation for each label.  The bracket pattern is again
 In both frames the first two fields span the horizontal distribution; their
 iterated brackets restore the full tangent space at every point, which
 `stratification_rank` verifies numerically.
+
+The frame-level functions compute each per-point quantity once and share
+it: `frame_commutators` and `commutator_table` evaluate every field's
+coefficients and Jacobian once per point (the table also its coefficient
+basis) and then form, or solve for, the bracket of each field pair;
+`invariance_residuals` computes the translated point and the translation
+Jacobian once per (alpha, x) pair for all fields.  They give the floats of
+the per-pair `commutator_coefficients` and per-field `check_invariance`.
 """
 
 from __future__ import annotations
@@ -95,11 +103,6 @@ class VectorField:
                 jac[:, 2, 1] = -1.0
                 jac[:, 3, 2] = -1.0
         return jac[0] if single else jac
-
-    def apply(self, gradient: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Directional derivative: contract a Euclidean gradient with the field."""
-        coeff = self.coefficients(x)
-        return np.sum(np.atleast_2d(coeff) * np.atleast_2d(gradient), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -179,6 +182,13 @@ def _translate(group: FiliformGroup, label: str, alpha, x) -> np.ndarray:
     return group.reflected_compose(x, alpha)
 
 
+def _invariance_residual(
+    field: VectorField, z: np.ndarray, jac: np.ndarray, x: np.ndarray
+) -> float:
+    pushed = jac @ field.coefficients(x)
+    return float(np.max(np.abs(field.coefficients(z) - pushed)))
+
+
 def check_invariance(field: VectorField, alpha: np.ndarray, x: np.ndarray) -> float:
     """Max-norm residual of the invariance identity for one translation.
 
@@ -190,8 +200,18 @@ def check_invariance(field: VectorField, alpha: np.ndarray, x: np.ndarray) -> fl
     g = field.group
     z = _translate(g, field.label, alpha, x)
     jac = translation_jacobian(g, field.label, alpha, x)
-    pushed = jac @ field.coefficients(x)
-    return float(np.max(np.abs(field.coefficients(z) - pushed)))
+    return _invariance_residual(field, z, jac, x)
+
+
+def invariance_residuals(frame: Frame, alpha: np.ndarray, x: np.ndarray) -> list[float]:
+    """`check_invariance` of every frame field, in field order.
+
+    The translated point and the translation Jacobian are computed once and
+    shared by all fields.
+    """
+    z = _translate(frame.group, frame.label, alpha, x)
+    jac = translation_jacobian(frame.group, frame.label, alpha, x)
+    return [_invariance_residual(f, z, jac, x) for f in frame.fields]
 
 
 def _fd_coefficient_jacobian(field: VectorField, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -202,6 +222,14 @@ def _fd_coefficient_jacobian(field: VectorField, x: np.ndarray, h: float = 1e-5)
         e[l] = h
         jac[:, l] = (field.coefficients(x + e) - field.coefficients(x - e)) / (2 * h)
     return jac
+
+
+def _jacobian(field: VectorField, x: np.ndarray, method: str) -> np.ndarray:
+    if method == "analytic":
+        return field.coefficient_jacobian(x)
+    if method == "fd":
+        return _fd_coefficient_jacobian(field, x)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def commutator_coefficients(
@@ -215,15 +243,31 @@ def commutator_coefficients(
     """
     a = fa.coefficients(x)
     b = fb.coefficients(x)
-    if method == "analytic":
-        ja = fa.coefficient_jacobian(x)
-        jb = fb.coefficient_jacobian(x)
-    elif method == "fd":
-        ja = _fd_coefficient_jacobian(fa, x)
-        jb = _fd_coefficient_jacobian(fb, x)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return jb @ a - ja @ b
+    return _jacobian(fb, x, method) @ a - _jacobian(fa, x, method) @ b
+
+
+def _frame_brackets(
+    frame: Frame, x: np.ndarray, method: str
+) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
+    coeffs = [f.coefficients(x) for f in frame.fields]
+    jacs = [_jacobian(f, x, method) for f in frame.fields]
+    brackets = {
+        (i + 1, j + 1): jacs[j] @ coeffs[i] - jacs[i] @ coeffs[j]
+        for i in range(len(coeffs))
+        for j in range(i + 1, len(coeffs))
+    }
+    return coeffs, brackets
+
+
+def frame_commutators(
+    frame: Frame, x: np.ndarray, method: str = "analytic"
+) -> dict[tuple[int, int], np.ndarray]:
+    """`commutator_coefficients` of every field pair (i, j), i < j, at one point x.
+
+    Each field's coefficients and Jacobian are computed once and shared by
+    all pairs; keys are 1-based field indices.
+    """
+    return _frame_brackets(frame, x, method)[1]
 
 
 def commutator_table(
@@ -241,21 +285,21 @@ def commutator_table(
     if points is None:
         rng = np.random.default_rng(7)
         points = rng.uniform(-2.0, 2.0, size=(5, d))
+    rows: dict[tuple[int, int], list[np.ndarray]] = {}
+    for p in np.atleast_2d(points):
+        coeffs, brackets = _frame_brackets(frame, p, "analytic")
+        basis = np.stack(coeffs, axis=1)
+        for pair, comm in brackets.items():
+            rows.setdefault(pair, []).append(np.linalg.solve(basis, comm))
     table: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(1, len(frame.fields) + 1):
-        for j in range(i + 1, len(frame.fields) + 1):
-            rows = []
-            for p in np.atleast_2d(points):
-                comm = commutator_coefficients(frame.fields[i - 1], frame.fields[j - 1], p)
-                basis = np.stack([f.coefficients(p) for f in frame.fields], axis=1)
-                rows.append(np.linalg.solve(basis, comm))
-            rows = np.array(rows)
-            spread = np.max(np.abs(rows - rows[0]))
-            if spread > 1e-10:
-                raise RuntimeError(
-                    f"structure constants for ({i}, {j}) vary across points: {spread:g}"
-                )
-            table[(i, j)] = rows[0]
+    for (i, j), pair_rows in rows.items():
+        expansions = np.array(pair_rows)
+        spread = np.max(np.abs(expansions - expansions[0]))
+        if spread > 1e-10:
+            raise RuntimeError(
+                f"structure constants for ({i}, {j}) vary across points: {spread:g}"
+            )
+        table[(i, j)] = expansions[0]
     return table
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from carnotlab import bounds
 from carnotlab.bounds import (
     BoundReport,
     BoundSpec,
@@ -20,7 +22,8 @@ from carnotlab.bounds import (
     verify_filiform_x1_lower,
 )
 from carnotlab.calculus import norm_derivative_tables
-from carnotlab.norms import engel_kind, filiform_kind, smooth_mask
+from carnotlab.cli import main
+from carnotlab.norms import engel_kind, filiform_kind, norm_value, seminorm_value, smooth_mask
 
 SAMPLES = 60_000  # acceptance reruns these at full scale
 
@@ -190,3 +193,47 @@ class TestReportSerialization:
 def test_empty_domain_error():
     with pytest.raises(EmptyDomainError):
         stratified_smooth_samples(engel_kind(), 0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "kind", [engel_kind()] + [filiform_kind(n) for n in range(3, 13)], ids=lambda k: f"{k.variant}-{k.group.step}"
+)
+def test_norm_jet_is_order_independent_and_matches_norms(kind):
+    # One jet serves every ratio of a chunk: its arrays must not depend on
+    # the order the ratios read them in, and N and the seminorm must be the
+    # norm module's bytes (the Engel jet takes both from its pieces).
+    table = norm_derivative_tables(kind)
+    x = stratified_smooth_samples(kind, 3_000, seed=4)
+    names = ("value", "seminorm", "first", "second", "gradient_norm", "laplacian")
+    forward, backward = table.jet(x), table.jet(x)
+    for name in reversed(names):
+        getattr(backward, name)
+    for name in names:
+        assert getattr(forward, name).tobytes() == getattr(backward, name).tobytes(), name
+    assert forward.value.tobytes() == norm_value(kind, x).tobytes()
+    assert forward.seminorm.tobytes() == seminorm_value(kind, x).tobytes()
+
+
+def test_chunked_filiform_reports_match_whole_batch(monkeypatch):
+    # Several chunks share nothing but the keys; each ratio must equal the
+    # one the table methods give on the whole batch.
+    monkeypatch.setattr(bounds, "RATIO_CHUNK", 700)
+    n, samples = 5, 5_000
+    grad, lap = verify_filiform_bounds(n, samples, seed=3)
+    table = norm_derivative_tables(filiform_kind(n))
+    x = stratified_smooth_samples(filiform_kind(n), samples, seed=3)
+    ratios = (
+        table.gradient_norm(x) * table.value(x) ** (n - 1) / table.seminorm(x) ** (n - 1),
+        table.laplacian(x) * table.value(x) ** (n - 1) / table.seminorm(x) ** (n - 2),
+    )
+    for rep, ratio in zip((grad, lap), ratios):
+        idx = int(np.argmax(ratio))
+        assert rep.extremum == float(ratio[idx])
+        assert rep.arg_point == tuple(float(c) for c in x[idx])
+
+
+def test_verify_bounds_csv_pinned(tmp_path):
+    # Digest recorded before each chunk's derivatives were shared by its keys.
+    assert main(["verify-bounds", "--samples", "20000", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest()
+    assert digest == "76bf9b4cf01892a8d5c14d7aa4b0d08e8c0db4791bb7a882c1664c41fd26606f"

@@ -298,6 +298,37 @@ class TestExitCodes:
     def test_moment_counts_below_batch_count_exit_three(self, tmp_path, command, flag):
         assert run([command, flag, str(N_BATCHES - 1)], tmp_path) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize(
+        "args",
+        [["verify-algebra", "--steps", "3,3"], ["verify-bounds", "--filiform-steps", "4,5,4"]],
+    )
+    def test_repeated_step_exits_three(self, tmp_path, capsys, args):
+        # Defects are keyed by step; a repeated step used to overwrite the
+        # first one's entries in algebra.json while the CSV kept both rows.
+        assert run(args + ["--samples", "100"], tmp_path) == EXIT_INPUT_ERROR
+        assert "non-unique" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("count", [1, 39])
+    def test_gap_count_below_jackknife_floor_exits_three(self, tmp_path, capsys, count):
+        # 20 jackknife blocks need 40 samples; fewer used to exit 4.
+        assert run(["gap", "--count", str(count)], tmp_path) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"count {count} is below the jackknife floor 40" in err
+        assert "numerical error" not in err
+
+    def test_gap_count_at_jackknife_floor_runs(self, tmp_path):
+        assert run(["gap", "--count", "40"], tmp_path) in (EXIT_PASS, EXIT_CHECK_FAIL)
+        assert (tmp_path / "gap.json").exists()
+
+    def test_gap_calibration_count_below_jackknife_floor_exits_three(self, tmp_path, capsys):
+        code = run(
+            ["gap", "--count", "100", "--calibration-count", "11", "--jackknife-blocks", "6"],
+            tmp_path,
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert "calibration_count 11 is below the jackknife floor 12" in capsys.readouterr().err
+
     def test_engel_step_conflict_exits_three(self, tmp_path):
         code = run(["ubound", "--kind", "engel", "--step", "4"], tmp_path)
         assert code == EXIT_INPUT_ERROR

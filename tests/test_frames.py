@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from carnotlab.cli import main
 from carnotlab.frames import (
     LEFT_LABEL,
     RIGHT_LABEL,
@@ -12,6 +16,8 @@ from carnotlab.frames import (
     check_invariance,
     commutator_coefficients,
     commutator_table,
+    frame_commutators,
+    invariance_residuals,
     left_frame,
     right_frame_engel,
     stratification_rank,
@@ -194,3 +200,123 @@ def test_field_index_validation():
         VectorField(engel_group(), "other", 1)
     with pytest.raises(ValueError):
         VectorField(FiliformGroup(5), RIGHT_LABEL, 1)
+
+
+# ------------------------------------------------------------------
+# References: the per-pair and per-field loops the frame-level paths
+# replaced.  Each recomputes the basis, the coefficients, the Jacobians and
+# the translation for every pair or field; the shared paths must give the
+# same bytes.
+
+
+def reference_bracket(fa, fb, x, method):
+    def fd_jacobian(field, h=1e-5):
+        d = field.group.dimension
+        jac = np.zeros((d, d))
+        for l in range(d):
+            e = np.zeros(d)
+            e[l] = h
+            jac[:, l] = (field.coefficients(x + e) - field.coefficients(x - e)) / (2 * h)
+        return jac
+
+    a = fa.coefficients(x)
+    b = fb.coefficients(x)
+    if method == "analytic":
+        ja = fa.coefficient_jacobian(x)
+        jb = fb.coefficient_jacobian(x)
+    else:
+        ja = fd_jacobian(fa)
+        jb = fd_jacobian(fb)
+    return jb @ a - ja @ b
+
+
+def reference_commutator_table(frame, points):
+    table = {}
+    for i in range(1, len(frame.fields) + 1):
+        for j in range(i + 1, len(frame.fields) + 1):
+            rows = []
+            for p in np.atleast_2d(points):
+                comm = reference_bracket(frame.fields[i - 1], frame.fields[j - 1], p, "analytic")
+                basis = np.stack([f.coefficients(p) for f in frame.fields], axis=1)
+                rows.append(np.linalg.solve(basis, comm))
+            table[(i, j)] = np.array(rows)[0]
+    return table
+
+
+def reference_fd_defect(frame, probe):
+    defect = 0.0
+    for i in range(len(frame.fields)):
+        for j in range(i + 1, len(frame.fields)):
+            an = reference_bracket(frame.fields[i], frame.fields[j], probe, "analytic")
+            fd = reference_bracket(frame.fields[i], frame.fields[j], probe, "fd")
+            defect = max(defect, float(np.max(np.abs(an - fd))))
+    return defect
+
+
+def reference_invariance(field, alpha, x):
+    g = field.group
+    if field.label == LEFT_LABEL:
+        z = g.compose(alpha, x)
+    else:
+        z = g.reflected_compose(x, alpha)
+    jac = translation_jacobian(g, field.label, alpha, x)
+    pushed = jac @ field.coefficients(x)
+    return float(np.max(np.abs(field.coefficients(z) - pushed)))
+
+
+REFERENCE_FRAMES = [
+    pytest.param(left_frame(FiliformGroup(n)), id=f"left-n{n}") for n in range(3, 13)
+] + [pytest.param(right_frame_engel(engel_group()), id="right-engel")]
+
+
+@pytest.mark.parametrize("frame", REFERENCE_FRAMES)
+class TestSharedPathsMatchReferences:
+    def test_commutator_table_bytes(self, frame):
+        pts = np.random.default_rng(600 + len(frame)).uniform(-2, 2, (5, len(frame)))
+        table = commutator_table(frame, pts)
+        ref = reference_commutator_table(frame, pts)
+        assert list(table) == list(ref)
+        for key, coeffs in ref.items():
+            assert table[key].tobytes() == coeffs.tobytes()
+
+    def test_frame_commutators_bytes_and_fd_defect(self, frame):
+        probe = np.random.default_rng(700 + len(frame)).uniform(-2, 2, len(frame))
+        for method in ("analytic", "fd"):
+            brackets = frame_commutators(frame, probe, method)
+            for (i, j), comm in brackets.items():
+                ref = reference_bracket(frame.fields[i - 1], frame.fields[j - 1], probe, method)
+                assert comm.tobytes() == ref.tobytes()
+        fd = frame_commutators(frame, probe, "fd")
+        defect = 0.0
+        for pair, an in frame_commutators(frame, probe).items():
+            defect = max(defect, float(np.max(np.abs(an - fd[pair]))))
+        assert defect == reference_fd_defect(frame, probe)
+
+    def test_invariance_residuals_equal_per_field(self, frame):
+        rng = np.random.default_rng(800 + len(frame))
+        for _ in range(30):
+            alpha = rng.uniform(-2, 2, len(frame))
+            x = rng.uniform(-2, 2, len(frame))
+            expected = [reference_invariance(f, alpha, x) for f in frame.fields]
+            assert invariance_residuals(frame, alpha, x) == expected
+            assert [check_invariance(f, alpha, x) for f in frame.fields] == expected
+
+
+def _canonical_digest(path):
+    """SHA-256 of a JSON artifact without its interpreter/library versions block."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc.pop("versions")
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_verify_algebra_artifacts_pinned(tmp_path):
+    # Digests recorded before the products, commutator tables and
+    # translations were shared across checks.
+    steps = ",".join(str(n) for n in range(3, 13))
+    argv = ["verify-algebra", "--steps", steps, "--samples", "2000", "--invariance-samples", "5"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    csv = hashlib.sha256((tmp_path / "algebra.csv").read_bytes()).hexdigest()
+    assert csv == "5034f6b09e59988e5426dd5bb00289a5997145b5336261ec8881e0db2c2b8944"
+    assert _canonical_digest(tmp_path / "algebra.json") == (
+        "a91259a7f89107da13a2c08d75aa1b2e4ed683a6a8a65a0133f87e2ef1062a82"
+    )
