@@ -79,22 +79,6 @@ class BoundReport:
     domain: str
     seed: int
 
-    def to_key_values(self) -> str:
-        lines = [
-            f"bound: {self.name}",
-            f"kind: {self.kind_variant}",
-            f"step: {self.step}",
-            f"direction: {self.direction}",
-            f"samples: {self.sample_count}",
-            f"extremum: {self.extremum!r}",
-            f"arg_point: {','.join(repr(c) for c in self.arg_point)}",
-            f"target: {'none' if self.target is None else repr(self.target)}",
-            f"passed: {'recorded' if self.passed is None else str(self.passed).lower()}",
-            f"domain: {self.domain}",
-            f"seed: {self.seed}",
-        ]
-        return "\n".join(lines) + "\n"
-
 
 CSV_HEADER = "name,kind,step,direction,samples,extremum,target,passed,seed"
 
@@ -139,7 +123,12 @@ def stratified_smooth_samples(
     standoff: float = DEFAULT_STANDOFF,
     shell_per_axis: int = SHELL_PER_AXIS,
 ) -> np.ndarray:
-    """Bulk rejection samples plus deterministic shell batches; `count` total."""
+    """Bulk rejection samples plus deterministic shell batches; `count` total.
+
+    A standoff of at least the box half-width leaves no admissible point.
+    """
+    if standoff >= box:
+        raise EmptyDomainError(f"standoff {standoff:g} is not below the box half-width {box:g}")
     d = kind.group.dimension
     axes = kind.singular_axes
     shells = [

@@ -2,8 +2,17 @@
 
 For a frame with horizontal fields X_1, X_2 the horizontal gradient of a
 scalar field f is (X_1 f, X_2 f) and the sub-Laplacian is X_1^2 f + X_2^2 f.
-Derivatives come from an analytic table when the field carries one, and
-otherwise from finite differences along frame directions:
+Two routes compute them.
+
+`norm_derivative_tables` builds closed-form first and second frame
+derivatives of the homogeneous norms: the step-3 norm along the
+right-canonical frame and the filiform norm along the left-canonical frame.
+All table methods are vectorised over point batches and valid on the norm's
+smooth region only (`norms.smooth_mask`); a `NormJet` shares one derivative
+pass between every quantity read off a batch.
+
+`fd_frame_first` and `fd_frame_second` take finite differences of any
+vectorised value map along frame directions:
 
 * first order: 4th-order central stencil on t -> f(x + t V) with V the frame
   coefficient vector frozen at x (exact convention for first derivatives,
@@ -11,17 +20,11 @@ otherwise from finite differences along frame directions:
 * second order: a central difference of the first-order map z -> (X f)(z),
   which re-evaluates the coefficients at the displaced points, so the
   product-rule term of non-constant coefficients is picked up.
-
-`norm_derivative_tables` builds closed-form first and second frame
-derivatives of the homogeneous norms: the step-3 norm along the
-right-canonical frame and the filiform norm along the left-canonical frame.
-All table methods are vectorised over point batches and valid on the norm's
-smooth region only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -37,30 +40,7 @@ from .norms import (
     engel_seminorm,
     filiform_norm,
     filiform_seminorm,
-    norm_value,
-    smooth_mask,
 )
-
-
-class SingularPointError(ValueError):
-    """Raised when a derivative is requested outside the smoothness domain."""
-
-
-@dataclass(frozen=True)
-class HorizontalVector:
-    """A horizontal tangent vector: coefficients along (X_1, X_2) plus length.
-
-    `components` has shape (2,) for a single point or (m, 2) for a batch;
-    `norm` is the Euclidean length of the component pair.
-    """
-
-    components: np.ndarray
-    norm: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        comps = np.asarray(self.components, dtype=np.float64)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "norm", np.sqrt(np.sum(comps**2, axis=-1)))
 
 
 @dataclass
@@ -70,17 +50,12 @@ class ScalarField:
     value:
         Vectorised evaluator mapping a batch (m, d) to values (m,).
     smooth:
-        Optional predicate mapping a batch to a boolean mask; points failing
-        it make derivative calls raise SingularPointError.
-    table:
-        Optional analytic frame-derivative table (an object with a `frame`
-        attribute and `first`/`second` batch methods); used instead of finite
-        differences when its frame label matches.
+        Optional predicate mapping a batch to a boolean mask of the points
+        where the field is differentiable.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     smooth: Callable[[np.ndarray], np.ndarray] | None = None
-    table: "NormDerivativeTable | None" = None
 
 
 def directional_stencil(
@@ -137,39 +112,6 @@ def fd_frame_second(
     return np.stack(out, axis=-1)
 
 
-def _check_smooth(f: ScalarField, xb: np.ndarray) -> None:
-    if f.smooth is not None:
-        ok = np.asarray(f.smooth(xb))
-        if not np.all(ok):
-            bad = int(np.argmin(ok))
-            raise SingularPointError(
-                f"point {xb[bad]} lies outside the field's smoothness domain"
-            )
-
-
-def subgradient(f: ScalarField, frame: Frame, x: np.ndarray) -> HorizontalVector:
-    """Horizontal gradient (X_1 f, X_2 f) at x (single point or batch)."""
-    xb, single = _as_batch(x, frame.group.dimension)
-    _check_smooth(f, xb)
-    if f.table is not None and f.table.frame.label == frame.label:
-        comps = f.table.first(xb)
-    else:
-        comps = fd_frame_first(f.value, frame, xb)
-    return HorizontalVector(comps[0] if single else comps)
-
-
-def sublaplacian(f: ScalarField, frame: Frame, x: np.ndarray) -> np.ndarray:
-    """X_1^2 f + X_2^2 f at x (single point or batch)."""
-    xb, single = _as_batch(x, frame.group.dimension)
-    _check_smooth(f, xb)
-    if f.table is not None and f.table.frame.label == frame.label:
-        second = f.table.second(xb)
-    else:
-        second = fd_frame_second(f.value, frame, xb)
-    out = np.sum(second, axis=-1)
-    return out[0] if single else out
-
-
 class NormDerivativeTable:
     """Closed-form frame derivatives of a homogeneous norm.
 
@@ -177,38 +119,19 @@ class NormDerivativeTable:
     vectorised `value`, `seminorm`, `first` (X_i N, shape (m, 2)) and
     `second` (X_i^2 N, shape (m, 2)).  `first` and `second` are read off a
     `NormJet`, built from the subclass's `_pieces`, `_jet_first` and
-    `_jet_second`.  Values are only meaningful on the smooth region; no
-    masking is applied here.
+    `_jet_second`.  Each subclass defines `first` and `second` in its own
+    body, where the per-layer tracer of the benchmark wraps them.  Values
+    are only meaningful on the smooth region; no masking is applied here.
     """
 
     kind: NormKind
     frame: Frame
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def seminorm(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def first(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def second(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def gradient_norm(self, x: np.ndarray) -> np.ndarray:
         return self._read(x, "gradient_norm")
 
     def laplacian(self, x: np.ndarray) -> np.ndarray:
         return self._read(x, "laplacian")
-
-    def as_scalar_field(self) -> ScalarField:
-        kind = self.kind
-        return ScalarField(
-            value=lambda X: norm_value(kind, X),
-            smooth=lambda X: smooth_mask(kind, X),
-            table=self,
-        )
 
     def jet(self, x: np.ndarray) -> "NormJet":
         """The norm quantities of the batch x, each computed at most once."""
@@ -405,15 +328,6 @@ class FiliformNormTable(NormDerivativeTable):
         b_second = half * (half - 1.0) * ax2 ** (half - 2.0)
         return s, sb1, sb2, a_prime, a_second, b_prime, b_second, t_primes, t_seconds
 
-    def _x2_coeffs(self, xb: np.ndarray) -> np.ndarray:
-        """Left X_2 coefficients c_k = x_1^(k-2)/(k-2)!, rows k = 2..n+1."""
-        d = self.kind.group.dimension
-        out = np.empty((d - 1, xb.shape[0]))
-        out[0] = 1.0
-        for k in range(3, d + 1):
-            out[k - 2] = out[k - 3] * xb[:, 0] / (k - 2)
-        return out
-
     def _pieces(self, xb: np.ndarray):
         """(X_1 g, X_2 g, X_1^2 g, X_2^2 g) on the batch."""
         beta = self.beta
@@ -421,7 +335,8 @@ class FiliformNormTable(NormDerivativeTable):
         (s, sb1, sb2, a_p, a_pp, b_p, b_pp, t_p, t_pp) = self._core(xb)
         sum_sb1 = np.sum(sb1, axis=0)
         sum_sb2 = np.sum(sb2, axis=0)
-        c = self._x2_coeffs(xb)  # rows k = 2..n+1
+        # Left X_2 coefficients c_k = x_1^(k-2)/(k-2)!, rows k = 2..n+1.
+        c = self.kind.group.taylor_powers(xb[:, 0])
 
         g1 = beta * a_p * sum_sb1
         # dg/dx2 counts the j=2 row twice.

@@ -155,8 +155,8 @@ def _array(items: dict, min_items: int = 1) -> dict:
     return {"type": "array", "items": items, "minItems": min_items}
 
 
-# Results are keyed by step, so a repeated step is rejected.
-_STEPS = {**_array(_STEP), "uniqueItems": True}
+# Results are keyed by step, degree and radius, so a repeated entry is rejected.
+_STEPS, _DEGREES, _RADII = ({**_array(s), "uniqueItems": True} for s in (_STEP, _INT, _POS))
 
 
 def _count(default: int, schema: dict = _INT) -> tuple:
@@ -215,7 +215,7 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     "gap": ("Galerkin spectral-gap estimates", {
         **_GIBBS,
         "count": _count(200_000),
-        "degrees": ([2, 3], _array(_INT), "basis degrees"),
+        "degrees": ([2, 3], _DEGREES, "basis degrees"),
         "calibration_count": (0, _NONNEG, "Gaussian calibration samples, 0 skips"),
         "jackknife_blocks": (
             20, {"type": "integer", "minimum": 2}, "jackknife blocks for standard errors"
@@ -224,7 +224,7 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     }),
     "ball-check": ("Poincare ratios on uniform norm balls", {
         **_GROUP,
-        "radii": ([1.0, 2.0, 4.0], _array(_POS), "ball radii"),
+        "radii": ([1.0, 2.0, 4.0], _RADII, "ball radii"),
         "exponent": (None, _P_OR_NULL, "moment exponent", "3 for engel, n for filiform"),
         "count": _count(100_000, _MOMENT_COUNT),
         **_SEED,

@@ -8,7 +8,9 @@ Left frame (any step n):
     X_j = sum_{k=j}^{n+1} x_1^(k-j)/(k-j)! d/dx_k,   j = 2, ..., n+1.
 
 Each X_j is invariant under left translations z -> alpha o z, and the only
-nonzero brackets are [X_1, X_j] = X_{j+1} for 2 <= j <= n.
+nonzero brackets are [X_1, X_j] = X_{j+1} for 2 <= j <= n.  The coefficients
+x_1^t/t!, their x_1-derivatives and the matching translation Jacobians are
+all read off FiliformGroup.taylor_powers.
 
 Right frame (step 3 only):
 
@@ -73,10 +75,7 @@ class VectorField:
             if j == 1:
                 out[:, 0] = 1.0
             else:
-                term = np.ones(xb.shape[0])
-                for k in range(j, d + 1):
-                    out[:, k - 1] = term
-                    term = term * xb[:, 0] / (k - j + 1)
+                out[:, j - 1:] = self.group.taylor_powers(xb[:, 0])[: d - j + 1].T
         else:
             if j == 1:
                 out[:, 0] = 1.0
@@ -94,10 +93,7 @@ class VectorField:
         j = self.index
         if self.label == LEFT_LABEL:
             if j >= 2:
-                term = np.ones(xb.shape[0])
-                for k in range(j + 1, d + 1):
-                    jac[:, k - 1, 0] = term
-                    term = term * xb[:, 0] / (k - j)
+                jac[:, j:, 0] = self.group.taylor_powers(xb[:, 0])[: d - j].T
         else:
             if j == 1:
                 jac[:, 2, 1] = -1.0
@@ -152,20 +148,14 @@ def translation_jacobian(
     xp = np.asarray(x, dtype=np.float64)
     jac = np.eye(d)
     if label == LEFT_LABEL:
-        term_row = np.empty(d)  # alpha_1^t / t!
-        term_row[0] = 1.0
-        for t in range(1, d):
-            term_row[t] = term_row[t - 1] * a[0] / t
+        term_row = group.taylor_powers(a[:1])[:, 0]  # alpha_1^t / t!
         for k in range(3, d + 1):
             for i in range(2, k):
                 jac[k - 1, i - 1] += term_row[k - i]
     elif label == RIGHT_LABEL:
         # d/dx1 of sum_i alpha_i (-x1)^(k-i)/(k-i)! is
         # -sum_i alpha_i (-x1)^(k-i-1)/(k-i-1)!.
-        neg = np.empty(d)  # (-x1)^t / t!
-        neg[0] = 1.0
-        for t in range(1, d):
-            neg[t] = neg[t - 1] * (-xp[0]) / t
+        neg = group.taylor_powers(-xp[:1])[:, 0]  # (-x1)^t / t!
         for k in range(3, d + 1):
             acc = 0.0
             for i in range(2, k):

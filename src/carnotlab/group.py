@@ -89,8 +89,12 @@ class FiliformGroup:
     def identity(self) -> np.ndarray:
         return np.zeros(self.dimension)
 
-    def _taylor_powers(self, x1: np.ndarray) -> np.ndarray:
-        """Rows of x1^j / j! for j = 0 .. step-1, shape (step, m)."""
+    def taylor_powers(self, x1: np.ndarray) -> np.ndarray:
+        """Rows of x1^j / j! for j = 0 .. step-1, shape (step, m).
+
+        The product, the inverse, the left frame and the filiform derivative
+        table all read their Taylor coefficients from here.
+        """
         out = np.empty((self.step, x1.shape[0]))
         out[0] = 1.0
         for j in range(1, self.step):
@@ -110,7 +114,7 @@ class FiliformGroup:
             else:
                 raise ValueError("batch sizes do not broadcast")
         out = xb + yb
-        pw = self._taylor_powers(-xb[:, 0] if reflect else xb[:, 0])
+        pw = self.taylor_powers(-xb[:, 0] if reflect else xb[:, 0])
         for k in range(3, d + 1):
             acc = np.zeros(out.shape[0])
             for i in range(2, k):
@@ -129,7 +133,7 @@ class FiliformGroup:
         inv = np.empty_like(xb)
         inv[:, 0] = -xb[:, 0]
         inv[:, 1] = -xb[:, 1]
-        pw = self._taylor_powers(xb[:, 0])
+        pw = self.taylor_powers(xb[:, 0])
         for k in range(3, d + 1):
             acc = xb[:, k - 1].copy()
             for i in range(2, k):

@@ -418,6 +418,7 @@ def check_perturbation_certificate(
     `samples` is either a drawn batch or a raw point array.  Points where
     the potential declares itself non-smooth are skipped (its gradient is
     undefined there); the report records how many points were checked.
+    The gradient is a finite difference along the spec's natural frame.
     """
     if spec.perturbation is None:
         raise ValueError("spec carries no perturbation")
@@ -428,11 +429,7 @@ def check_perturbation_certificate(
         xb = xb[np.asarray(pert.potential.smooth(xb))]
     if xb.shape[0] == 0:
         raise ValueError("no smooth points to check the certificate on")
-    frame = spec.natural_frame()
-    if pert.potential.table is not None and pert.potential.table.frame.label == frame.label:
-        comps = pert.potential.table.first(xb)
-    else:
-        comps = fd_frame_first(pert.potential.value, frame, xb)
+    comps = fd_frame_first(pert.potential.value, spec.natural_frame(), xb)
     grad_q = np.sum(comps**2, axis=-1) ** (spec.q / 2.0)
     n = spec.kind.group.step
     nv = norm_value(spec.kind, xb)

@@ -78,21 +78,6 @@ def filiform_kind(n: int) -> NormKind:
     return NormKind(FILIFORM, FiliformGroup(n))
 
 
-@dataclass(frozen=True)
-class SmoothRegionFlag:
-    """Membership report for the norm's smooth region at one point.
-
-    `violated` lists the 0-based coordinate indices found (numerically) on a
-    singular hyperplane; `component_signs` gives the sign pattern of the
-    singularity-relevant coordinates, identifying the connected component of
-    the smooth region when `is_smooth` holds.
-    """
-
-    is_smooth: bool
-    violated: tuple[int, ...]
-    component_signs: tuple[int, ...]
-
-
 def engel_from_seminorm(sem: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """The step-3 norm (sem^3 + |x_4|)^(1/3) from a validated batch's seminorm."""
     return np.cbrt(sem**3 + np.abs(xb[:, 3]))
@@ -177,24 +162,13 @@ def aux_seminorm(kind: NormKind, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def smooth_region(kind: NormKind, x: np.ndarray) -> SmoothRegionFlag:
-    """Classify a single point against the norm's singular hyperplanes.
+def smooth_mask(kind: NormKind, x: np.ndarray) -> np.ndarray:
+    """Smooth-region membership of a single point or a batch.
 
     A coordinate counts as vanishing when |x_j| < 1e-9 * (1 + max_k |x_k|);
     the relative tolerance keeps sign functions meaningful on the scale of
     the point itself.
     """
-    xp = np.asarray(x, dtype=np.float64)
-    if xp.shape != (kind.group.dimension,):
-        raise ValueError("smooth_region expects a single point")
-    tol = SINGULAR_RTOL * (1.0 + np.max(np.abs(xp)))
-    violated = tuple(j for j in kind.singular_axes if abs(xp[j]) < tol)
-    signs = tuple(int(np.sign(xp[j])) for j in kind.singular_axes)
-    return SmoothRegionFlag(len(violated) == 0, violated, signs)
-
-
-def smooth_mask(kind: NormKind, x: np.ndarray) -> np.ndarray:
-    """Vectorised smooth-region membership for a batch of points."""
     xb, single = _as_batch(x, kind.group.dimension)
     tol = SINGULAR_RTOL * (1.0 + np.max(np.abs(xb), axis=1))
     ok = np.ones(xb.shape[0], dtype=bool)

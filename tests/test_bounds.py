@@ -166,12 +166,6 @@ class TestReportSerialization:
             seed=7,
         )
 
-    def test_key_values(self):
-        text = self.make_report().to_key_values()
-        assert "bound: demo" in text
-        assert "passed: true" in text
-        assert all(":" in line for line in text.strip().splitlines())
-
     def test_csv(self):
         rep = self.make_report()
         recorded = BoundReport(
@@ -193,6 +187,13 @@ class TestReportSerialization:
 def test_empty_domain_error():
     with pytest.raises(EmptyDomainError):
         stratified_smooth_samples(engel_kind(), 0, seed=0)
+
+
+@pytest.mark.parametrize("standoff", [0.001, 0.01])
+def test_standoff_not_below_box_is_an_empty_domain(standoff):
+    # The bulk rejection loop accepts no point there and used to spin forever.
+    with pytest.raises(EmptyDomainError, match=f"standoff {standoff:g} .* box half-width 0.001"):
+        stratified_smooth_samples(filiform_kind(3), 1_000, seed=0, box=0.001, standoff=standoff)
 
 
 @pytest.mark.parametrize(

@@ -8,16 +8,11 @@ import pytest
 from carnotlab.calculus import (
     EngelNormTable,
     FiliformNormTable,
-    HorizontalVector,
-    ScalarField,
-    SingularPointError,
     fd_frame_first,
     fd_frame_second,
     norm_derivative_tables,
-    subgradient,
-    sublaplacian,
 )
-from carnotlab.frames import left_frame, right_frame_engel
+from carnotlab.frames import left_frame
 from carnotlab.group import FiliformGroup, engel_group
 from carnotlab.norms import engel_kind, engel_norm, filiform_kind, smooth_mask
 
@@ -39,46 +34,36 @@ def smooth_points(kind, count, seed, box=5.0, standoff=0.3):
 class TestSimpleFields:
     def test_coordinate_field_gradient(self):
         g = FiliformGroup(4)
-        f = ScalarField(value=lambda X: X[:, 0])
-        hv = subgradient(f, left_frame(g), np.array([3.0, 1, 2, 0, 1]))
-        np.testing.assert_allclose(hv.components, [1.0, 0.0], atol=1e-9)
+        grad = fd_frame_first(lambda X: X[:, 0], left_frame(g), np.array([3.0, 1, 2, 0, 1]))
+        np.testing.assert_allclose(grad[0], [1.0, 0.0], atol=1e-9)
 
     def test_third_coordinate_gradient(self):
         # X_2 x_3 = x_1 in the left frame.
-        f = ScalarField(value=lambda X: X[:, 2])
-        hv = subgradient(f, left_frame(engel_group()), np.array([2.0, 5, 1, 3]))
-        np.testing.assert_allclose(hv.components, [0.0, 2.0], atol=1e-9)
+        x = np.array([2.0, 5, 1, 3])
+        grad = fd_frame_first(lambda X: X[:, 2], left_frame(engel_group()), x)
+        np.testing.assert_allclose(grad[0], [0.0, 2.0], atol=1e-9)
 
     def test_square_laplacian(self):
-        f = ScalarField(value=lambda X: X[:, 0] ** 2)
-        val = sublaplacian(f, left_frame(engel_group()), np.array([1.5, 2, 3, 4]))
-        assert val == pytest.approx(2.0, abs=5e-7)
+        x = np.array([1.5, 2, 3, 4])
+        second = fd_frame_second(lambda X: X[:, 0] ** 2, left_frame(engel_group()), x)
+        assert np.sum(second[0]) == pytest.approx(2.0, abs=5e-7)
 
     def test_x3_squared_laplacian(self):
         # X_2^2 x_3^2 = 2 x_1^2; X_1^2 x_3^2 = 0.
-        f = ScalarField(value=lambda X: X[:, 2] ** 2)
         x = np.array([2.0, 1, 0.5, 3])
-        val = sublaplacian(f, left_frame(engel_group()), x)
-        assert val == pytest.approx(2.0 * 4.0, abs=1e-6)
+        second = fd_frame_second(lambda X: X[:, 2] ** 2, left_frame(engel_group()), x)
+        assert np.sum(second[0]) == pytest.approx(2.0 * 4.0, abs=1e-6)
 
     def test_batch_shapes(self):
-        f = ScalarField(value=lambda X: X[:, 0] * X[:, 1])
         frame = left_frame(engel_group())
         pts = np.random.default_rng(0).uniform(-2, 2, size=(9, 4))
-        hv = subgradient(f, frame, pts)
-        assert hv.components.shape == (9, 2)
-        assert hv.norm.shape == (9,)
-        assert sublaplacian(f, frame, pts).shape == (9,)
-
-
-class TestHorizontalVector:
-    def test_norm_invariant(self):
-        hv = HorizontalVector(np.array([3.0, 4.0]))
-        assert hv.norm == pytest.approx(5.0)
-
-    def test_batch_norm(self):
-        hv = HorizontalVector(np.array([[3.0, 4.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(hv.norm, [5.0, 1.0])
+        assert fd_frame_first(lambda X: X[:, 0] * X[:, 1], frame, pts).shape == (9, 2)
+        assert fd_frame_second(lambda X: X[:, 0] * X[:, 1], frame, pts).shape == (9, 2)
+        table = norm_derivative_tables(engel_kind())
+        for name in ("first", "second"):
+            assert getattr(table, name)(pts).shape == (9, 2)
+        for name in ("gradient_norm", "laplacian"):
+            assert getattr(table, name)(pts).shape == (9,)
 
 
 class TestEngelTable:
@@ -96,24 +81,6 @@ class TestEngelTable:
         nval = engel_norm(x)
         expected = (1.5 * np.sqrt(3) * 1.0 - 1.0) / (3 * nval**2)
         assert table.first(x)[0] == pytest.approx(expected, abs=1e-14)
-
-    def test_subgradient_uses_table(self):
-        kind = engel_kind()
-        table = norm_derivative_tables(kind)
-        f = table.as_scalar_field()
-        x = np.array([1.0, 1, 1, 1])
-        hv = subgradient(f, table.frame, x)
-        np.testing.assert_allclose(hv.components, table.first(x), atol=0)
-
-    def test_frame_mismatch_falls_back_to_fd(self):
-        # Left-frame derivatives of N differ from the right-frame table.
-        kind = engel_kind()
-        f = norm_derivative_tables(kind).as_scalar_field()
-        lf = left_frame(kind.group)
-        x = np.array([1.3, -0.7, 0.9, 1.4])
-        hv = subgradient(f, lf, x)
-        fd = fd_frame_first(f.value, lf, x)[0]
-        np.testing.assert_allclose(hv.components, fd, atol=0)
 
     def test_first_vs_fd(self):
         kind = engel_kind()
@@ -212,15 +179,16 @@ class TestLeibnizAndChain:
         exps = rng.integers(0, 3, size=(6, 2, 5))
         pts = rng.uniform(-2, 2, size=(50, 5))
         for ef, eg in exps:
-            f = ScalarField(value=lambda X, e=ef: np.prod(X**e, axis=1))
-            h = ScalarField(value=lambda X, e=eg: np.prod(X**e, axis=1))
-            fg = ScalarField(
-                value=lambda X, a=ef, b=eg: np.prod(X**a, axis=1) * np.prod(X**b, axis=1)
-            )
-            lhs = subgradient(fg, frame, pts).components
+            def f(X, e=ef):
+                return np.prod(X**e, axis=1)
+
+            def h(X, e=eg):
+                return np.prod(X**e, axis=1)
+
+            lhs = fd_frame_first(lambda X: f(X) * h(X), frame, pts)
             rhs = (
-                f.value(pts)[:, None] * subgradient(h, frame, pts).components
-                + h.value(pts)[:, None] * subgradient(f, frame, pts).components
+                f(pts)[:, None] * fd_frame_first(h, frame, pts)
+                + h(pts)[:, None] * fd_frame_first(f, frame, pts)
             )
             assert np.max(np.abs(lhs - rhs)) < 1e-8 * (1 + np.max(np.abs(rhs)))
 
@@ -229,27 +197,21 @@ class TestLeibnizAndChain:
         kind = engel_kind()
         table = norm_derivative_tables(kind)
         pts = smooth_points(kind, 300, seed=80)
-        powered = ScalarField(value=lambda X: engel_norm(X) ** p)
-        lhs = subgradient(powered, table.frame, pts).components
+        lhs = fd_frame_first(lambda X: engel_norm(X) ** p, table.frame, pts)
         nval = table.value(pts)
         rhs = p * nval[:, None] ** (p - 1) * table.first(pts)
         assert np.max(np.abs(lhs - rhs)) < 1e-8 * (1 + np.max(np.abs(rhs)))
 
 
 class TestSingularHandling:
+    # The tables are valid on the smooth region only; smooth_mask is the
+    # guard their callers apply.
     def test_singular_point_rejected(self):
-        kind = engel_kind()
-        f = norm_derivative_tables(kind).as_scalar_field()
-        frame = right_frame_engel(kind.group)
-        with pytest.raises(SingularPointError):
-            subgradient(f, frame, np.array([1.0, 1.0, 0.0, 1.0]))
+        assert not smooth_mask(engel_kind(), np.array([1.0, 1.0, 0.0, 1.0]))
 
     def test_singular_point_rejected_in_batch(self):
-        kind = filiform_kind(3)
-        f = norm_derivative_tables(kind).as_scalar_field()
         pts = np.array([[1.0, 1, 1, 1], [1.0, 0.0, 1, 1]])
-        with pytest.raises(SingularPointError):
-            sublaplacian(f, left_frame(kind.group), pts)
+        np.testing.assert_array_equal(smooth_mask(filiform_kind(3), pts), [True, False])
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -277,3 +239,23 @@ def test_smooth_mask_feeds_tables():
     kind = filiform_kind(4)
     pts = smooth_points(kind, 100, seed=90)
     assert np.all(smooth_mask(kind, pts))
+
+
+def reference_x2_coefficients(group, xb):
+    """The left X_2 coefficient loop the filiform table used before it read
+    FiliformGroup.taylor_powers: c_k = x_1^(k-2)/(k-2)!, rows k = 2..n+1."""
+    d = group.dimension
+    out = np.empty((d - 1, xb.shape[0]))
+    out[0] = 1.0
+    for k in range(3, d + 1):
+        out[k - 2] = out[k - 3] * xb[:, 0] / (k - 2)
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
+def test_x2_coefficients_bytes_match_reference_loop(n, scale):
+    g = FiliformGroup(n)
+    xb = scale * np.random.default_rng(n).uniform(-1, 1, size=(64, g.dimension))
+    xb[:2, 0] = [0.0, -0.0]
+    assert g.taylor_powers(xb[:, 0]).tobytes() == reference_x2_coefficients(g, xb).tobytes()

@@ -300,12 +300,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "args",
-        [["verify-algebra", "--steps", "3,3"], ["verify-bounds", "--filiform-steps", "4,5,4"]],
+        [
+            ["verify-algebra", "--steps", "3,3", "--samples", "100"],
+            ["verify-bounds", "--filiform-steps", "4,5,4", "--samples", "100"],
+            ["gap", "--count", "2000", "--degrees", "2,2"],
+            ["ball-check", "--count", "100", "--radii", "1,1"],
+            ["ball-check", "--count", "100", "--radii", "2,1,2.0"],
+        ],
     )
     def test_repeated_step_exits_three(self, tmp_path, capsys, args):
         # Defects are keyed by step; a repeated step used to overwrite the
         # first one's entries in algebra.json while the CSV kept both rows.
-        assert run(args + ["--samples", "100"], tmp_path) == EXIT_INPUT_ERROR
+        # A repeated degree compared one gap estimate with itself in
+        # gap-monotone, and a repeated radius reran one ball.
+        assert run(args, tmp_path) == EXIT_INPUT_ERROR
         assert "non-unique" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
@@ -433,6 +441,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "input error: no admissible samples for bound" in err
         assert "Traceback" not in err
+
+    def test_standoff_not_below_box_exits_three(self, tmp_path, capsys):
+        # The bulk rejection loop used to run until killed here.
+        code = run(["verify-bounds", "--samples", "1000", "--box", "0.001", "--standoff", "0.01"],
+                   tmp_path)
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "input error: standoff 0.01 is not below the box half-width 0.001" in err
 
     def test_no_command_prints_help(self, capsys):
         code = main([])

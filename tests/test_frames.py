@@ -302,6 +302,95 @@ class TestSharedPathsMatchReferences:
             assert [check_invariance(f, alpha, x) for f in frame.fields] == expected
 
 
+# ------------------------------------------------------------------
+# References: the x_1^t/t! loops each left-frame quantity typed out before
+# all of them read FiliformGroup.taylor_powers.  The shared table must give
+# the same bytes.
+
+
+def reference_left_coefficients(field, xb):
+    d = field.group.dimension
+    out = np.zeros((xb.shape[0], d))
+    j = field.index
+    if j == 1:
+        out[:, 0] = 1.0
+    else:
+        term = np.ones(xb.shape[0])
+        for k in range(j, d + 1):
+            out[:, k - 1] = term
+            term = term * xb[:, 0] / (k - j + 1)
+    return out
+
+
+def reference_left_coefficient_jacobian(field, xb):
+    d = field.group.dimension
+    jac = np.zeros((xb.shape[0], d, d))
+    j = field.index
+    if j >= 2:
+        term = np.ones(xb.shape[0])
+        for k in range(j + 1, d + 1):
+            jac[:, k - 1, 0] = term
+            term = term * xb[:, 0] / (k - j)
+    return jac
+
+
+def reference_translation_jacobian(group, label, a, xp):
+    d = group.dimension
+    jac = np.eye(d)
+    if label == LEFT_LABEL:
+        term_row = np.empty(d)
+        term_row[0] = 1.0
+        for t in range(1, d):
+            term_row[t] = term_row[t - 1] * a[0] / t
+        for k in range(3, d + 1):
+            for i in range(2, k):
+                jac[k - 1, i - 1] += term_row[k - i]
+    else:
+        neg = np.empty(d)
+        neg[0] = 1.0
+        for t in range(1, d):
+            neg[t] = neg[t - 1] * (-xp[0]) / t
+        for k in range(3, d + 1):
+            acc = 0.0
+            for i in range(2, k):
+                acc -= a[i - 1] * neg[k - i - 1]
+            jac[k - 1, 0] += acc
+    return jac
+
+
+def _scaled_points(n, scale, count=40, seed=900):
+    """Box points at the given scale, led by rows with x_1 = +0.0 and -0.0."""
+    pts = scale * np.random.default_rng(seed + n).uniform(-1, 1, size=(count, n + 1))
+    pts[:2, 0] = [0.0, -0.0]
+    return pts
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
+class TestTaylorTableMatchesReferenceLoops:
+    def test_left_coefficients_bytes(self, n, scale):
+        xb = _scaled_points(n, scale)
+        for field in left_frame(FiliformGroup(n)).fields:
+            ref = reference_left_coefficients(field, xb)
+            assert field.coefficients(xb).tobytes() == ref.tobytes()
+            assert field.coefficients(xb[1]).tobytes() == ref[1].tobytes()
+
+    def test_left_coefficient_jacobian_bytes(self, n, scale):
+        xb = _scaled_points(n, scale)
+        for field in left_frame(FiliformGroup(n)).fields:
+            ref = reference_left_coefficient_jacobian(field, xb)
+            assert field.coefficient_jacobian(xb).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("label", [LEFT_LABEL, RIGHT_LABEL])
+    def test_translation_jacobian_bytes(self, n, scale, label):
+        g = FiliformGroup(n)
+        alphas = _scaled_points(n, scale, count=12)
+        xs = _scaled_points(n, scale, count=12, seed=950)
+        for alpha, x in zip(alphas, xs):
+            ref = reference_translation_jacobian(g, label, alpha, x)
+            assert translation_jacobian(g, label, alpha, x).tobytes() == ref.tobytes()
+
+
 def _canonical_digest(path):
     """SHA-256 of a JSON artifact without its interpreter/library versions block."""
     doc = json.loads(path.read_text(encoding="utf-8"))

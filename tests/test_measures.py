@@ -58,7 +58,7 @@ def test_log_density_even_under_sign_flips():
 
 def test_log_density_subtracts_potential():
     pert = Perturbation(
-        potential=ScalarField(value=lambda X: X[:, 0] ** 2, smooth=None, table=None),
+        potential=ScalarField(value=lambda X: X[:, 0] ** 2, smooth=None),
         delta=1.0,
         gamma_delta=10.0,
         c_tilde=1.0,
@@ -206,7 +206,7 @@ def test_perturbed_chain_radial_moment(variant, step, a, b):
     # ratio of the integrals of r^(Q-1+p) and r^(Q-1) against exp(-a r^p - b r).
     kind = _kind(variant, step)
     p = float(step)
-    potential = ScalarField(value=lambda X: b * norm_value(kind, X), smooth=None, table=None)
+    potential = ScalarField(value=lambda X: b * norm_value(kind, X), smooth=None)
     spec = MeasureSpec(kind, a=a, p=p, perturbation=Perturbation(potential, 1.0, 1.0, b))
     batch = sample(spec, 100_000, seed=5)
     d = batch.diagnostics
@@ -329,7 +329,7 @@ def test_estimate_z_matches_cone_envelope_acceptance(variant, step):
 
 def test_estimate_z_rejects_perturbed_spec():
     pert = Perturbation(
-        potential=ScalarField(value=lambda X: 0.0 * X[:, 0], smooth=None, table=None),
+        potential=ScalarField(value=lambda X: 0.0 * X[:, 0], smooth=None),
         delta=1.0,
         gamma_delta=1.0,
         c_tilde=1.0,
@@ -407,9 +407,7 @@ def test_sample_batch_group_points():
 
 def _zero_potential():
     return Perturbation(
-        potential=ScalarField(
-            value=lambda X: np.zeros(X.shape[0]), smooth=None, table=None
-        ),
+        potential=ScalarField(value=lambda X: np.zeros(X.shape[0]), smooth=None),
         delta=0.5,
         gamma_delta=1.0,
         c_tilde=1.0,
@@ -432,7 +430,6 @@ def test_certificate_scaled_norm_potential():
     pot = ScalarField(
         value=lambda X: c_scale * norm_value(kind, X),
         smooth=lambda X: smooth_mask(kind, X),
-        table=None,
     )
     pert = Perturbation(potential=pot, delta=1.0, gamma_delta=10.0, c_tilde=0.5)
     spec = MeasureSpec(kind, a=1.0, p=3.0, perturbation=pert)
@@ -448,7 +445,7 @@ def test_certificate_scaled_norm_potential():
 
 
 def test_certificate_quadratic_potential_fails_growth():
-    pot = ScalarField(value=lambda X: X[:, 0] ** 2, smooth=None, table=None)
+    pot = ScalarField(value=lambda X: X[:, 0] ** 2, smooth=None)
     pert = Perturbation(potential=pot, delta=1.0, gamma_delta=1e6, c_tilde=2.0)
     spec = MeasureSpec(engel_kind(), a=1.0, p=3.0, perturbation=pert)
     pts = np.zeros((3, 4))
