@@ -24,7 +24,6 @@ vectorised value map along frame directions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -41,21 +40,6 @@ from .norms import (
     filiform_norm,
     filiform_seminorm,
 )
-
-
-@dataclass
-class ScalarField:
-    """A scalar function on the group, with optional smoothness data.
-
-    value:
-        Vectorised evaluator mapping a batch (m, d) to values (m,).
-    smooth:
-        Optional predicate mapping a batch to a boolean mask of the points
-        where the field is differentiable.
-    """
-
-    value: Callable[[np.ndarray], np.ndarray]
-    smooth: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def directional_stencil(

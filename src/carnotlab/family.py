@@ -236,6 +236,8 @@ def _monomial_label(expts: tuple[int, ...]) -> str:
 
 def _coordinate_gradient(kind: NormKind, j: int, xb: np.ndarray) -> np.ndarray:
     """(X_1 x_j, X_2 x_j) for the kind's natural frame; j is 1-based."""
+    # Typed out, not read from VectorField.coefficients: that cost 1.3-2.7 ms
+    # against 27-166 us here per 30,000-point call.
     m = xb.shape[0]
     out = np.zeros((m, 2))
     if kind.variant == ENGEL:
@@ -413,37 +415,3 @@ def member_series(
     """
     vals, grads = member.evaluate(batch)
     return vals, np.sqrt(np.sum(grads**2, axis=-1)) ** q
-
-
-@dataclass(frozen=True)
-class FamilyAudit:
-    """Empirical finiteness audit of the family's q-moments."""
-
-    labels: tuple[str, ...]
-    value_moments: tuple[float, ...]
-    gradient_moments: tuple[float, ...]
-    all_finite: bool
-
-
-def family_audit(family: TestFunctionFamily, coords: np.ndarray) -> FamilyAudit:
-    """Evaluate mu(|f|^q) and mu(|grad f|^q) per member on the given points."""
-    batch = MemberBatch(family.kind, coords)
-    q = family.q
-    labels = []
-    vmoms = []
-    gmoms = []
-    ok = True
-    for member in family.members:
-        vals, gmag = member_series(member, batch, q)
-        vm = float(np.mean(np.abs(vals) ** q))
-        gm = float(np.mean(gmag))
-        ok = ok and np.isfinite(vm) and np.isfinite(gm)
-        labels.append(member.label)
-        vmoms.append(vm)
-        gmoms.append(gm)
-    return FamilyAudit(
-        labels=tuple(labels),
-        value_moments=tuple(vmoms),
-        gradient_moments=tuple(gmoms),
-        all_finite=bool(ok),
-    )

@@ -1,30 +1,22 @@
 """Gibbs-type probability measures exp(-a N^p)/Z and their estimation.
 
-A `MeasureSpec` fixes a norm kind, the coefficient a > 0, the exponent
-p > 1 (the conjugate q = p/(p-1) drives the functional inequalities), and an
-optional perturbing potential W, giving the unnormalised density
+A `MeasureSpec` fixes a norm kind, the coefficient a > 0 and the exponent
+p > 1 (the conjugate q = p/(p-1) drives the functional inequalities), giving
+the unnormalised density
 
-    u(x) = exp(-a N(x)^p - W(x)).
+    u(x) = exp(-a N(x)^p).
 
-Provided operations: exact-density evaluation, sampling, the normalisation
-constant, Monte Carlo expectations with batch-means errors, and an
-empirical check of the perturbation certificate
-
-    |grad W|^q <= delta N^(p-n) |||x|||^n + gamma_delta,     W <= C N,
-
-with n the group step and |||.||| the kind's scalar seminorm.
-
-The unperturbed measures depend on x only through N, so homogeneous polar
-coordinates sample them exactly and iid (see `sample`) and reduce Z to
-Gamma(Q/p + 1) a^(-Q/p) times the unit-ball volume of the kind (see
-`estimate_Z`); a perturbed spec runs an independence Metropolis chain with
-those draws as proposals.
+The density depends on x only through N, so homogeneous polar coordinates
+sample it exactly and iid (see `sample`) and reduce Z to Gamma(Q/p + 1)
+a^(-Q/p) times the unit-ball volume of the kind (see `estimate_Z`).
+`batch_mean_se` gives Monte Carlo means with batch-means errors.
 
 Sample batches serialise to a small binary format ("CCMB"): magic bytes,
-u32 version and step, f64 spec fields (a, p, kind code, perturbation flag),
-u64 seed and count, then the points row-major as little-endian f64.  A CSV
-mirror with a key:value provenance header is also available.  Outputs carry
-no timestamps, so a rerun with the same inputs is bit-identical.
+u32 version and step, f64 spec fields (a, p, kind code, and a flag that
+is always 0 in format version 1), u64 seed and count, then the points
+row-major as little-endian f64.  A CSV mirror with a key:value
+provenance header is also available.  Outputs carry no timestamps, so a
+rerun with the same inputs is bit-identical.
 """
 
 from __future__ import annotations
@@ -37,31 +29,19 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gamma, roots_jacobi
 
-from .calculus import ScalarField, fd_frame_first
-from .frames import Frame, left_frame, right_frame_engel
-from .group import GroupPoint, _as_batch
-from .norms import ENGEL, FILIFORM, NormKind, aux_seminorm, norm_kernel, norm_value
+from .norms import ENGEL, FILIFORM, NormKind, norm_kernel
 from .seeding import derive_rng
 
 MAGIC = b"CCMB"
 FORMAT_VERSION = 1
 KIND_CODES = {ENGEL: 0.0, FILIFORM: 1.0}
+_HEADER = struct.Struct("<4sII4dQQ")
 N_BATCHES = 50
 
 
 @dataclass(frozen=True)
-class Perturbation:
-    """A differentiable potential with its certificate constants."""
-
-    potential: ScalarField
-    delta: float
-    gamma_delta: float
-    c_tilde: float
-
-
-@dataclass(frozen=True)
 class MeasureSpec:
-    """Parameters of the measure exp(-a N^p - W)/Z.
+    """Parameters of the measure exp(-a N^p)/Z.
 
     The coercive-inequality theorems need p >= 3 for the engel kind and
     p >= n for the filiform kind; a spec below the threshold is legal (the
@@ -72,7 +52,6 @@ class MeasureSpec:
     kind: NormKind
     a: float = 1.0
     p: float = 3.0
-    perturbation: Perturbation | None = None
 
     def __post_init__(self) -> None:
         if not self.a > 0:
@@ -100,18 +79,15 @@ class MeasureSpec:
     def meets_theorem_threshold(self) -> bool:
         return self.p >= self.threshold_p
 
-    def natural_frame(self) -> Frame:
-        return right_frame_engel(self.kind.group) if self.kind.variant == ENGEL else left_frame(self.kind.group)
-
     def tail_radius(self) -> float:
         return 3.0 * (50.0 / self.a) ** (1.0 / self.p)
 
 
 @dataclass(frozen=True)
 class SampleDiagnostics:
-    """How a batch was drawn: "exact" iid draws (envelope acceptance, ESS =
-    count) or an "independence-metropolis" chain (move acceptance, ESS the
-    smallest over every coordinate and N^p); `tail_audit_count` counts the
+    """How a batch was drawn: `method` is always "exact" (iid draws),
+    `acceptance_rate` is the cone sampler's envelope acceptance,
+    `effective_samples` equals the count, and `tail_audit_count` counts the
     points beyond `MeasureSpec.tail_radius`."""
 
     method: str
@@ -135,19 +111,6 @@ class SampleBatch:
 
     def __len__(self) -> int:
         return self.coords.shape[0]
-
-    def as_group_points(self) -> list[GroupPoint]:
-        g = self.spec.kind.group
-        return [GroupPoint(g, row) for row in self.coords]
-
-
-def log_unnormalized_density(spec: MeasureSpec, x: np.ndarray) -> np.ndarray:
-    """log u(x) = -a N(x)^p - W(x); vectorised."""
-    xb, single = _as_batch(x, spec.kind.group.dimension)
-    out = -spec.a * norm_value(spec.kind, xb) ** spec.p
-    if spec.perturbation is not None:
-        out = out - spec.perturbation.potential.value(xb)
-    return out[0] if single else out
 
 
 # Proposals per rejection block: enough for one block to fill most requests
@@ -198,14 +161,11 @@ def cone_samples(kind: NormKind, count: int, rng: np.random.Generator) -> tuple[
 
 
 def sample(spec: MeasureSpec, count: int, seed: int) -> SampleBatch:
-    """Draw `count` points from exp(-a N^p - W)/Z.
+    """Draw `count` points from exp(-a N^p)/Z, exactly and iid.
 
-    Unperturbed specs are sampled exactly and iid: X = delta_R Theta with
-    Theta from `cone_samples` and a R^p ~ Gamma(Q/p, 1), Q the homogeneous
-    dimension.  A perturbed spec runs one independence Metropolis chain over
-    those draws, started at the first, moving x -> y with probability
-    min(1, exp(W(x) - W(y))).  Every draw comes from a named substream of
-    `seed`, so the batch is bit-reproducible.
+    X = delta_R Theta with Theta from `cone_samples` and a R^p ~
+    Gamma(Q/p, 1), Q the homogeneous dimension.  Every draw comes from a
+    named substream of `seed`, so the batch is bit-reproducible.
     """
     group = spec.kind.group
     theta, envelope_rate = cone_samples(
@@ -216,53 +176,13 @@ def sample(spec: MeasureSpec, count: int, seed: int) -> SampleBatch:
     )
     radii = (gam / spec.a) ** (1.0 / spec.p)
     coords = theta * radii[:, None] ** np.array(group.weights, dtype=np.float64)
-    if spec.perturbation is None:
-        method, acc_rate, ess = "exact", envelope_rate, float(count)
-    else:
-        rng = derive_rng(seed, "measure-sampler", "metropolis")
-        idx = _independence_chain(spec.perturbation.potential.value(coords), rng)
-        coords, radii = coords[idx], radii[idx]
-        moves = np.count_nonzero(idx[1:] != idx[:-1])
-        method, acc_rate = "independence-metropolis", moves / max(count - 1, 1)
-        ess = _effective_samples(np.column_stack([coords, radii**spec.p]))
     diag = SampleDiagnostics(
-        method=method,
-        acceptance_rate=float(acc_rate),
-        effective_samples=float(ess),
+        method="exact",
+        acceptance_rate=float(envelope_rate),
+        effective_samples=float(count),
         tail_audit_count=int(np.count_nonzero(radii > spec.tail_radius())),
     )
     return SampleBatch(spec=spec, coords=coords, seed=seed, diagnostics=diag)
-
-
-def _independence_chain(potential: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Proposal index held at each step; proposal t replaces the state x with
-    probability min(1, exp(W(x) - W_t)), the target-to-proposal ratio."""
-    log_u = np.log(rng.random(potential.shape[0])).tolist()
-    held, w_held = 0, float(potential[0])
-    idx = []
-    for t, (w_t, lu) in enumerate(zip(potential.tolist(), log_u)):
-        if lu < w_held - w_t:
-            held, w_held = t, w_t
-        idx.append(held)
-    return np.array(idx, dtype=np.intp)
-
-
-def _effective_samples(series: np.ndarray) -> float:
-    """Smallest initial-positive-sequence ESS over the columns of a chain,
-    from FFT autocovariances summed up to the first non-positive lag."""
-    length = series.shape[0]
-    smallest = float(length)
-    for column in series.T:
-        centered = column - column.mean()
-        spectrum = np.fft.rfft(centered, n=2 * length)
-        acov = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=2 * length)[:length]
-        if not acov[0] > 0:
-            continue
-        rho = acov[1:] / acov[0]
-        stop = np.flatnonzero(rho <= 0.0)
-        tau = 1.0 + 2.0 * float(np.sum(rho[: stop[0] if stop.size else rho.size]))
-        smallest = min(smallest, length / tau)
-    return smallest
 
 
 @dataclass(frozen=True)
@@ -288,10 +208,6 @@ def estimate_Z(spec: MeasureSpec) -> ZEstimate:
     of the kind.  |B_1| is exact for Engel and a quadrature for filiform
     (`_filiform_ball_volume`), whose error the estimate carries.
     """
-    if spec.perturbation is not None:
-        # W changes the density off the level sets of N, so the polar
-        # reduction no longer applies.
-        raise ValueError("Z estimation supports unperturbed specs only")
     if spec.kind.variant == ENGEL:
         # int exp(-N^3) = 4 pi int_0^inf w exp(-w^(3/2)) dw = (8 pi/3) Gamma(4/3),
         # with w = x1^2 + x2^2 + |x3|, and equals Gamma(Q/3 + 1) |B_1|, Q = 7.
@@ -363,98 +279,17 @@ def batch_mean_se(values: np.ndarray, n_batches: int = N_BATCHES) -> tuple[float
     return float(np.mean(values)), se
 
 
-def expectation(
-    target: MeasureSpec | SampleBatch,
-    f,
-    count: int = 100_000,
-    seed: int = 0,
-    n_batches: int = N_BATCHES,
-) -> tuple[float, float]:
-    """Monte Carlo mean of f under the measure, with batch-means SE.
-
-    `target` may be a spec (a fresh batch is drawn) or an existing batch.
-    NaN evaluations raise with the offending points listed; a heavy tail
-    flag warns when the region N > tail radius carries over 1% of E|f|.
-    """
-    batch = sample(target, count, seed) if isinstance(target, MeasureSpec) else target
-    vals = np.asarray(f(batch.coords), dtype=np.float64)
-    if vals.shape != (batch.coords.shape[0],):
-        raise ValueError("f must map the point batch to one value per point")
-    nan_idx = np.flatnonzero(~np.isfinite(vals))
-    if nan_idx.size:
-        preview = ", ".join(str(batch.coords[i]) for i in nan_idx[:3])
-        raise ValueError(
-            f"f produced {nan_idx.size} non-finite values, e.g. at {preview}"
-        )
-    tail_mask = norm_value(batch.spec.kind, batch.coords) > batch.spec.tail_radius()
-    denom = float(np.sum(np.abs(vals)))
-    if denom > 0 and float(np.sum(np.abs(vals[tail_mask]))) > 0.01 * denom:
-        warnings.warn(
-            "tail region carries more than 1% of E|f|; integrability is doubtful",
-            UserWarning,
-            stacklevel=2,
-        )
-    return batch_mean_se(vals, n_batches)
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    """Empirical certificate check; violations must be <= 0 to certify."""
-
-    max_gradient_violation: float
-    max_growth_violation: float
-    sample_count: int
-
-    @property
-    def holds(self) -> bool:
-        return self.max_gradient_violation <= 0 and self.max_growth_violation <= 0
-
-
-def check_perturbation_certificate(
-    spec: MeasureSpec, samples: SampleBatch | np.ndarray
-) -> PerturbationReport:
-    """Check |grad W|^q <= delta N^(p-n) |||x|||^n + gamma and W <= C N.
-
-    `samples` is either a drawn batch or a raw point array.  Points where
-    the potential declares itself non-smooth are skipped (its gradient is
-    undefined there); the report records how many points were checked.
-    The gradient is a finite difference along the spec's natural frame.
-    """
-    if spec.perturbation is None:
-        raise ValueError("spec carries no perturbation")
-    pert = spec.perturbation
-    points = samples.coords if isinstance(samples, SampleBatch) else samples
-    xb, _ = _as_batch(points, spec.kind.group.dimension)
-    if pert.potential.smooth is not None:
-        xb = xb[np.asarray(pert.potential.smooth(xb))]
-    if xb.shape[0] == 0:
-        raise ValueError("no smooth points to check the certificate on")
-    comps = fd_frame_first(pert.potential.value, spec.natural_frame(), xb)
-    grad_q = np.sum(comps**2, axis=-1) ** (spec.q / 2.0)
-    n = spec.kind.group.step
-    nv = norm_value(spec.kind, xb)
-    envelope = pert.delta * nv ** (spec.p - n) * aux_seminorm(spec.kind, xb) ** n
-    grad_violation = float(np.max(grad_q - envelope - pert.gamma_delta))
-    growth_violation = float(np.max(pert.potential.value(xb) - pert.c_tilde * nv))
-    return PerturbationReport(
-        max_gradient_violation=grad_violation,
-        max_growth_violation=growth_violation,
-        sample_count=int(xb.shape[0]),
-    )
-
-
 def save_batch(path, batch: SampleBatch) -> None:
     """Write the binary columnar format described in the module docstring."""
     spec = batch.spec
-    header = struct.pack(
-        "<4sII4dQQ",
+    header = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,
         spec.kind.group.step,
         spec.a,
         spec.p,
         KIND_CODES[spec.kind.variant],
-        0.0 if spec.perturbation is None else 1.0,
+        0.0,  # perturbation flag, kept for format version 1
         batch.seed % 2**64,
         batch.coords.shape[0],
     )
@@ -464,17 +299,28 @@ def save_batch(path, batch: SampleBatch) -> None:
 
 
 def load_batch(path) -> tuple[dict, np.ndarray]:
-    """Read a CCMB file; returns (header dict, coords array)."""
+    """Read a CCMB file; returns (header dict, coords array).
+
+    Raises ValueError for a short header, a wrong magic or version, or a
+    payload whose size is not count * (step + 1) * 8 bytes.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read(struct.calcsize("<4sII4dQQ"))
-        magic, version, step, a, p, kind_code, pert_flag, seed, count = struct.unpack(
-            "<4sII4dQQ", raw
-        )
+        raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size:
+            raise ValueError(f"CCMB header needs {_HEADER.size} bytes, file has {len(raw)}")
+        magic, version, step, a, p, kind_code, pert_flag, seed, count = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise ValueError("not a CCMB file")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported CCMB version {version}")
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(count, step + 1)
+        payload = fh.read()
+    expected = count * (step + 1) * 8
+    if len(payload) != expected:
+        raise ValueError(
+            f"CCMB payload of {count} points at step {step} needs {expected} bytes, "
+            f"file has {len(payload)}"
+        )
+    data = np.frombuffer(payload, dtype="<f8").reshape(count, step + 1)
     header = {
         "version": version,
         "step": step,

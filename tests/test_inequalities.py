@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from carnotlab.family import TestFunction, default_family, family_audit, monomial_member
+from carnotlab.family import (
+    MemberBatch,
+    TestFunction,
+    default_family,
+    member_series,
+    monomial_member,
+)
 from carnotlab.inequalities import (
     ConditioningError,
     InfeasibleFitError,
@@ -142,17 +148,19 @@ class TestUBound:
 
 @pytest.mark.parametrize("spec", [ENGEL_SPEC, FIL4_SPEC], ids=["engel", "filiform-n4"])
 def test_ubound_training_moments_equal_family_audit(spec):
-    # ubound_fit and family_audit evaluate members through one series, so
-    # the training moments C and B equal the audit moments bit for bit.
+    # ubound_fit evaluates members through member_series, so the training
+    # moments C and B equal the series means bit for bit.
     fam = default_family(spec.kind, q=spec.q)
     batch = sample(spec, 4_000, seed=31)
     report = ubound_fit(spec, fam, batch, holdout_count=500)
-    audit = family_audit(fam, batch.coords)
+    context = MemberBatch(spec.kind, batch.coords)
     assert len(report.train) == len(fam.train_indices)
     for idx, fm in zip(fam.train_indices, report.train):
-        assert fm.label == audit.labels[idx]
-        assert fm.c == audit.value_moments[idx]
-        assert fm.b == audit.gradient_moments[idx]
+        member = fam.members[idx]
+        vals, gmag = member_series(member, context, fam.q)
+        assert fm.label == member.label
+        assert fm.c == float(np.mean(np.abs(vals) ** fam.q))
+        assert fm.b == float(np.mean(gmag))
 
 
 class TestPoincare:

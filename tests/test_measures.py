@@ -1,72 +1,29 @@
-"""Tests for the Gibbs measure module: densities, sampling, Z, certificates."""
+"""Tests for the Gibbs measure module: sampling, Z and the CCMB format."""
 
 import hashlib
 import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.signal import lfilter
 from scipy.special import gamma
 
-from carnotlab.calculus import ScalarField, norm_derivative_tables
-from carnotlab.group import GroupPoint
+from carnotlab.calculus import norm_derivative_tables
 from carnotlab.measures import (
     SampleDiagnostics,
     MeasureSpec,
-    Perturbation,
     SampleBatch,
     ZEstimate,
-    _effective_samples,
-    check_perturbation_certificate,
+    batch_mean_se,
     cone_samples,
     estimate_Z,
-    expectation,
     export_csv,
     load_batch,
-    log_unnormalized_density,
     sample,
     save_batch,
 )
-from carnotlab.norms import engel_kind, filiform_kind, norm_value, smooth_mask
+from carnotlab.norms import engel_kind, filiform_kind, norm_value
 
 ENGEL_SPEC = MeasureSpec(engel_kind(), a=1.0, p=3.0)
-
-
-def test_log_density_at_identity():
-    assert log_unnormalized_density(ENGEL_SPEC, np.zeros(4)) == 0.0
-
-
-def test_log_density_engel_pinned():
-    # N((1,1,1,1))^3 = (1+1+1)^{3/2} + 1 = 3^{3/2} + 1.
-    got = log_unnormalized_density(ENGEL_SPEC, np.array([1.0, 1.0, 1.0, 1.0]))
-    assert got == pytest.approx(-(3.0**1.5 + 1.0), rel=1e-14)
-    assert got == pytest.approx(-6.196152422706632, rel=1e-12)
-
-
-def test_log_density_even_under_sign_flips():
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-4, 4, size=(40, 4))
-    base = log_unnormalized_density(ENGEL_SPEC, pts)
-    for axis in range(4):
-        flipped = pts.copy()
-        flipped[:, axis] *= -1.0
-        np.testing.assert_allclose(
-            log_unnormalized_density(ENGEL_SPEC, flipped), base, rtol=1e-14
-        )
-
-
-def test_log_density_subtracts_potential():
-    pert = Perturbation(
-        potential=ScalarField(value=lambda X: X[:, 0] ** 2, smooth=None),
-        delta=1.0,
-        gamma_delta=10.0,
-        c_tilde=1.0,
-    )
-    spec = MeasureSpec(engel_kind(), a=1.0, p=3.0, perturbation=pert)
-    x = np.array([2.0, 0.0, 0.0, 0.0])
-    plain = log_unnormalized_density(ENGEL_SPEC, x)
-    assert log_unnormalized_density(spec, x) == pytest.approx(plain - 4.0, rel=1e-14)
 
 
 def test_spec_validation():
@@ -124,18 +81,18 @@ def test_sample_count_and_diagnostics():
 
 def test_sample_symmetry_and_moment():
     batch = sample(ENGEL_SPEC, 200_000, seed=0)
-    mean_x1, se_x1 = expectation(batch, lambda X: X[:, 0])
+    mean_x1, se_x1 = batch_mean_se(batch.coords[:, 0])
     assert abs(mean_x1) <= 3.0 * se_x1
     # Radial identity: E[a N^p] = Q / p with Q = 7 for the Engel group,
     # obtained by differentiating the Z scaling law in a.
-    mean_np, se_np = expectation(batch, lambda X: norm_value(ENGEL_SPEC.kind, X) ** 3)
+    mean_np, se_np = batch_mean_se(norm_value(ENGEL_SPEC.kind, batch.coords) ** 3)
     assert mean_np == pytest.approx(7.0 / 3.0, abs=4.0 * se_np)
 
 
 def test_sample_two_seed_agreement():
     f = lambda X: norm_value(ENGEL_SPEC.kind, X) ** 3
-    m1, s1 = expectation(sample(ENGEL_SPEC, 120_000, seed=21), f)
-    m2, s2 = expectation(sample(ENGEL_SPEC, 120_000, seed=22), f)
+    m1, s1 = batch_mean_se(f(sample(ENGEL_SPEC, 120_000, seed=21).coords))
+    m2, s2 = batch_mean_se(f(sample(ENGEL_SPEC, 120_000, seed=22).coords))
     assert abs(m1 - m2) <= 3.0 * float(np.hypot(s1, s2))
 
 
@@ -156,7 +113,7 @@ def test_sampler_stationarity_identity():
         return 3.0 * X[:, 1] ** 2 - X[:, 1] ** 3 * 3.0 * nval**2 * x2n
 
     for g in (residual_linear, residual_cubic):
-        mean, se = expectation(batch, g)
+        mean, se = batch_mean_se(g(batch.coords))
         assert abs(mean) <= 4.0 * se
 
 
@@ -164,7 +121,7 @@ def test_sampler_filiform_runs():
     spec = MeasureSpec(filiform_kind(4), a=1.0, p=4.0)
     batch = sample(spec, 50_000, seed=9)
     assert 0.05 < batch.diagnostics.acceptance_rate < 0.95
-    mean, se = expectation(batch, lambda X: norm_value(spec.kind, X) ** 4)
+    mean, se = batch_mean_se(norm_value(spec.kind, batch.coords) ** 4)
     # Q = 1 + 4*5/2 = 11 and p = 4.
     assert mean == pytest.approx(11.0 / 4.0, abs=5.0 * se)
 
@@ -191,42 +148,11 @@ def test_radial_and_top_moments_are_exact(variant, step, a, p, seed):
     # Engel), so x_top is Laplace(1/a) and E|x_top| = 1/a.
     kind = _kind(variant, step)
     batch = sample(MeasureSpec(kind, a=a, p=p), 100_000, seed)
-    mean, se = expectation(batch, lambda X: a * norm_value(kind, X) ** p)
+    mean, se = batch_mean_se(a * norm_value(kind, batch.coords) ** p)
     assert abs(mean - kind.group.homogeneous_dimension / p) <= 4.0 * se
     if p == step:
-        mean, se = expectation(batch, lambda X: a * np.abs(X[:, -1]))
+        mean, se = batch_mean_se(a * np.abs(batch.coords[:, -1]))
         assert abs(mean - 1.0) <= 4.0 * se
-
-
-@pytest.mark.parametrize(
-    "variant,step,a,b", [("engel", 3, 1.0, 1.0), ("filiform", 5, 1.0, 2.0), ("filiform", 8, 0.5, 1.0)]
-)
-def test_perturbed_chain_radial_moment(variant, step, a, b):
-    # W = b N keeps the law radial, so by polar coordinates E[N^p] is the
-    # ratio of the integrals of r^(Q-1+p) and r^(Q-1) against exp(-a r^p - b r).
-    kind = _kind(variant, step)
-    p = float(step)
-    potential = ScalarField(value=lambda X: b * norm_value(kind, X), smooth=None)
-    spec = MeasureSpec(kind, a=a, p=p, perturbation=Perturbation(potential, 1.0, 1.0, b))
-    batch = sample(spec, 100_000, seed=5)
-    d = batch.diagnostics
-    assert d.method == "independence-metropolis"
-    assert 0.0 < d.acceptance_rate < 1.0
-    assert 1_000.0 < d.effective_samples < 100_000.0
-    q_hom = kind.group.homogeneous_dimension
-    radial = lambda k: quad(lambda r: r ** (q_hom - 1 + k) * np.exp(-a * r**p - b * r), 0, np.inf)[0]
-    mean, se = expectation(batch, lambda X: norm_value(kind, X) ** p)
-    assert abs(mean - radial(p) / radial(0.0)) <= 4.0 * se
-    assert sample(spec, 100_000, seed=5).coords.tobytes() == batch.coords.tobytes()
-
-
-def test_effective_samples_is_smallest_over_columns():
-    # An AR(1) column with coefficient 0.9 has ESS about m (1 - 0.9)/(1 + 0.9).
-    rng = np.random.default_rng(0)
-    iid = rng.standard_normal(20_000)
-    ar = lfilter([1.0], [1.0, -0.9], rng.standard_normal(20_000))
-    assert _effective_samples(iid[:, None]) > 15_000
-    assert _effective_samples(np.column_stack([iid, ar])) == pytest.approx(20_000 / 19, rel=0.25)
 
 
 def test_sample_rejects_bad_arguments():
@@ -327,66 +253,11 @@ def test_estimate_z_matches_cone_envelope_acceptance(variant, step):
     assert abs(acc * z_env - _z_at_step(variant, step).value) <= 4.0 * se
 
 
-def test_estimate_z_rejects_perturbed_spec():
-    pert = Perturbation(
-        potential=ScalarField(value=lambda X: 0.0 * X[:, 0], smooth=None),
-        delta=1.0,
-        gamma_delta=1.0,
-        c_tilde=1.0,
-    )
-    spec = MeasureSpec(engel_kind(), a=1.0, p=3.0, perturbation=pert)
-    with pytest.raises(ValueError):
-        estimate_Z(spec)
-
-
 def test_zestimate_validation():
     with pytest.raises(ValueError):
         ZEstimate(value=-1.0, standard_error=0.0, method="quadrature")
     with pytest.raises(ValueError):
         ZEstimate(value=1.0, standard_error=-1.0, method="quadrature")
-
-
-def test_expectation_constant():
-    batch = sample(ENGEL_SPEC, 5000, seed=7)
-    mean, se = expectation(batch, lambda X: np.ones(X.shape[0]))
-    assert mean == 1.0
-    assert se == 0.0
-
-
-def test_expectation_indicator_monotone():
-    batch = sample(ENGEL_SPEC, 100_000, seed=8)
-    nvals = norm_value(ENGEL_SPEC.kind, batch.coords)
-    last = -1.0
-    for level in (0.5, 1.0, 2.0, 4.0, 8.0):
-        mean, _ = expectation(batch, lambda X, L=level: (norm_value(ENGEL_SPEC.kind, X) <= L) * 1.0)
-        assert mean >= last
-        last = mean
-    assert last == 1.0
-    assert nvals.max() < 8.0
-
-
-def test_expectation_spec_draws_internally():
-    direct = expectation(ENGEL_SPEC, lambda X: X[:, 3], count=4000, seed=19)
-    batch = sample(ENGEL_SPEC, 4000, seed=19)
-    via_batch = expectation(batch, lambda X: X[:, 3])
-    assert direct == via_batch
-
-
-def test_expectation_nan_reports_points():
-    batch = sample(ENGEL_SPEC, 2000, seed=12)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-        expectation(batch, lambda X: np.sqrt(X[:, 0]))
-
-
-def test_expectation_tail_warning():
-    # A hand-built batch with mass far beyond the tail-audit radius.
-    coords = np.zeros((100, 4))
-    coords[:, 0] = 1.0
-    coords[:5, 0] = 1e4
-    diag = SampleDiagnostics("exact", 0.3, 100.0, 5)
-    batch = SampleBatch(spec=ENGEL_SPEC, coords=coords, seed=0, diagnostics=diag)
-    with pytest.warns(UserWarning, match="tail"):
-        expectation(batch, lambda X: X[:, 0])
 
 
 def test_sample_batch_rejects_nonfinite():
@@ -395,70 +266,6 @@ def test_sample_batch_rejects_nonfinite():
     diag = SampleDiagnostics("exact", 0.3, 3.0, 0)
     with pytest.raises(ValueError):
         SampleBatch(spec=ENGEL_SPEC, coords=coords, seed=0, diagnostics=diag)
-
-
-def test_sample_batch_group_points():
-    batch = sample(ENGEL_SPEC, 50, seed=3)
-    pts = batch.as_group_points()
-    assert len(pts) == 50
-    assert isinstance(pts[0], GroupPoint)
-    np.testing.assert_array_equal(pts[7].coords, batch.coords[7])
-
-
-def _zero_potential():
-    return Perturbation(
-        potential=ScalarField(value=lambda X: np.zeros(X.shape[0]), smooth=None),
-        delta=0.5,
-        gamma_delta=1.0,
-        c_tilde=1.0,
-    )
-
-
-def test_certificate_zero_potential_holds():
-    spec = MeasureSpec(engel_kind(), a=1.0, p=3.0, perturbation=_zero_potential())
-    rng = np.random.default_rng(6)
-    pts = rng.uniform(-4, 4, size=(500, 4))
-    report = check_perturbation_certificate(spec, pts)
-    assert report.holds
-    assert report.max_gradient_violation <= -1.0 + 1e-12
-    assert report.sample_count == 500
-
-
-def test_certificate_scaled_norm_potential():
-    kind = engel_kind()
-    c_scale = 0.5
-    pot = ScalarField(
-        value=lambda X: c_scale * norm_value(kind, X),
-        smooth=lambda X: smooth_mask(kind, X),
-    )
-    pert = Perturbation(potential=pot, delta=1.0, gamma_delta=10.0, c_tilde=0.5)
-    spec = MeasureSpec(kind, a=1.0, p=3.0, perturbation=pert)
-    rng = np.random.default_rng(14)
-    pts = rng.uniform(-4, 4, size=(800, 4))
-    report = check_perturbation_certificate(spec, pts)
-    # Growth condition W <= C N is exact equality here, so the max
-    # violation sits at zero up to roundoff; the gradient condition holds
-    # because |grad N| stays bounded on the smooth region.
-    assert report.max_growth_violation <= 1e-10
-    assert report.max_gradient_violation <= 0.0
-    assert report.sample_count <= 800
-
-
-def test_certificate_quadratic_potential_fails_growth():
-    pot = ScalarField(value=lambda X: X[:, 0] ** 2, smooth=None)
-    pert = Perturbation(potential=pot, delta=1.0, gamma_delta=1e6, c_tilde=2.0)
-    spec = MeasureSpec(engel_kind(), a=1.0, p=3.0, perturbation=pert)
-    pts = np.zeros((3, 4))
-    pts[:, 0] = np.array([1.0, 10.0, 100.0])
-    report = check_perturbation_certificate(spec, pts)
-    assert not report.holds
-    # At x1 = 100: W = 10^4 while C N = 200.
-    assert report.max_growth_violation >= 9000.0
-
-
-def test_certificate_requires_perturbation():
-    with pytest.raises(ValueError):
-        check_perturbation_certificate(ENGEL_SPEC, np.zeros((4, 4)))
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -489,6 +296,24 @@ def test_load_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bogus.ccmb"
     path.write_bytes(b"NOPE" + bytes(100))
     with pytest.raises(ValueError, match="CCMB"):
+        load_batch(path)
+
+
+@pytest.mark.parametrize(
+    "cut,match",
+    [
+        (lambda raw: b"", "needs 60 bytes, file has 0"),
+        (lambda raw: raw[:30], "needs 60 bytes, file has 30"),
+        (lambda raw: raw[:-1], "needs 3200 bytes, file has 3199"),
+        (lambda raw: raw + b"\0", "needs 3200 bytes, file has 3201"),
+    ],
+    ids=["empty", "30-byte", "truncated", "trailing-byte"],
+)
+def test_load_rejects_malformed_size(tmp_path, cut, match):
+    path = tmp_path / "batch.ccmb"
+    save_batch(path, sample(ENGEL_SPEC, 100, seed=4))
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValueError, match=match):
         load_batch(path)
 
 

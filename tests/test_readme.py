@@ -1,0 +1,19 @@
+"""The README's library example runs against the current API."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_in_one_minute_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library in one minute", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert float(lines[-1]) == pytest.approx(1.0, abs=1e-6)
