@@ -70,6 +70,21 @@ class TestBatchMeans:
         assert mean == 2.0
         assert se == 0.0
 
+    def test_fewer_points_than_batches(self):
+        # Below N_BATCHES points each point is its own batch.
+        vals = np.array([1.0, 4.0, 2.0, 8.0, 5.0, 7.0])
+        mean, se = batch_mean_se(vals)
+        assert mean == pytest.approx(4.5, rel=1e-15)
+        assert se == pytest.approx(np.std(vals, ddof=1) / np.sqrt(6), rel=1e-15)
+
+    def test_remainder_left_out_of_batches_only(self):
+        # 105 points in 50 batches: the batches use the first 100, the mean all.
+        vals = np.r_[np.arange(100.0), np.full(5, 1000.0)]
+        mean, se = batch_mean_se(vals)
+        assert mean == pytest.approx(vals.mean(), rel=1e-15)
+        batch_means = np.arange(100.0).reshape(50, 2).mean(axis=1)
+        assert se == pytest.approx(np.std(batch_means, ddof=1) / np.sqrt(50), rel=1e-15)
+
 
 class TestVertexLP:
     def test_single_constraint_prefers_small_c(self):

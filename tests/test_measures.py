@@ -1,6 +1,7 @@
 """Tests for the Gibbs measure module: sampling, Z and the CCMB format."""
 
 import hashlib
+import struct
 import warnings
 
 import numpy as np
@@ -153,6 +154,29 @@ def test_radial_and_top_moments_are_exact(variant, step, a, p, seed):
     if p == step:
         mean, se = batch_mean_se(a * np.abs(batch.coords[:, -1]))
         assert abs(mean - 1.0) <= 4.0 * se
+
+
+@pytest.mark.parametrize("variant,step", KINDS)
+def test_cone_samples_lie_on_unit_sphere(variant, step):
+    # Theta = delta_{1/N(Y)} Y, so N(Theta) = 1 by homogeneity of N.
+    kind = _kind(variant, step)
+    theta, acc = cone_samples(kind, 2_000, np.random.default_rng(step))
+    assert theta.shape == (2_000, kind.group.dimension)
+    assert 0.0 < acc < 1.0
+    np.testing.assert_allclose(norm_value(kind, theta), 1.0, rtol=1e-12)
+
+
+def test_indicator_means_monotone_in_level():
+    # P(N <= L) rises with L and reaches 1 once L exceeds every drawn norm.
+    batch = sample(ENGEL_SPEC, 100_000, seed=8)
+    nvals = norm_value(ENGEL_SPEC.kind, batch.coords)
+    last = -1.0
+    for level in (0.5, 1.0, 2.0, 4.0, 8.0):
+        mean, _ = batch_mean_se((nvals <= level) * 1.0)
+        assert mean >= last
+        last = mean
+    assert last == 1.0
+    assert nvals.max() < 8.0
 
 
 def test_sample_rejects_bad_arguments():
@@ -317,6 +341,29 @@ def test_load_rejects_malformed_size(tmp_path, cut, match):
         load_batch(path)
 
 
+def test_load_rejects_unsupported_version(tmp_path):
+    path = tmp_path / "batch.ccmb"
+    save_batch(path, sample(ENGEL_SPEC, 10, seed=4))
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = (2).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="unsupported CCMB version 2"):
+        load_batch(path)
+
+
+def test_save_writes_zero_flag_at_offset_36(tmp_path):
+    # Format version 1 keeps an f64 flag after a, p and the kind code; it is
+    # always written as 0.0, and a reader still reports it.
+    path = tmp_path / "batch.ccmb"
+    save_batch(path, sample(ENGEL_SPEC, 10, seed=4))
+    raw = bytearray(path.read_bytes())
+    assert bytes(raw[36:44]) == struct.pack("<d", 0.0)
+    raw[36:44] = struct.pack("<d", 1.0)
+    path.write_bytes(bytes(raw))
+    header, _ = load_batch(path)
+    assert header["perturbed"] is True
+
+
 def test_csv_mirror(tmp_path):
     batch = sample(ENGEL_SPEC, 25, seed=2)
     path = tmp_path / "batch.csv"
@@ -328,6 +375,25 @@ def test_csv_mirror(tmp_path):
     rows = lines[len(header_lines) + 1 :]
     assert len(rows) == 25
     parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
+    np.testing.assert_array_equal(parsed, batch.coords)
+
+
+def test_csv_mirror_filiform_columns(tmp_path):
+    spec = MeasureSpec(filiform_kind(5), a=1.5, p=5.0)
+    batch = sample(spec, 12, seed=3)
+    path = tmp_path / "fil.csv"
+    export_csv(path, batch)
+    lines = path.read_text().splitlines()
+    assert lines[:6] == [
+        "# kind: filiform",
+        "# step: 5",
+        "# a: 1.5",
+        "# p: 5.0",
+        "# seed: 3",
+        "# count: 12",
+    ]
+    assert lines[6] == "x1,x2,x3,x4,x5,x6"
+    parsed = np.array([[float(v) for v in row.split(",")] for row in lines[7:]])
     np.testing.assert_array_equal(parsed, batch.coords)
 
 
