@@ -1,16 +1,20 @@
 """Empirical sup/inf certification of the pointwise norm-derivative bounds.
 
 The six ratios sit in one table, each built from the norm, its paired
-seminorm, and its frame derivatives.  One driver samples the smooth region
-of the norm once, evaluates the requested ratios there, and reports each
-extreme value together with its witness point; the public `verify_*`
-functions each make one call into it.  Ratios with an explicit target
-constant (the step-3 gradient bound sqrt(5), the step-3 sub-Laplacian bound
-7, and the two exact lower bounds at 1) get a pass flag; the filiform
-upper-ratio constants are only recorded, since no closed-form target exists,
-and for steps n >= 4 the ratios genuinely diverge as the singular
-hyperplanes are approached (the sampled sup then reflects the standoff,
-which the domain description states).
+seminorm, and its frame derivatives.  One driver, `verify_kind`, draws the
+smooth region of one norm kind once, builds one derivative jet per chunk of
+that draw, evaluates every requested ratio of the kind on it, and reports
+each extreme value together with its witness point.  The CLI makes one
+call per kind (three Engel ratios, three per filiform step); the public
+`verify_*` functions are one call each for a single ratio or pair.
+
+Ratios with an explicit target constant (the step-3 gradient bound
+sqrt(5), the step-3 sub-Laplacian bound 7, and the two exact lower bounds
+at 1) get a pass flag; the filiform upper-ratio constants are only
+recorded, since no closed-form target exists, and for steps n >= 4 the
+ratios genuinely diverge as the singular hyperplanes are approached (the
+sampled sup then reflects the standoff, which the domain description
+states).
 
 Sampling follows a fixed design: uniform points in [-box, box]^(n+1) with
 points closer than `standoff` to any singular hyperplane rejected, plus a
@@ -145,11 +149,12 @@ def stratified_smooth_samples(
         ok = np.ones(cand.shape[0], dtype=bool)
         for j in axes:
             ok &= np.abs(cand[:, j]) > standoff
-        kept = cand[ok]
+        kept = cand[ok][: bulk_target - have]
         chunks.append(kept)
         have += kept.shape[0]
-    bulk = np.vstack(chunks)[:bulk_target] if chunks else np.empty((0, d))
-    out = np.vstack([*shells, bulk])[:count]
+    # The bulk fills exactly what the shells leave of `count`, so the one
+    # copy below is the returned array; shells beyond `count` are cut.
+    out = np.concatenate([*shells, *chunks])[:count]
     if out.shape[0] == 0:
         raise EmptyDomainError("no smooth sample points generated")
     return out
@@ -237,46 +242,44 @@ _BOUNDS: dict[str, tuple[BoundSpec, _Ratio, int | None, str]] = {
 }
 
 
-def _verify(
+def verify_kind(
     kind: NormKind, keys: tuple[str, ...], samples: int, seed: int, box: float,
     standoff: float,
 ) -> list[BoundReport]:
-    """One report per `_BOUNDS` key, from one derivative table and one draw.
+    """One report per `_BOUNDS` key, from one draw and one derivative table.
 
-    The keys of one call share one axis filter.  The filtered points
-    replace the draw, so no unfiltered copy stays alive while the ratios
-    are evaluated.  Each chunk of points gets one `NormJet`, so its norm,
-    seminorm and frame derivatives are computed once for all keys.
+    Every key's ratio is evaluated on the whole draw, one `NormJet` per
+    chunk, so the norm, seminorm and frame derivatives are computed once for
+    all keys of the kind.  Only then does a key with an axis drop its points
+    with |x_axis| <= 1e-8 (where its ratio divides by |x_axis|) from its
+    ratios and points; a key left with no point raises `EmptyDomainError`.
     """
-    (axis,) = {_BOUNDS[key][2] for key in keys}
     n = kind.group.step
     table = norm_derivative_tables(kind)
     pts = stratified_smooth_samples(kind, samples, seed, box, standoff)
-    if axis is not None:
-        pts = pts[np.abs(pts[:, axis]) > 1e-8]
     domain = (
         f"box [-{box:g},{box:g}]^{kind.group.dimension}, smooth region with hyperplane "
         f"standoff {standoff:g}, deterministic shell batches at the standoff"
     )
-    specs = [replace(_BOUNDS[key][0], name=_BOUNDS[key][0].name.format(n=n)) for key in keys]
-    if pts.shape[0] == 0:
-        raise EmptyDomainError(f"no admissible samples for bound {specs[0].name}")
     ratios: list[list[np.ndarray]] = [[] for _ in keys]
-    for i in range(0, pts.shape[0], RATIO_CHUNK):
-        chunk = pts[i : i + RATIO_CHUNK]
-        jet = table.jet(chunk)
-        for key, parts in zip(keys, ratios):
-            parts.append(_BOUNDS[key][1](jet, chunk, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, pts.shape[0], RATIO_CHUNK):
+            chunk = pts[i : i + RATIO_CHUNK]
+            jet = table.jet(chunk)
+            for key, parts in zip(keys, ratios):
+                parts.append(_BOUNDS[key][1](jet, chunk, n))
     reports = []
-    for key, spec, parts in zip(keys, specs, ratios):
-        note = _BOUNDS[key][3]
+    for key, parts in zip(keys, ratios):
+        spec, _, axis, note = _BOUNDS[key]
+        spec = replace(spec, name=spec.name.format(n=n))
+        values, kept = np.concatenate(parts), pts
+        if axis is not None:
+            keep = np.abs(pts[:, axis]) > 1e-8
+            values, kept = values[keep], pts[keep]
+        if values.size == 0:
+            raise EmptyDomainError(f"no admissible samples for bound {spec.name}")
         reports.append(_extremal_report(
-            spec,
-            kind,
-            np.concatenate(parts),
-            pts,
-            seed,
-            f"{domain}; {note}" if note else domain,
+            spec, kind, values, kept, seed, f"{domain}; {note}" if note else domain
         ))
     return reports
 
@@ -286,7 +289,7 @@ def verify_engel_gradient_bound(
     standoff: float = DEFAULT_STANDOFF,
 ) -> BoundReport:
     """sup |grad N| N^2 / |x|^2 over smooth samples; target sqrt(5)."""
-    return _verify(engel_kind(), ("engel-gradient",), samples, seed, box, standoff)[0]
+    return verify_kind(engel_kind(), ("engel-gradient",), samples, seed, box, standoff)[0]
 
 
 def verify_engel_laplacian_bound(
@@ -294,7 +297,7 @@ def verify_engel_laplacian_bound(
     standoff: float = DEFAULT_STANDOFF,
 ) -> BoundReport:
     """sup (Delta N) N^2 / |x| over smooth samples; target 7 (upper only)."""
-    return _verify(engel_kind(), ("engel-laplacian",), samples, seed, box, standoff)[0]
+    return verify_kind(engel_kind(), ("engel-laplacian",), samples, seed, box, standoff)[0]
 
 
 def verify_engel_x2_lower(
@@ -302,7 +305,7 @@ def verify_engel_x2_lower(
     standoff: float = DEFAULT_STANDOFF,
 ) -> BoundReport:
     """inf |X_2 N| N^2 / (|x| |x_2|), an exact cancellation equal to 1."""
-    return _verify(engel_kind(), ("engel-x2-lower",), samples, seed, box, standoff)[0]
+    return verify_kind(engel_kind(), ("engel-x2-lower",), samples, seed, box, standoff)[0]
 
 
 def verify_filiform_bounds(
@@ -317,11 +320,8 @@ def verify_filiform_bounds(
     powers of |x_j| survive in the derivatives), so the recorded values are
     standoff-dependent by design.
     """
-    grad, lap = _verify(
-        filiform_kind(n), ("filiform-gradient", "filiform-laplacian"), samples, seed, box,
-        standoff,
-    )
-    return grad, lap
+    keys = ("filiform-gradient", "filiform-laplacian")
+    return tuple(verify_kind(filiform_kind(n), keys, samples, seed, box, standoff))
 
 
 def verify_filiform_x1_lower(
@@ -334,4 +334,4 @@ def verify_filiform_x1_lower(
     so the power-sum inequality forces it >= 1 with equality only when a
     single summand survives.
     """
-    return _verify(filiform_kind(n), ("filiform-x1-lower",), samples, seed, box, standoff)[0]
+    return verify_kind(filiform_kind(n), ("filiform-x1-lower",), samples, seed, box, standoff)[0]

@@ -49,15 +49,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bounds import (
-    EmptyDomainError,
-    reports_to_csv,
-    verify_engel_gradient_bound,
-    verify_engel_laplacian_bound,
-    verify_engel_x2_lower,
-    verify_filiform_bounds,
-    verify_filiform_x1_lower,
-)
+from .bounds import EmptyDomainError, reports_to_csv, verify_kind
 from .family import default_family
 from .frames import (
     commutator_table,
@@ -242,7 +234,8 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
         **_GROUP,
         "target": (None, {"anyOf": [_array({"type": "number"}, 4), {"type": "null"}]},
                    "comma-separated coordinates", "unit point on x1"),
-        "segments": (8, {"type": "integer", "minimum": 4}, "path segments K, at least 2n+1"),
+        "segments": (None, {"anyOf": [{"type": "integer", "minimum": 4}, {"type": "null"}]},
+                     "path segments K, at least 2n+1", "2n+1 rounded up to a power of two"),
         "restarts": (3, _INT, "randomized restarts"),
         "scan_points": (0, _NONNEG, "points for the equivalence scan, 0 skips"),
         "scan_box": (1.5, _POS, "scale of the scan point cloud"),
@@ -547,36 +540,25 @@ def _run_verify_bounds(params: dict, out: Path) -> int:
     seed = params["seed"]
     box = params["box"]
     standoff = params["standoff"]
-    reports = [
-        verify_engel_gradient_bound(m, seed, box, standoff),
-        verify_engel_laplacian_bound(m, seed, box, standoff),
-        verify_engel_x2_lower(m, seed, box, standoff),
-    ]
-    ctx.check(
-        "bnd-engel-grad",
-        bool(reports[0].passed),
-        f"sup {_fmt(reports[0].extremum)} target {_fmt(reports[0].target)}",
+    # One draw and one derivative jet per kind serve all of its ratios.
+    reports = verify_kind(
+        engel_kind(), ("engel-gradient", "engel-laplacian", "engel-x2-lower"), m, seed, box,
+        standoff,
     )
-    ctx.check(
-        "bnd-engel-lap",
-        bool(reports[1].passed),
-        f"sup {_fmt(reports[1].extremum)} target {_fmt(reports[1].target)}",
-    )
-    ctx.check(
-        "bnd-engel-x2",
-        bool(reports[2].passed),
-        f"inf {_fmt(reports[2].extremum)} target {_fmt(reports[2].target)}",
-    )
+    for cid, rep in zip(("bnd-engel-grad", "bnd-engel-lap", "bnd-engel-x2"), reports):
+        bound = "sup" if rep.direction == "upper" else "inf"
+        ctx.check(cid, bool(rep.passed), f"{bound} {_fmt(rep.extremum)} target {_fmt(rep.target)}")
 
     sup_ok = True
     lower_ok = True
     lower_worst = np.inf
     for n in params["filiform_steps"]:
-        grad_rep, lap_rep = verify_filiform_bounds(n, m, seed, box, standoff)
-        reports.extend([grad_rep, lap_rep])
+        grad_rep, lap_rep, low = verify_kind(
+            filiform_kind(n), ("filiform-gradient", "filiform-laplacian", "filiform-x1-lower"),
+            m, seed, box, standoff,
+        )
+        reports.extend([grad_rep, lap_rep, low])
         sup_ok = sup_ok and np.isfinite(grad_rep.extremum) and np.isfinite(lap_rep.extremum)
-        low = verify_filiform_x1_lower(n, m, seed, box, standoff)
-        reports.append(low)
         lower_ok = lower_ok and bool(low.passed)
         lower_worst = min(lower_worst, low.extremum)
     ctx.check("bnd-fil-sup", sup_ok, f"{2 * len(params['filiform_steps'])} sups recorded")
@@ -865,6 +847,9 @@ def _run_geodesic(params: dict, out: Path) -> int:
             f"target {params['target']} is too large: its norm {nval!r} reaches "
             f"{limit:.6g}, where N^(2n) overflows float64"
         )
+    if params["segments"] is None:
+        # 2n+1 is odd, so the smallest power of two above it is 2^bits(2n).
+        params["segments"] = 1 << (2 * group.step).bit_length()
     if params["segments"] < 2 * group.step + 1:
         raise ConfigError(
             f"segments must be at least {2 * group.step + 1} for step {group.step}"

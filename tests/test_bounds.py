@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from carnotlab import bounds
+from carnotlab import bounds, calculus
 from carnotlab.bounds import (
+    DEFAULT_BOX,
+    DEFAULT_STANDOFF,
     BoundReport,
     BoundSpec,
     EmptyDomainError,
@@ -20,6 +24,7 @@ from carnotlab.bounds import (
     verify_engel_x2_lower,
     verify_filiform_bounds,
     verify_filiform_x1_lower,
+    verify_kind,
 )
 from carnotlab.calculus import norm_derivative_tables
 from carnotlab.cli import main
@@ -54,6 +59,16 @@ class TestSampling:
         assert n_shell > 0
         np.testing.assert_array_equal(a[:n_shell], b[:n_shell])
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("count", [100, 20_000])
+    def test_draw_holds_no_surplus_rows(self, count):
+        # The bulk loop draws about twice its target; the returned array
+        # must not keep that surplus alive.  Count 100 is cut from the
+        # shells: seven singular axes with at least 16 shell rows each.
+        pts = stratified_smooth_samples(filiform_kind(6), count, seed=1)
+        owner = pts if pts.base is None else pts.base
+        assert pts.shape[0] == count
+        assert owner.shape[0] == max(count, 7 * 16)
 
     def test_determinism(self):
         kind = engel_kind()
@@ -238,3 +253,75 @@ def test_verify_bounds_csv_pinned(tmp_path):
     assert main(["verify-bounds", "--samples", "20000", "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest()
     assert digest == "76bf9b4cf01892a8d5c14d7aa4b0d08e8c0db4791bb7a882c1664c41fd26606f"
+
+
+def test_verify_bounds_csv_pinned_across_chunks(tmp_path):
+    # 1,000,000 samples span four RATIO_CHUNK chunks, now cut from the
+    # unfiltered draw; digest recorded when each key's axis filter ran
+    # before the chunks were cut.
+    args = ["verify-bounds", "--samples", "1000000", "--filiform-steps", "3,4"]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest()
+    assert digest == "f1970b2059fdbae476807540d9f06ec8710aa58e3c8b875802555180e7a7686e"
+
+
+def test_cli_reports_equal_the_single_ratio_wrappers(tmp_path):
+    samples = 20_000
+    args = ["verify-bounds", "--samples", str(samples), "--filiform-steps", "3,4"]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    reports = [
+        verify_engel_gradient_bound(samples),
+        verify_engel_laplacian_bound(samples),
+        verify_engel_x2_lower(samples),
+    ]
+    for n in (3, 4):
+        reports.extend(verify_filiform_bounds(n, samples))
+        reports.append(verify_filiform_x1_lower(n, samples))
+    assert (tmp_path / "bounds.csv").read_text() == reports_to_csv(reports)
+    written = json.loads((tmp_path / "bounds.json").read_text())["results"]["reports"]
+    assert written == json.loads(json.dumps([dataclasses.asdict(r) for r in reports]))
+
+
+def test_verify_bounds_draws_and_builds_a_jet_once_per_kind(tmp_path, monkeypatch):
+    calls = {"draw": 0, "jet": 0}
+    draw, jet = bounds.stratified_smooth_samples, calculus.NormDerivativeTable.jet
+
+    def counted_draw(*args, **kwargs):
+        calls["draw"] += 1
+        return draw(*args, **kwargs)
+
+    def counted_jet(self, x):
+        calls["jet"] += 1
+        return jet(self, x)
+
+    monkeypatch.setattr(bounds, "stratified_smooth_samples", counted_draw)
+    monkeypatch.setattr(calculus.NormDerivativeTable, "jet", counted_jet)
+    steps = (3, 4, 5, 6)
+    args = ["verify-bounds", "--samples", "2000", "--filiform-steps", ",".join(map(str, steps))]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    assert calls == {"draw": 1 + len(steps), "jet": 1 + len(steps)}
+
+
+@pytest.mark.parametrize(
+    "kind, keys, single, box, standoff",
+    [
+        (engel_kind(), ("engel-gradient", "engel-x2-lower"), verify_engel_x2_lower,
+         DEFAULT_BOX, DEFAULT_STANDOFF),
+        # A box this small puts about half the x_2 draws within 1e-8 of 0.
+        (engel_kind(), ("engel-gradient", "engel-x2-lower"), verify_engel_x2_lower, 2e-8, 1e-9),
+        # A standoff below 1e-8 puts the x_1 shell inside the x1-lower filter.
+        (filiform_kind(4), ("filiform-gradient", "filiform-x1-lower"),
+         lambda *a: verify_filiform_x1_lower(4, *a), DEFAULT_BOX, 1e-9),
+    ],
+    ids=["engel", "engel-filtered", "filiform4-filtered"],
+)
+def test_mixed_axis_call_matches_single_key_calls(kind, keys, single, box, standoff):
+    # An unfiltered and a filtered key share one draw; each report must be
+    # the one its key gives alone, sample count and witness included.
+    samples, seed = 5_000, 2
+    whole, filtered = verify_kind(kind, keys, samples, seed, box, standoff)
+    assert whole == verify_kind(kind, keys[:1], samples, seed, box, standoff)[0]
+    assert whole.sample_count == samples
+    assert filtered == single(samples, seed, box, standoff)
+    if standoff < 1e-8:
+        assert filtered.sample_count < samples

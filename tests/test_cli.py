@@ -8,7 +8,6 @@ import os
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from carnotlab import cli
@@ -421,6 +420,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "segments must be at least 9 for step 4" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("step, segments", [(3, 8), (4, 16), (8, 32), (12, 32)])
+    def test_default_geodesic_segments_follow_step(self, tmp_path, capsys, step, segments):
+        # 2n+1 rounded up to a power of two; 8 is too few from step 4 on.
+        code = run(["geodesic", "--kind", "filiform", "--step", str(step)], tmp_path)
+        assert code == EXIT_PASS
+        assert f"segments={segments}" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "geodesic.json").read_text())
+        assert doc["config"]["segments"] == doc["results"]["segments"] == segments
 
     def test_odd_segment_count_is_kept(self, tmp_path, capsys):
         code = run(

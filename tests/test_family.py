@@ -7,10 +7,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from carnotlab.calculus import fd_frame_first, norm_derivative_tables
+from carnotlab.calculus import fd_frame_first
 from carnotlab.family import (
     MemberBatch,
-    TestFunction,
     TestFunctionFamily,
     central_shift_member,
     default_family,

@@ -21,7 +21,7 @@ from carnotlab.geodesics import (
     staircase_controls,
 )
 from carnotlab.group import FiliformGroup, GroupPoint
-from carnotlab.norms import engel_kind, norm_value
+from carnotlab.norms import engel_kind
 
 ENGEL = FiliformGroup(3)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnotlab.group import FiliformGroup, GroupPoint, engel_group
+from carnotlab.group import FiliformGroup, engel_group
 
 
 def coords_strategy(dim: int, bound: float = 10.0):
