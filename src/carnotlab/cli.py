@@ -44,9 +44,10 @@ import sys
 import warnings
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import scipy
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import __version__
 from .bounds import EmptyDomainError, reports_to_csv, verify_kind
@@ -255,6 +256,9 @@ SCHEMAS: dict[str, dict] = {
     }
     for cmd, (_, fields) in COMMANDS.items()
 }
+# Built once: `jsonschema.validate` would re-check each schema against its
+# metaschema on every run; the tests run that check instead.
+_VALIDATORS = {cmd: validator_for(schema)(schema) for cmd, schema in SCHEMAS.items()}
 
 
 def config_schema_text() -> str:
@@ -988,10 +992,9 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
-    try:
-        jsonschema.validate(instance=params, schema=SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"[cfg-schema] {exc.message}") from exc
+    error = best_match(_VALIDATORS[command].iter_errors(params))
+    if error is not None:
+        raise ConfigError(f"[cfg-schema] {error.message}")
     return params
 
 

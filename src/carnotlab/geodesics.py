@@ -29,7 +29,6 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-import scipy.optimize
 
 from .group import FiliformGroup, GroupPoint, _as_batch
 from .norms import NormKind, filiform_norm, norm_value
@@ -269,6 +268,8 @@ def _optimize_from(
     max_outer: int = 10,
 ) -> tuple[np.ndarray, float, int]:
     """Augmented-Lagrangian descent followed by Gauss-Newton projection."""
+    import scipy.optimize  # deferred: only the geodesic commands load it
+
     d = group.dimension
     lam = np.zeros(d)
     rho = 10.0
@@ -287,7 +288,7 @@ def _optimize_from(
         )
         flat = result.x
         iterations += int(result.nit)
-        endpoint, _ = endpoint_and_jacobian(group, flat.reshape(-1, 2))
+        endpoint = endpoint_only(group, flat.reshape(-1, 2))
         resid = endpoint - target
         rnorm = float(np.linalg.norm(resid))
         lam = lam + rho * resid
@@ -308,7 +309,7 @@ def _optimize_from(
         step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
         controls = controls + step.reshape(-1, 2)
         iterations += 1
-    endpoint, _ = endpoint_and_jacobian(group, controls)
+    endpoint = endpoint_only(group, controls)
     rnorm = float(np.linalg.norm(endpoint - target))
     return controls, rnorm, iterations
 

@@ -29,7 +29,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .family import (
     MemberBatch,
@@ -634,6 +633,8 @@ def _gap_from_sums(
     pencil eigenvalues are invariant under that diagonal scaling while the
     conditioning improves by orders of magnitude for raw monomials.
     """
+    import scipy.linalg  # deferred: only the Galerkin gap loads it
+
     mean = sum_phi / count
     cov = sum_outer / count - np.outer(mean, mean)
     stiff = sum_stiff / count

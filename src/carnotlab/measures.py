@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma, roots_jacobi
 
 from .norms import ENGEL, FILIFORM, NormKind, norm_kernel
 from .seeding import derive_rng
@@ -208,6 +207,8 @@ def estimate_Z(spec: MeasureSpec) -> ZEstimate:
     of the kind.  |B_1| is exact for Engel and a quadrature for filiform
     (`_filiform_ball_volume`), whose error the estimate carries.
     """
+    from scipy.special import gamma  # deferred: only commands computing Z load it
+
     if spec.kind.variant == ENGEL:
         # int exp(-N^3) = 4 pi int_0^inf w exp(-w^(3/2)) dw = (8 pi/3) Gamma(4/3),
         # with w = x1^2 + x2^2 + |x3|, and equals Gamma(Q/3 + 1) |B_1|, Q = 7.
@@ -249,6 +250,8 @@ def _filiform_ball_volume(n: int) -> tuple[float, float]:
     endpoint weight.  Returns the finer rule's value and its distance from
     the coarser one.
     """
+    from scipy.special import gamma, roots_jacobi
+
     half = (n + 1) / 2.0
     beta = 2.0 * n / (n + 1)
     jac = 1.0 / half - 1.0

@@ -48,6 +48,16 @@ class TestSampling:
         assert np.any(np.isclose(np.abs(pts[:, 2]), 1e-2))
         assert np.any(np.isclose(np.abs(pts[:, 3]), 1e-2))
 
+    @pytest.mark.parametrize("d", range(4, 14))
+    def test_halton_matches_scipy(self, d):
+        from scipy.stats import qmc
+
+        for count in (1, 2, 7, 1_000, 250_000):
+            ours = bounds._halton(d, count)
+            ref = qmc.Halton(d=d, scramble=False).random(count)
+            assert ours.dtype == ref.dtype and ours.shape == ref.shape
+            assert ours.tobytes() == ref.tobytes(), (d, count)
+
     def test_shells_are_seed_independent(self):
         kind = filiform_kind(4)
         a = stratified_smooth_samples(kind, 5_000, seed=1)

@@ -8,7 +8,9 @@ import os
 import warnings
 from pathlib import Path
 
+import jsonschema
 import pytest
+from jsonschema.validators import validator_for
 
 from carnotlab import cli
 from carnotlab.cli import (
@@ -100,6 +102,29 @@ class TestSchema:
         actions = {a.dest: a for a in _subparser(command)._actions}
         assert flag in actions[key].option_strings
         assert "default:" in actions[key].help
+
+    @pytest.mark.parametrize("command", sorted(SCHEMAS))
+    def test_schema_passes_its_metaschema(self, command):
+        schema = SCHEMAS[command]
+        validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize(
+        ("command", "bad"),
+        [
+            ("geodesic", {"target": [1, 0], "restarts": 0}),
+            ("ubound", {"count": 49, "typo_key": 1}),
+            ("verify-algebra", {"steps": [3, 3], "tolerance": -1.0}),
+        ],
+    )
+    def test_schema_message_matches_jsonschema_validate(self, tmp_path, command, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(instance={**DEFAULTS[command], **bad}, schema=SCHEMAS[command])
+        args = build_parser().parse_args([command, "--config", str(cfg)])
+        with pytest.raises(cli.ConfigError) as got:
+            _resolve_params(command, args)
+        assert str(got.value) == f"[cfg-schema] {expected.value.message}"
 
     def test_check_ids_are_kebab_case(self):
         for cid, desc in CHECK_IDS.items():
