@@ -4,13 +4,13 @@ A path is K segments of constant controls (u1, u2) over total time 1,
 flowing along the left frame: x1' = u1, xk' = u2 x1^(k-2)/(k-2)!.  Each
 segment's flow is polynomial in time, so the endpoint and its Jacobian in
 the controls come from closed-form binomial moments, built for all K
-segments at once by one vectorised kernel.  It repeats a per-segment
-loop's floating-point operations in order (scalar `pow`, sequential sums),
-so results are bit-identical to that loop, which tests/test_geodesics.py
-keeps as the reference: NumPy's SIMD array power can differ by an ulp,
-and the optimiser below turns ulps into different bounds.  `rk4_endpoint`
-integrates the same dynamics as an independent check (exactly for step 3,
-and with substeps beyond).
+segments of a batch of paths at once by one vectorised kernel.  It repeats
+a per-segment loop's floating-point operations in order (scalar `pow`,
+sequential sums), so each path's results are bit-identical to that loop,
+which tests/test_geodesics.py keeps as the reference: NumPy's SIMD array
+power can differ by an ulp, and the optimiser below turns ulps into
+different bounds.  `rk4_endpoint` integrates the same dynamics as an
+independent check (exactly for step 3, and with substeps beyond).
 
 `approx_distance` minimizes the path length sum (1/K) |u_s| subject to the
 endpoint constraint via an augmented Lagrangian with analytic gradients, a
@@ -18,8 +18,13 @@ Gauss-Newton feasibility polish, and a cascade over segment counts that
 warm-starts each level from the refined previous optimum.  A staircase
 construction (move x1 to a ladder of levels, pulse u2 at each) solves a
 Vandermonde system to reach any target exactly, so every optimization
-starts feasible.  Results are genuine distance upper bounds: the optimal
-value is reported with a one-sided pad of a relative 1e-9 plus 1e-12.
+starts feasible.  Each inner minimisation is L-BFGS-B, driven here through
+scipy's reverse-communication core (`scipy.optimize._lbfgsb`) with the
+calls `scipy.optimize.minimize` would make.  The starts of a level run in
+lockstep: every round answers all their pending evaluations with one
+batched objective, and each start's iterates are those it would take
+alone.  Results are genuine distance upper bounds: the optimal value is
+reported with a one-sided pad of a relative 1e-9 plus 1e-12.
 """
 
 from __future__ import annotations
@@ -66,58 +71,71 @@ def _kernel_constants(n: int, k_seg: int):
 
 
 def _path_tables(controls: np.ndarray, n: int):
-    """Moments I_m, J_m (m < n) of every segment and the states after each.
+    """Moments I_m, J_m (m < n) of every segment and the states after each,
+    for a batch of paths: controls has shape (B, K, 2).
 
     With a the x1 level entering a segment and u its u1 control,
     I_m = sum_j a^(m-j)/(m-j)! u^j/j! tau^(j+1)/(j+1), and J_m has
     tau^(j+2)/(j+2).  Sums over j and over segments are sequential folds
-    from +0.0 (`+ 0.0` turns a leading -0.0 of `np.cumsum` into +0.0).
-    Returns (I, J), shape (2, K, n), and the states, shape (K, n + 1).
+    from +0.0 (`+ 0.0` turns a leading -0.0 of `np.cumsum` into +0.0), so
+    each row is byte-equal to the same path computed alone.
+    Returns (I, J), shape (B, 2, K, n), and the states, shape (B, K, n + 1).
     """
-    k_seg = controls.shape[0]
+    rows, k_seg = controls.shape[:2]
     lower, gap, powers, fact, tau_pow, div, _ = _kernel_constants(n, k_seg)
-    u1, u2 = controls[:, 0], controls[:, 1:]
-    x1 = np.cumsum(u1 * (1.0 / k_seg)) + 0.0
+    u1, u2 = controls[..., 0], controls[..., 1:]
+    x1 = (u1 * (1.0 / k_seg)).cumsum(axis=1) + 0.0
     # Scalar pow through an object array (see the module docstring).  The
     # x1 levels are Python floats and u1 stays NumPy scalars, so overflow
     # raises OverflowError or gives inf with a warning, as in the
     # reference loop.
-    bases = np.array([0.0, *x1[:-1].tolist(), *u1], dtype=object)
-    pows = (bases[:, None] ** powers).astype(np.float64)
-    base = (pows[:k_seg] / fact)[:, gap] * pows[k_seg:, None, :] / fact
-    terms = np.where(lower, base, 0.0) * tau_pow / div
-    moments = np.cumsum(terms, axis=-1)[..., -1] + 0.0
-    states = np.empty((k_seg, n + 1))
-    states[:, 0] = x1
-    states[:, 1:] = np.cumsum(u2 * moments[0], axis=0) + 0.0
+    bases = np.array(
+        [[0.0, *levels[:-1], *u] for levels, u in zip(x1.tolist(), u1)], dtype=object
+    )
+    pows = (bases[..., None] ** powers).astype(np.float64)
+    base = (pows[:, :k_seg] / fact)[:, :, gap] * pows[:, k_seg:, None, :] / fact
+    terms = np.where(lower, base, 0.0)[:, None] * tau_pow / div
+    moments = terms.cumsum(axis=-1)[..., -1] + 0.0
+    states = np.empty((rows, k_seg, n + 1))
+    states[..., 0] = x1
+    states[..., 1:] = (u2 * moments[:, 0]).cumsum(axis=1) + 0.0
     return moments, states
 
 
-def endpoint_and_jacobian(group: FiliformGroup, controls: np.ndarray):
-    """Endpoint of the path from the identity, plus d x 2K Jacobian.
+def _endpoint_and_jacobian(controls: np.ndarray, n: int):
+    """Endpoints, shape (B, d), and d x 2K Jacobians, shape (B, d, 2K), of a
+    batch of paths from the identity; controls has shape (B, K, 2).
 
     A control of segment t enters row c >= 2 directly, then through x1 in
     every later segment s as (u2_s I_(c-2)) * dx1.  Those terms are folded
     in segment order after a prefix of -0.0, the additive identity.
     """
-    n, k_seg = group.step, controls.shape[0]
+    rows, k_seg = controls.shape[:2]
     later = _kernel_constants(n, k_seg)[-1]
-    (i_tab, j_tab), states = _path_tables(controls, n)
-    u2, seg = controls[:, 1:], np.arange(k_seg)
+    moments, states = _path_tables(controls, n)
+    i_tab, j_tab = moments[:, 0], moments[:, 1]
+    u2, seg = controls[..., 1:], np.arange(k_seg)
     dx1 = np.array([1.0 / k_seg, 0.0])[:, None, None]
-    # terms[t, r, s, c]: control r of segment t, row c + 2, segment s.
-    terms = np.where(later, (u2 * i_tab[:, :-1]) * dx1, -0.0)
-    terms[seg, 0, seg] = u2 * j_tab[:, :-1]
-    terms[seg, 1, seg] = i_tab[:, 1:]
-    jac = np.zeros((n + 1, 2 * k_seg))
-    jac[0, 0::2] = 1.0 / k_seg
-    jac[1, 1::2] = i_tab[:, 0]
-    jac[2:] = np.cumsum(terms, axis=2)[:, :, -1].reshape(2 * k_seg, n - 1).T
-    return states[-1], jac
+    # terms[b, t, r, s, c]: control r of segment t, row c + 2, segment s.
+    terms = np.where(later, ((u2 * i_tab[..., :-1])[:, None] * dx1)[:, None], -0.0)
+    terms[:, seg, 0, seg] = u2 * j_tab[..., :-1]
+    terms[:, seg, 1, seg] = i_tab[..., 1:]
+    jac = np.zeros((rows, n + 1, 2 * k_seg))
+    jac[:, 0, 0::2] = 1.0 / k_seg
+    jac[:, 1, 1::2] = i_tab[..., 0]
+    folded = terms.cumsum(axis=3)[:, :, :, -1].reshape(rows, 2 * k_seg, n - 1)
+    jac[:, 2:] = folded.transpose(0, 2, 1)
+    return states[:, -1], jac
+
+
+def endpoint_and_jacobian(group: FiliformGroup, controls: np.ndarray):
+    """Endpoint of the path from the identity, plus d x 2K Jacobian."""
+    endpoint, jac = _endpoint_and_jacobian(controls[None], group.step)
+    return endpoint[0], jac[0]
 
 
 def endpoint_only(group: FiliformGroup, controls: np.ndarray) -> np.ndarray:
-    return _path_tables(controls, group.step)[1][-1]
+    return _path_tables(controls[None], group.step)[1][0, -1]
 
 
 def rk4_endpoint(
@@ -176,14 +194,9 @@ class HorizontalPath:
             np.sum(np.sqrt(np.sum(self.controls**2, axis=1))) / self.segments
         )
 
-    def refined(self) -> "HorizontalPath":
-        """Split every segment in two; same trajectory, same length."""
-        doubled = np.repeat(self.controls, 2, axis=0)
-        return HorizontalPath(self.group, doubled)
-
     def states(self) -> np.ndarray:
         """States after each segment, shape (K, dimension)."""
-        return _path_tables(self.controls, self.group.step)[1]
+        return _path_tables(self.controls[None], self.group.step)[1][0]
 
 
 @dataclass(frozen=True)
@@ -236,28 +249,88 @@ def staircase_controls(
     return controls
 
 
-def _smooth_length_and_grad(controls: np.ndarray, eps: float):
-    k_seg = controls.shape[0]
-    mags = np.sqrt(np.sum(controls**2, axis=1) + eps**2)
-    grad = controls / mags[:, None] / k_seg
-    return float(np.sum(mags) / k_seg), grad
+def _augmented_objective(flats: np.ndarray, group: FiliformGroup, target: np.ndarray, args):
+    """Augmented-Lagrangian value and gradient of B paths at once.
 
-
-def _augmented_objective(
-    flat: np.ndarray,
-    group: FiliformGroup,
-    target: np.ndarray,
-    lam: np.ndarray,
-    rho: float,
-    eps: float,
-):
-    controls = flat.reshape(-1, 2)
-    length, grad_len = _smooth_length_and_grad(controls, eps)
-    endpoint, jac = endpoint_and_jacobian(group, controls)
+    Row b is the smoothed length sum (1/K) sqrt(|u_s|^2 + eps^2) plus
+    lam . r + (rho/2) |r|^2, r the endpoint residual, for flats[b] and
+    args[b] = (lam, rho, eps); it is byte-equal to that path evaluated alone.
+    Returns the values (Python floats) and the gradients, shape (B, 2K).
+    """
+    rows = len(flats)
+    controls = flats.reshape(rows, -1, 2)
+    k_seg = controls.shape[1]
+    lam = np.array([a[0] for a in args])
+    rho = np.array([a[1] for a in args])
+    eps_sq = np.array([a[2] ** 2 for a in args])
+    mags = np.sqrt((controls**2).sum(axis=2) + eps_sq[:, None])
+    lengths = mags.sum(axis=1) / k_seg
+    grads = (controls / mags[..., None] / k_seg).reshape(rows, -1)
+    endpoint, jac = _endpoint_and_jacobian(controls, group.step)
     resid = endpoint - target
-    value = length + float(lam @ resid) + 0.5 * rho * float(resid @ resid)
-    grad = grad_len.ravel() + jac.T @ (lam + rho * resid)
-    return value, grad
+    # A stacked matmul makes, row by row, the BLAS call (dot or gemv, on the
+    # same strides) that a single path's `lam @ resid`, `resid @ resid` and
+    # `jac.T @ w` make, so each row keeps the single path's sums.
+    lam_resid = (lam[:, None, :] @ resid[..., None])[:, 0, 0]
+    resid_sq = (resid[:, None, :] @ resid[..., None])[:, 0, 0]
+    grads += (jac.transpose(0, 2, 1) @ (lam + rho[:, None] * resid)[..., None])[..., 0]
+    return (lengths + lam_resid + 0.5 * rho * resid_sq).tolist(), grads
+
+
+# L-BFGS-B settings: scipy.optimize.minimize's defaults (m = 10, maxls = 20,
+# maxfun = 15000) with maxiter 300, ftol 1e-14 and gtol 1e-12.
+LBFGS_MEMORY = 10
+LBFGS_MAXLS = 20
+LBFGS_MAXFUN = 15_000
+LBFGS_MAXITER = 300
+LBFGS_FACTR = 1e-14 / np.finfo(float).eps
+LBFGS_PGTOL = 1e-12
+# Augmented-Lagrangian rounds, each one L-BFGS-B solve and a multiplier update.
+MAX_OUTER = 10
+
+
+def _drive_lbfgsb(x0: np.ndarray, args: tuple):
+    """Unconstrained L-BFGS-B from x0, driven by its caller.
+
+    A generator: it yields (x, args) for every value and gradient it needs,
+    is sent back (f, g), and returns (x, iterations).  L-BFGS-B hands control
+    back for each evaluation (reverse communication), so the caller can
+    answer many runs with one batched objective.  The calls repeat
+    scipy.optimize.minimize(method="L-BFGS-B") with the settings above
+    exactly: f and g are taken at x0 first, an unchanged x reuses the last
+    (f, g), and an iteration counts on each NEW_X task.
+    """
+    from scipy.optimize import _lbfgsb  # private; this signature since scipy 1.15
+
+    n, m = x0.size, LBFGS_MEMORY
+    x = np.array(x0, dtype=np.float64)
+    unbounded, nbd = np.zeros(n), np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    f, g = np.array(0.0), np.zeros(n)
+    evaluated = x.copy()
+    fx, gx = yield evaluated, args
+    nfev, nit = 1, 0
+    while True:
+        _lbfgsb.setulb(m, x, unbounded, unbounded, nbd, f, g.astype(np.float64),
+                       LBFGS_FACTR, LBFGS_PGTOL, wa, iwa, task, lsave, isave, dsave,
+                       LBFGS_MAXLS, ln_task)
+        if task[0] == 3:  # FG: evaluate at x
+            if not np.array_equal(x, evaluated):
+                evaluated = x.copy()
+                fx, gx = yield evaluated, args
+                nfev += 1
+            f, g = fx, gx
+        elif task[0] == 1:  # NEW_X: an iteration is done
+            nit += 1
+            if nit >= LBFGS_MAXITER:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif nfev > LBFGS_MAXFUN:
+                task[:] = 5, 502  # STOP: evaluation limit
+        else:
+            return x, nit
 
 
 def _optimize_from(
@@ -265,11 +338,13 @@ def _optimize_from(
     target: np.ndarray,
     controls: np.ndarray,
     scale: float,
-    max_outer: int = 10,
-) -> tuple[np.ndarray, float, int]:
-    """Augmented-Lagrangian descent followed by Gauss-Newton projection."""
-    import scipy.optimize  # deferred: only the geodesic commands load it
+):
+    """Augmented-Lagrangian descent followed by Gauss-Newton projection.
 
+    A generator: it yields (flat controls, (lam, rho, eps)) for every
+    `_augmented_objective` evaluation it needs, is sent back (value,
+    gradient), and returns (controls, residual, iterations).
+    """
     d = group.dimension
     lam = np.zeros(d)
     rho = 10.0
@@ -277,17 +352,9 @@ def _optimize_from(
     iterations = 0
     flat = controls.ravel().copy()
     prev_resid = np.inf
-    for _ in range(max_outer):
-        result = scipy.optimize.minimize(
-            _augmented_objective,
-            flat,
-            args=(group, target, lam, rho, eps),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 300, "ftol": 1e-14, "gtol": 1e-12},
-        )
-        flat = result.x
-        iterations += int(result.nit)
+    for _ in range(MAX_OUTER):
+        flat, nit = yield from _drive_lbfgsb(flat, (lam, rho, eps))
+        iterations += nit
         endpoint = endpoint_only(group, flat.reshape(-1, 2))
         resid = endpoint - target
         rnorm = float(np.linalg.norm(resid))
@@ -314,6 +381,31 @@ def _optimize_from(
     return controls, rnorm, iterations
 
 
+def _optimize_all(
+    group: FiliformGroup, target: np.ndarray, starts: list[np.ndarray], scale: float
+) -> list[tuple[np.ndarray, float, int]]:
+    """`_optimize_from` on every start in lockstep, results in start order.
+
+    Each round answers every pending request with one batched objective;
+    a run that finishes drops out.  Runs never see each other's values, so
+    each result equals that start optimised alone.
+    """
+    runs = [_optimize_from(group, target, start, scale) for start in starts]
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    results: list = [None] * len(runs)
+    while pending:
+        order = list(pending)
+        flats = np.array([pending[i][0] for i in order])
+        values, grads = _augmented_objective(flats, group, target, [pending[i][1] for i in order])
+        for i, value, grad in zip(order, values, grads):
+            try:
+                pending[i] = runs[i].send((value, grad))
+            except StopIteration as done:
+                del pending[i]
+                results[i] = done.value
+    return results
+
+
 def approx_distance(
     target: GroupPoint, k_segments: int = 16, restarts: int = 3, seed: int = 0
 ) -> DistanceEstimate:
@@ -321,8 +413,8 @@ def approx_distance(
 
     Cascades over doubling segment counts, warm-starting each level with
     the refined previous optimum plus staircase, constant, and randomized
-    initial paths; restarts merge deterministically by taking the shortest
-    feasible result (ties keep the earliest).
+    initial paths, which run in lockstep; restarts merge deterministically
+    by taking the shortest feasible result (ties keep the earliest).
     """
     if k_segments < 4:
         raise ValueError("need at least 4 segments")
@@ -367,8 +459,7 @@ def approx_distance(
 
         level_best = None
         level_len = np.inf
-        for start in starts:
-            controls, rnorm, iters = _optimize_from(group, tvec, start, scale)
+        for controls, rnorm, iters in _optimize_all(group, tvec, starts, scale):
             total_iterations += iters
             best_residual = min(best_residual, rnorm)
             if rnorm <= RESIDUAL_REPORT_FACTOR * (1.0 + nval):

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+import warnings
 from math import factorial
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from carnotlab.geodesics import (
+    LBFGS_MAXITER,
     DistanceEstimate,
     EquivalenceBand,
     HorizontalPath,
     InfeasiblePathError,
+    _augmented_objective,
+    _drive_lbfgsb,
+    _optimize_all,
     approx_distance,
     dump_path_csv,
     endpoint_and_jacobian,
@@ -21,7 +28,8 @@ from carnotlab.geodesics import (
     staircase_controls,
 )
 from carnotlab.group import FiliformGroup, GroupPoint
-from carnotlab.norms import engel_kind
+from carnotlab.norms import engel_kind, filiform_norm, norm_value
+from carnotlab.seeding import derive_rng
 
 ENGEL = FiliformGroup(3)
 
@@ -109,6 +117,149 @@ class TestKernelMatchesReferenceLoop:
             assert states.tobytes() == ref_states.tobytes()
 
 
+def _ref_augmented_objective(flat, group, target, lam, rho, eps):
+    """One path's augmented-Lagrangian value and gradient, as the optimiser
+    computed it before paths were batched; the batched objective must match
+    it byte for byte."""
+    controls = flat.reshape(-1, 2)
+    k_seg = controls.shape[0]
+    mags = np.sqrt(np.sum(controls**2, axis=1) + eps**2)
+    length, grad_len = float(np.sum(mags) / k_seg), controls / mags[:, None] / k_seg
+    endpoint, jac = endpoint_and_jacobian(group, controls)
+    resid = endpoint - target
+    value = length + float(lam @ resid) + 0.5 * rho * float(resid @ resid)
+    grad = grad_len.ravel() + jac.T @ (lam + rho * resid)
+    return value, grad
+
+
+class TestBatchedObjective:
+    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("k_seg", [4, 7, 13, 32])
+    def test_rows_byte_equal_to_single_paths(self, n, k_seg):
+        g = FiliformGroup(n)
+        rng = np.random.default_rng(2000 * n + k_seg)
+        target = rng.normal(size=g.dimension)
+        for rows in (1, 5, 37):
+            scales = rng.choice([1e-3, 1.0, 30.0], size=rows)
+            flats = np.stack([_signed_zero_controls(rng, k_seg, s).ravel() for s in scales])
+            args = [
+                (rng.normal(scale=s, size=g.dimension), 10.0 * 6.0 ** int(rng.integers(4)),
+                 1e-9 * (1.0 + s))
+                for s in scales
+            ]
+            values, grads = _augmented_objective(flats, g, target, args)
+            assert grads.shape == flats.shape
+            for flat, arg, value, grad in zip(flats, args, values, grads):
+                ref_value, ref_grad = _ref_augmented_objective(flat, g, target, *arg)
+                assert type(value) is float
+                assert value.hex() == ref_value.hex()
+                assert grad.tobytes() == ref_grad.tobytes()
+
+    @staticmethod
+    def _overflow_case(n, segment, u1):
+        g = FiliformGroup(n)
+        rng = np.random.default_rng(n)
+        flats = rng.normal(size=(3, 16))
+        flats[1, 2 * segment] = u1
+        return g, flats, [(np.zeros(g.dimension), 10.0, 1e-9)] * 3, np.ones(g.dimension)
+
+    def test_overflowing_x1_level_raises(self):
+        # The first segment's u1 puts every later x1 level at 1e100 / 8, a
+        # Python float whose cube raises, as in the single-path kernel.
+        g, flats, args, target = self._overflow_case(6, 0, 1e100)
+        with pytest.raises(OverflowError):
+            _ref_augmented_objective(flats[1], g, target, *args[1])
+        with pytest.raises(OverflowError):
+            _augmented_objective(flats, g, target, args)
+
+    def test_overflowing_u1_gives_inf_with_a_warning(self):
+        # The last segment's u1 enters no x1 level; its NumPy-scalar fifth
+        # power overflows to inf with a RuntimeWarning, row by row as alone.
+        g, flats, args, target = self._overflow_case(6, 7, 1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            refs = [_ref_augmented_objective(f, g, target, *a) for f, a in zip(flats, args)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values, grads = _augmented_objective(flats, g, target, args)
+        assert any("overflow encountered in scalar power" in str(w.message) for w in caught)
+        assert not np.isfinite(values[1])
+        for (ref_value, ref_grad), value, grad in zip(refs, values, grads):
+            assert value.hex() == ref_value.hex()
+            assert grad.tobytes() == ref_grad.tobytes()
+
+
+def _drive_alone(x0, group, target, args):
+    """Run the L-BFGS-B driver on one path with the single-path objective."""
+    solver = _drive_lbfgsb(x0, args)
+    request = next(solver)
+    while True:
+        x, request_args = request
+        try:
+            request = solver.send(_ref_augmented_objective(x, group, target, *request_args))
+        except StopIteration as done:
+            return done.value
+
+
+def _scipy_lbfgsb(x0, group, target, args):
+    return scipy.optimize.minimize(
+        _ref_augmented_objective,
+        x0,
+        args=(group, target, *args),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": 300, "ftol": 1e-14, "gtol": 1e-12},
+    )
+
+
+class TestLbfgsbDriver:
+    """The driver calls scipy's private `setulb` the way
+    `scipy.optimize.minimize(method="L-BFGS-B")` does; these fail first if
+    scipy changes that routine or its calling convention."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_scipy_minimize(self, n):
+        g = FiliformGroup(n)
+        rng = np.random.default_rng(40 + n)
+        target = rng.normal(size=g.dimension)
+        k_seg = 2 * n + 1
+        scale = float(filiform_norm(g, target))
+        args = (rng.normal(size=g.dimension), 10.0, 1e-9 * (1.0 + scale))
+        starts = [
+            staircase_controls(g, target, k_seg),
+            np.tile(target[:2], (k_seg, 1)),
+            rng.normal(scale=scale, size=(k_seg, 2)),
+        ]
+        for start in starts:
+            expected = _scipy_lbfgsb(start.ravel(), g, target, args)
+            x, nit = _drive_alone(start.ravel(), g, target, args)
+            assert nit == expected.nit
+            assert x.tobytes() == expected.x.tobytes()
+
+    def test_stops_at_the_iteration_limit(self):
+        g = FiliformGroup(4)
+        target = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+        start = staircase_controls(g, target, 9).ravel()
+        args = (np.zeros(5), 10.0, 1e-9 * (1.0 + float(filiform_norm(g, target))))
+        expected = _scipy_lbfgsb(start, g, target, args)
+        x, nit = _drive_alone(start, g, target, args)
+        assert expected.nit == nit == LBFGS_MAXITER
+        assert x.tobytes() == expected.x.tobytes()
+
+
+class TestLockstep:
+    def test_results_do_not_depend_on_the_other_starts(self):
+        rng = np.random.default_rng(9)
+        target = rng.normal(size=4)
+        starts = [staircase_controls(ENGEL, target, 7), np.tile(target[:2], (7, 1))]
+        starts += [rng.normal(size=(7, 2)) for _ in range(2)]
+        together = _optimize_all(ENGEL, target, starts, 1.0)
+        for start, (controls, rnorm, iterations) in zip(starts, together):
+            [(alone, alone_rnorm, alone_iterations)] = _optimize_all(ENGEL, target, [start], 1.0)
+            assert controls.tobytes() == alone.tobytes()
+            assert (rnorm, iterations) == (alone_rnorm, alone_iterations)
+
+
 class TestSegmentFlow:
     def test_pure_x1_motion(self):
         controls = np.tile([1.0, 0.0], (4, 1))
@@ -176,16 +327,6 @@ class TestHorizontalPath:
         assert path.segments == 5
         assert path.length() == pytest.approx(5.0)  # 5 segments of |u|/5
         assert isinstance(path.endpoint(), GroupPoint)
-
-    def test_refinement_preserves_trajectory(self):
-        rng = np.random.default_rng(2)
-        path = HorizontalPath(ENGEL, rng.normal(size=(6, 2)))
-        fine = path.refined()
-        assert fine.segments == 12
-        assert fine.length() == pytest.approx(path.length(), abs=1e-15)
-        np.testing.assert_allclose(
-            fine.endpoint().coords, path.endpoint().coords, atol=1e-13
-        )
 
     def test_states_end_at_endpoint(self):
         rng = np.random.default_rng(4)
@@ -328,3 +469,39 @@ class TestPathDump:
             [[float(v) for v in r.split(",")[1:3]] for r in rows[1:]]
         )
         np.testing.assert_allclose(controls, est.path.controls, atol=1e-15)
+
+
+# approx_distance on the `distance` benchmark workload's targets: e_1 and
+# e_top at steps 3-6, 2n + 1 segments, restarts 3, seed 0.  Values from
+# before the restarts ran in lockstep: (step, target, value, residual,
+# iterations, SHA-256 of the path controls).
+DISTANCE_PINS = [
+    (3, "e1", 1.0000000010010002, 1.1560200495865536e-24, 120, "7b9f95a5be97dc491265ab7eb2fe45c10fdad11d126b8c43d044bb1c0a59eeff"),
+    (3, "etop", 6.689622795917439, 5.969465536882245e-16, 1918, "0336bca5d38eac81a832337aca78edc54e3baa4f1e2d8d1d1b0d3ff25a2cf546"),
+    (4, "e1", 1.0000000010010002, 2.220446049250313e-16, 156, "fc9ff126f84318119a74641658872e2e5a8d25bdd5414515c2ac1e7fd61839cf"),
+    (4, "etop", 9.764277693414588, 2.5287995121132612e-14, 2801, "90045e01159c4cf91456415caec273580b1b8bdbf88d4cc55bcecdb056ea6dbf"),
+    (5, "e1", 1.000000001001, 1.1102230246252332e-16, 178, "1dd5ae286270bba9d11c9bdc14510493289298b4d4bd7a3d7ca8485c8def9f3c"),
+    (5, "etop", 12.713629886107059, 2.3100817239948898e-15, 3571, "ff5dc2b99fa86022e82cae7191c57c26a50954ae68e322c3162ed13c71a494eb"),
+    (6, "e1", 1.000000001001, 1.1102230260930748e-16, 180, "fbfffc7ad20b85f7df244ce8e50f266d094a3662a06be12cdb60c195ea28b3cc"),
+    (6, "etop", 2996.8320297451164, 8.92365263231185e-11, 3605, "ef7776d3f3725568c0745a81c8a432c12657efcf8e34e92aef94fbb24555a4c0"),
+]
+
+
+class TestDistancePins:
+    @pytest.mark.parametrize("n,name,value,residual,iterations,digest", DISTANCE_PINS)
+    def test_workload_target(self, n, name, value, residual, iterations, digest):
+        target = np.zeros(n + 1)
+        target[0 if name == "e1" else n] = 1.0
+        est = approx_distance(GroupPoint(FiliformGroup(n), target), 2 * n + 1, restarts=3, seed=0)
+        assert (repr(est.value), repr(est.residual)) == (repr(value), repr(residual))
+        assert est.iterations == iterations
+        assert hashlib.sha256(est.path.controls.tobytes()).hexdigest() == digest
+
+    def test_workload_scan_band(self):
+        # The workload's scan: two Engel points from the CLI's scan stream.
+        kind = engel_kind()
+        pts = derive_rng(0, "geodesic-scan-points").normal(scale=1.5, size=(2, 4))
+        assert np.all(norm_value(kind, pts) > 1e-6)
+        band = equivalence_scan(kind, pts, k_segments=7, seed=0)
+        assert (repr(band.ratio_min), repr(band.ratio_max)) == (
+            "1.3459381067822667", "3.2658668797993995")

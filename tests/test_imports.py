@@ -41,17 +41,30 @@ check("verify-bounds")
 """
 
 
-def test_cli_and_pointwise_commands_load_no_heavy_module(tmp_path):
+def _run_fresh(*argv: str) -> None:
+    """Run `python -c` in a fresh process with ./src first on the path."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-c", GUARD.format(heavy=HEAVY), str(tmp_path)],
+        [sys.executable, "-c", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env={**os.environ, "PYTHONPATH": path},
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_cli_and_pointwise_commands_load_no_heavy_module(tmp_path):
+    _run_fresh(GUARD.format(heavy=HEAVY), str(tmp_path))
+
+
+def test_geodesics_import_loads_no_heavy_module():
+    # The L-BFGS-B core is imported inside the driver, on the first solve.
+    _run_fresh(
+        "import sys, carnotlab.geodesics\n"
+        f"loaded = sorted(m for m in {HEAVY!r} if m in sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
 
 
 def _imported_modules(path: Path) -> set[str]:
