@@ -16,13 +16,16 @@ ratios genuinely diverge as the singular hyperplanes are approached (the
 sampled sup then reflects the standoff, which the domain description
 states).
 
-Sampling follows a fixed design: uniform points in [-box, box]^(n+1) with
-points closer than `standoff` to any singular hyperplane rejected, plus a
-deterministic quasi-random shell batch per singular axis placed at distance
-exactly `standoff`.  Extremes of these ratios concentrate near the singular
-set, so the seed-independent shell pins the reported extremum and makes
-reruns with different seeds agree closely; the seeded bulk explores the rest
-of the box.  Reports are bit-identical for a fixed seed.
+Sampling follows a fixed design with no rejection step: a seeded bulk of
+uniform points in [-box, box]^(n+1) whose singular coordinates are drawn
+directly from [-box, -standoff] U [standoff, box], plus a deterministic
+quasi-random shell batch per singular axis placed at distance exactly
+`standoff`.  Bulk and shells share one affine map of [-box, box] onto that
+admissible set, so every draw takes one pass whatever the standoff.
+Extremes of these ratios concentrate near the singular set, so the
+seed-independent shell pins the reported extremum and makes reruns with
+different seeds agree closely; the seeded bulk explores the rest of the
+box.  Reports are bit-identical for a fixed seed.
 
 The shell batch is the unscrambled Halton sequence in the first d primes,
 computed in-house (`_halton`) so that importing this module loads no part
@@ -133,14 +136,24 @@ def _shell_batch(
     pts = -box + 2.0 * box * u
     # First quasi-random column doubles as the sign of the pinned axis.
     sign = np.where(u[:, axis] >= 0.5, 1.0, -1.0)
+    _push_off_hyperplanes(pts, tuple(j for j in kind.singular_axes if j != axis), box, standoff)
     pts[:, axis] = sign * standoff
-    for j in kind.singular_axes:
-        if j == axis:
-            continue
+    return pts
+
+
+def _push_off_hyperplanes(
+    pts: np.ndarray, axes: tuple[int, ...], box: float, standoff: float
+) -> None:
+    """Map columns `axes` of points in [-box, box] into the admissible set, in place.
+
+    c -> sgn(c) (standoff + |c| (box - standoff) / box) is affine on each
+    half, so it sends the uniform law on [-box, box] to the uniform law on
+    [-box, -standoff] U [standoff, box].
+    """
+    for j in axes:
         c = pts[:, j]
         s = np.where(c >= 0, 1.0, -1.0)
         pts[:, j] = s * (standoff + np.abs(c) * (box - standoff) / box)
-    return pts
 
 
 def stratified_smooth_samples(
@@ -149,36 +162,25 @@ def stratified_smooth_samples(
     seed: int,
     box: float = DEFAULT_BOX,
     standoff: float = DEFAULT_STANDOFF,
-    shell_per_axis: int = SHELL_PER_AXIS,
 ) -> np.ndarray:
-    """Bulk rejection samples plus deterministic shell batches; `count` total.
+    """Deterministic shell batches plus a seeded uniform bulk; `count` total.
 
     A standoff of at least the box half-width leaves no admissible point.
     """
     if standoff >= box:
         raise EmptyDomainError(f"standoff {standoff:g} is not below the box half-width {box:g}")
-    d = kind.group.dimension
     axes = kind.singular_axes
     shells = [
-        _shell_batch(kind, j, min(shell_per_axis, max(count // (4 * len(axes)), 16)), box, standoff)
+        _shell_batch(kind, j, min(SHELL_PER_AXIS, max(count // (4 * len(axes)), 16)), box, standoff)
         for j in axes
     ]
     shell_total = sum(s.shape[0] for s in shells)
-    bulk_target = max(count - shell_total, 0)
     rng = np.random.default_rng(seed)
-    chunks = []
-    have = 0
-    while have < bulk_target:
-        cand = rng.uniform(-box, box, size=(max(bulk_target - have, 1) * 2, d))
-        ok = np.ones(cand.shape[0], dtype=bool)
-        for j in axes:
-            ok &= np.abs(cand[:, j]) > standoff
-        kept = cand[ok][: bulk_target - have]
-        chunks.append(kept)
-        have += kept.shape[0]
+    bulk = rng.uniform(-box, box, size=(max(count - shell_total, 0), kind.group.dimension))
+    _push_off_hyperplanes(bulk, axes, box, standoff)
     # The bulk fills exactly what the shells leave of `count`, so the one
     # copy below is the returned array; shells beyond `count` are cut.
-    out = np.concatenate([*shells, *chunks])[:count]
+    out = np.concatenate([*shells, bulk])[:count]
     if out.shape[0] == 0:
         raise EmptyDomainError("no smooth sample points generated")
     return out

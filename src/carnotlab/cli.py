@@ -340,6 +340,19 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (float, np.floating)):
+        return _fmt(value)
+    return str(value)
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """`header`, then one line per row: bools lower-case, floats by repr, the rest by str."""
+    _write_lines(path, [header, *(",".join(map(_cell, row)) for row in rows)])
+
+
 class RunContext:
     """Accumulates check outcomes and summary lines for one command."""
 
@@ -414,13 +427,7 @@ def _measure_spec(params: dict) -> MeasureSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _write_holdout_csv(path: Path, holdout) -> None:
-    rows = ["label,lhs,rhs,slack,passed"]
-    for h in holdout:
-        rows.append(
-            f"{h.label},{_fmt(h.lhs)},{_fmt(h.rhs)},{_fmt(h.slack)},{str(h.passed).lower()}"
-        )
-    _write_lines(path, rows)
+_HOLDOUT_HEADER = "label,lhs,rhs,slack,passed"
 
 
 # ---------------------------------------------------------------- commands
@@ -428,21 +435,16 @@ def _write_holdout_csv(path: Path, holdout) -> None:
 
 def _run_verify_algebra(params: dict, out: Path) -> int:
     ctx = RunContext("verify-algebra", params, out)
-    tol = params["tolerance"]
     rng = derive_rng(params["seed"], "verify-algebra")
+    tolerances = {"frame-comm": params["comm_tolerance"], "frame-comm-fd": params["fd_tolerance"]}
     per_step: dict[str, dict[str, float]] = {}
-    csv_rows = ["check,step,frame,samples,defect,tolerance,passed"]
+    rows: list[tuple] = []
 
-    def record(cid: str, step: int, frame: str, count: int, defect: float, bound: float):
+    def record(cid: str, step: int, frame: str, count: int, defect: float) -> None:
         per_step.setdefault(cid, {})[f"n{step}:{frame}"] = defect
-        ok = defect <= bound
-        csv_rows.append(
-            f"{cid},{step},{frame},{count},{_fmt(defect)},{_fmt(bound)},{str(ok).lower()}"
-        )
-        return ok
+        bound = float(tolerances.get(cid, params["tolerance"]))
+        rows.append((cid, step, frame, count, defect, bound, defect <= bound))
 
-    worst: dict[str, float] = {}
-    all_ok: dict[str, bool] = {}
     for n in params["steps"]:
         g = FiliformGroup(n)
         d = g.dimension
@@ -479,9 +481,7 @@ def _run_verify_algebra(params: dict, out: Path) -> int:
             ("alg-inverse", float(inv)),
             ("alg-dilation", float(dil)),
         ):
-            ok = record(cid, n, "-", m, defect, tol)
-            worst[cid] = max(worst.get(cid, 0.0), defect)
-            all_ok[cid] = all_ok.get(cid, True) and ok
+            record(cid, n, "-", m, defect)
 
         frames = [left_frame(g)]
         if n == 3:
@@ -495,22 +495,14 @@ def _run_verify_algebra(params: dict, out: Path) -> int:
                 if i == 1 and j <= n:
                     expected[j] = 1.0
                 comm_defect = max(comm_defect, float(np.max(np.abs(coeffs - expected))))
-            ok = record(
-                "frame-comm", n, frame.label, 5, comm_defect, params["comm_tolerance"]
-            )
-            worst["frame-comm"] = max(worst.get("frame-comm", 0.0), comm_defect)
-            all_ok["frame-comm"] = all_ok.get("frame-comm", True) and ok
+            record("frame-comm", n, frame.label, 5, comm_defect)
 
             fd_defect = 0.0
             probe = rng.uniform(-2.0, 2.0, size=d)
             fd_brackets = frame_commutators(frame, probe, method="fd")
             for pair, an in frame_commutators(frame, probe).items():
                 fd_defect = max(fd_defect, float(np.max(np.abs(an - fd_brackets[pair]))))
-            ok = record(
-                "frame-comm-fd", n, frame.label, 1, fd_defect, params["fd_tolerance"]
-            )
-            worst["frame-comm-fd"] = max(worst.get("frame-comm-fd", 0.0), fd_defect)
-            all_ok["frame-comm-fd"] = all_ok.get("frame-comm-fd", True) and ok
+            record("frame-comm-fd", n, frame.label, 1, fd_defect)
 
             inv_defect = 0.0
             k = params["invariance_samples"]
@@ -519,22 +511,15 @@ def _run_verify_algebra(params: dict, out: Path) -> int:
             for alpha, pt in zip(alphas, points):
                 for residual in invariance_residuals(frame, alpha, pt):
                     inv_defect = max(inv_defect, residual)
-            ok = record("frame-invar", n, frame.label, k, inv_defect, tol)
-            worst["frame-invar"] = max(worst.get("frame-invar", 0.0), inv_defect)
-            all_ok["frame-invar"] = all_ok.get("frame-invar", True) and ok
+            record("frame-invar", n, frame.label, k, inv_defect)
 
-    for cid in (
-        "alg-assoc",
-        "alg-identity",
-        "alg-inverse",
-        "alg-dilation",
-        "frame-comm",
-        "frame-comm-fd",
-        "frame-invar",
-    ):
-        ctx.check(cid, all_ok[cid], f"worst defect {_fmt(worst[cid])}")
+    # Checks in the order of their first row; the worst defect folds from 0.0.
+    for cid in per_step:
+        mine = [row for row in rows if row[0] == cid]
+        worst = max([0.0, *(row[4] for row in mine)])
+        ctx.check(cid, all(row[6] for row in mine), f"worst defect {_fmt(worst)}")
 
-    _write_lines(out / "algebra.csv", csv_rows)
+    _write_csv(out / "algebra.csv", "check,step,frame,samples,defect,tolerance,passed", rows)
     return ctx.finish("algebra.json", {"defects": per_step})
 
 
@@ -636,14 +621,10 @@ def _run_ubound(params: dict, out: Path) -> int:
         "ub-holdout", report.holdout_pass, f"{n_pass}/{len(report.holdout)} members"
     )
 
-    train_rows = ["label,a,a_se,b,b_se,c,c_se"]
-    for fm in report.train:
-        train_rows.append(
-            f"{fm.label},{_fmt(fm.a)},{_fmt(fm.a_se)},{_fmt(fm.b)},"
-            f"{_fmt(fm.b_se)},{_fmt(fm.c)},{_fmt(fm.c_se)}"
-        )
-    _write_lines(out / "ubound_train.csv", train_rows)
-    _write_holdout_csv(out / "ubound_holdout.csv", report.holdout)
+    _write_csv(out / "ubound_train.csv", "label,a,a_se,b,b_se,c,c_se",
+               map(dataclasses.astuple, report.train))
+    _write_csv(out / "ubound_holdout.csv", _HOLDOUT_HEADER,
+               map(dataclasses.astuple, report.holdout))
     return ctx.finish("ubound.json", {"report": dataclasses.asdict(report)})
 
 
@@ -667,11 +648,10 @@ def _run_poincare(params: dict, out: Path) -> int:
             "p is below the theorem threshold for this kind; "
             "ratios are reported outside the proven regime"
         )
-    rows = ["label,ratio,ratio_se"]
-    for e in report.entries:
-        rows.append(f"{e.label},{_fmt(e.ratio)},{_fmt(e.ratio_se)}")
-    _write_lines(out / "poincare_ratios.csv", rows)
-    _write_holdout_csv(out / "poincare_holdout.csv", report.holdout)
+    _write_csv(out / "poincare_ratios.csv", "label,ratio,ratio_se",
+               map(dataclasses.astuple, report.entries))
+    _write_csv(out / "poincare_holdout.csv", _HOLDOUT_HEADER,
+               map(dataclasses.astuple, report.holdout))
     return ctx.finish("poincare.json", {"report": dataclasses.asdict(report)})
 
 
@@ -718,13 +698,10 @@ def _run_gap(params: dict, out: Path) -> int:
         )
         results["calibration"] = dataclasses.asdict(cal)
 
-    rows = ["mode,degree,basis_size,value,standard_error,samples"]
-    for e in estimates + ([cal] if params["calibration_count"] > 0 else []):
-        rows.append(
-            f"{e.mode},{e.degree},{e.basis_size},{_fmt(e.value)},"
-            f"{_fmt(e.standard_error)},{e.sample_count}"
-        )
-    _write_lines(out / "gap.csv", rows)
+    _write_csv(out / "gap.csv", "mode,degree,basis_size,value,standard_error,samples", [
+        (e.mode, e.degree, e.basis_size, e.value, e.standard_error, e.sample_count)
+        for e in estimates + ([cal] if params["calibration_count"] > 0 else [])
+    ])
     return ctx.finish("gap.json", results)
 
 
@@ -751,13 +728,12 @@ def _run_ball_check(params: dict, out: Path) -> int:
     sups = [rep.sup_ratio for rep in reports]
     if sups == sorted(sups):
         ctx.note("sup ratios are nondecreasing in the radius (recorded)")
-    rows = ["radius,exponent,sup_ratio,samples,acceptance"]
-    for rep in reports:
-        rows.append(
-            f"{_fmt(rep.radius)},{_fmt(rep.exponent)},{_fmt(rep.sup_ratio)},"
-            f"{rep.sample_count},{_fmt(rep.acceptance_rate)}"
-        )
-    _write_lines(out / "ball.csv", rows)
+    # Radius and exponent may be JSON integers; their columns stay floats.
+    _write_csv(out / "ball.csv", "radius,exponent,sup_ratio,samples,acceptance", [
+        (float(rep.radius), float(rep.exponent), rep.sup_ratio, rep.sample_count,
+         rep.acceptance_rate)
+        for rep in reports
+    ])
     return ctx.finish(
         "ball.json",
         {

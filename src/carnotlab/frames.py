@@ -25,8 +25,7 @@ translation for each label.  The bracket pattern is again
 [X_1, X_j] = X_{j+1}.
 
 In both frames the first two fields span the horizontal distribution; their
-iterated brackets restore the full tangent space at every point, which
-`stratification_rank` verifies numerically.
+iterated brackets restore the full tangent space at every point.
 
 The frame-level functions compute each per-point quantity once and share
 it: `frame_commutators` and `commutator_table` evaluate every field's
@@ -291,49 +290,3 @@ def commutator_table(
             )
         table[(i, j)] = expansions[0]
     return table
-
-
-def stratification_rank(frame: Frame, x: np.ndarray, tol: float = 1e-6) -> int:
-    """Rank at x of the horizontal fields plus their iterated brackets.
-
-    Brackets are formed as coefficient maps and differentiated by central
-    differences, nesting up to the group step, so the result is the numeric
-    rank (singular values above tol) of the generated distribution.  A frame
-    satisfying the bracket-generating condition returns the full dimension.
-    """
-    g = frame.group
-    d = g.dimension
-    x = np.asarray(x, dtype=np.float64)
-    # Left-frame coefficients depend on x1 only, right-frame ones on x1..x3;
-    # both properties are closed under brackets, so the remaining partials
-    # vanish identically and are skipped.
-    active = (0,) if frame.label == LEFT_LABEL else (0, 1, 2)
-
-    def field_fn(f: VectorField):
-        return lambda z: f.coefficients(z)
-
-    def bracket(fa, fb):
-        def coeff(z, fa=fa, fb=fb):
-            h = 1e-4
-            dz = len(z)
-            ja = np.zeros((dz, dz))
-            jb = np.zeros((dz, dz))
-            for l in active:
-                e = np.zeros(dz)
-                e[l] = h
-                ja[:, l] = (fa(z + e) - fa(z - e)) / (2 * h)
-                jb[:, l] = (fb(z + e) - fb(z - e)) / (2 * h)
-            return jb @ fa(z) - ja @ fb(z)
-
-        return coeff
-
-    gens = [field_fn(f) for f in frame.horizontal]
-    layer = [gens[1]]
-    collected = list(gens)
-    for _ in range(g.step - 1):
-        nxt = [bracket(gens[0], f) for f in layer]
-        collected.extend(nxt)
-        layer = nxt
-    mat = np.stack([fn(x) for fn in collected], axis=0)
-    s = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(s > tol * s[0]))

@@ -374,6 +374,8 @@ def _optimize_from(
         if rnorm <= 1e-13 * (1.0 + scale):
             break
         step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
+        if not step.any():  # every further pass would repeat this step
+            break
         controls = controls + step.reshape(-1, 2)
         iterations += 1
     endpoint = endpoint_only(group, controls)

@@ -425,11 +425,18 @@ class LocalizationParams:
             h[0] = 2.0 * self.radius_r ** (1.0 / n)
         return h
 
-    def shifted_points(self, xb: np.ndarray) -> np.ndarray:
+    def shift_margins(self, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """N(s) - N(x) and |||s||| - R^(1/n) per row x of xb, s its shifted point.
+
+        The two shift claims say both margins are nonnegative on the annulus.
+        """
         h = self.shift_element()
-        if self.kind.variant == ENGEL:
-            return self.kind.group.compose(h, xb)
-        return self.kind.group.compose(xb, h)
+        group = self.kind.group
+        shifted = group.compose(h, xb) if self.kind.variant == ENGEL else group.compose(xb, h)
+        return (
+            norm_value(self.kind, shifted) - norm_value(self.kind, xb),
+            aux_seminorm(self.kind, shifted) - self.radius_r ** (1.0 / group.step),
+        )
 
 
 @dataclass(frozen=True)
@@ -498,18 +505,7 @@ def localization_decomposition(
         float(np.mean(g * nval ** (spec.p - n) * aux_n)) / params.radius_r
     )
 
-    if annulus.any():
-        shifted = params.shifted_points(xb[annulus])
-        norm_ok = np.all(
-            norm_value(spec.kind, shifted) >= norm_value(spec.kind, xb[annulus]) - 1e-12
-        )
-        aux_ok = np.all(
-            aux_seminorm(spec.kind, shifted)
-            >= params.radius_r ** (1.0 / n) - 1e-12
-        )
-        shift_pass = bool(norm_ok and aux_ok)
-    else:
-        shift_pass = True
+    norm_margin, aux_margin = params.shift_margins(xb[annulus])
 
     return LocalizationReport(
         total=total,
@@ -526,7 +522,7 @@ def localization_decomposition(
             float(np.mean(annulus)),
         ),
         ball_mean=m_ball,
-        shift_claims_pass=shift_pass,
+        shift_claims_pass=bool(np.all(norm_margin >= -1e-12) and np.all(aux_margin >= -1e-12)),
         degenerate_regions=degenerate,
     )
 
@@ -591,16 +587,13 @@ def translation_trick_check(
     must pass.
     """
     xb = annulus_samples(kind, radius_r, level_l, count, seed)
-    n = kind.group.step
     params = LocalizationParams(kind=kind, radius_r=radius_r, level_l=level_l)
-    shifted = params.shifted_points(xb)
-    norm_margin = norm_value(kind, shifted) - norm_value(kind, xb)
-    aux_margin = aux_seminorm(kind, shifted) - radius_r ** (1.0 / n)
+    norm_margin, aux_margin = params.shift_margins(xb)
     norm_passes = int(np.sum(norm_margin >= -1e-12))
     aux_passes = int(np.sum(aux_margin >= -1e-12))
     return TranslationReport(
         kind_variant=kind.variant,
-        step=n,
+        step=kind.group.step,
         radius_r=radius_r,
         level_l=level_l,
         sample_count=xb.shape[0],

@@ -272,10 +272,10 @@ def _filiform_ball_volume(n: int) -> tuple[float, float]:
     return values[-1] * scale, abs(values[-1] - values[0]) * scale
 
 
-def batch_mean_se(values: np.ndarray, n_batches: int = N_BATCHES) -> tuple[float, float]:
-    """Mean and batch-means standard error of a series."""
+def batch_mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and batch-means standard error of a series over N_BATCHES batches."""
     m = values.shape[0]
-    nb = min(n_batches, m)
+    nb = min(N_BATCHES, m)
     usable = m - (m % nb)
     means = values[:usable].reshape(nb, -1).mean(axis=1)
     se = float(np.std(means, ddof=1) / np.sqrt(nb)) if nb > 1 else 0.0

@@ -6,9 +6,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from carnotlab import bounds, calculus
 from carnotlab.bounds import (
@@ -72,9 +78,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("count", [100, 20_000])
     def test_draw_holds_no_surplus_rows(self, count):
-        # The bulk loop draws about twice its target; the returned array
-        # must not keep that surplus alive.  Count 100 is cut from the
-        # shells: seven singular axes with at least 16 shell rows each.
+        # The returned array must not keep a surplus of drawn rows alive.
+        # Count 100 is cut from the shells: seven singular axes with at
+        # least 16 shell rows each.
         pts = stratified_smooth_samples(filiform_kind(6), count, seed=1)
         owner = pts if pts.base is None else pts.base
         assert pts.shape[0] == count
@@ -85,6 +91,54 @@ class TestSampling:
         a = stratified_smooth_samples(kind, 10_000, seed=5)
         b = stratified_smooth_samples(kind, 10_000, seed=5)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", [engel_kind(), filiform_kind(4)], ids=["engel", "fil4"])
+    def test_bulk_is_uniform_on_the_admissible_set(self, kind):
+        # On every singular axis |x_j| of a bulk row is uniform on
+        # [standoff, box], with mean (box + standoff) / 2.
+        box, standoff, count = 1.0, 0.5, 20_000
+        axes = kind.singular_axes
+        pts = stratified_smooth_samples(kind, count, seed=7, box=box, standoff=standoff)
+        # count // (4 * len(axes)) shell rows per axis lead the array.
+        bulk = np.abs(pts[len(axes) * (count // (4 * len(axes))):, list(axes)])
+        assert bulk.shape[0] >= count // 2
+        assert np.all((bulk >= standoff) & (bulk <= box))
+        se = bulk.std(axis=0, ddof=1) / math.sqrt(bulk.shape[0])
+        assert np.all(np.abs(bulk.mean(axis=0) - (box + standoff) / 2) <= 4 * se)
+
+
+def test_wide_standoff_verify_bounds_exits_promptly(tmp_path):
+    # Rejecting uniform bulk candidates kept one in 0.1^7 here, and the
+    # command ran until killed.
+    src = str(Path(bounds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "carnotlab.cli", "verify-bounds", "--samples", "1000",
+         "--box", "1", "--standoff", "0.9", "--filiform-steps", "6", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _decades(lo: int, hi: int):
+    return st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.0), st.integers(lo, hi))
+
+
+# The standoff is drawn as a multiple of the box, from 1e-6 up to 9, so about
+# one draw in seven leaves no admissible point.
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(samples=st.integers(1, 2_000), box=_decades(-4, 2), ratio=_decades(-6, 0),
+       steps=st.lists(st.integers(3, 12), min_size=1, max_size=3, unique=True))
+@example(samples=1_000, box=1.0, ratio=0.9, steps=[6])
+@example(samples=2_000, box=0.01, ratio=1.0, steps=[12])
+def test_verify_bounds_flags_keep_the_exit_contract(tmp_path, samples, box, ratio, steps):
+    code = main([
+        "verify-bounds", "--samples", str(samples), "--box", repr(box),
+        "--standoff", repr(ratio * box), "--filiform-steps", ",".join(map(str, steps)),
+        "--out", str(tmp_path),
+    ])
+    assert code in {0, 2, 3, 4}
 
 
 class TestEngelBounds:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import warnings
@@ -268,6 +269,41 @@ class TestReproducibility:
         assert run(base + ["--seed", "1"], a) == EXIT_PASS
         assert run(base + ["--seed", "2"], b) == EXIT_PASS
         assert (a / "samples.ccmb").read_bytes() != (b / "samples.ccmb").read_bytes()
+
+
+_CSV_PINS = [
+    (["ubound", "--count", "4000"], None, {
+        "ubound_train.csv": "028179b419f358dc6f014b24a6a5baceafdfb6dbbe24c387cb95d81d6adbe3c3",
+        "ubound_holdout.csv": "b14bfe2581fc19dbbe07094cdb0ddce13ae77c159015601d2c1346f6d90dbad7",
+    }),
+    (["poincare", "--count", "4000"], None, {
+        "poincare_ratios.csv": "e291fca77e5bd69a57a66217950c1594902b3c2ff043626108b202a0fd9f61b4",
+        "poincare_holdout.csv": "ef52d3f323ddfa10210c9d5ccc9520082b33d88176b5064232975fd897987991",
+    }),
+    (["gap", "--count", "2000", "--calibration-count", "2000"], None, {
+        "gap.csv": "907b49bc8d3ee2364748386d72ddf4a2aeb62dbc9211cb99318bd78e794b933d",
+    }),
+    # Integer JSON values in float columns still print as floats ("1.0").
+    (["ball-check"], {"radii": [1, 2], "count": 2000}, {
+        "ball.csv": "902427bfa86727397f66b9b4bfa11b4e7002e260fa9dd4f25ae0177d298662e3",
+    }),
+    (["verify-algebra"], {"tolerance": 1, "steps": [3, 4], "samples": 2000,
+                          "invariance_samples": 50}, {
+        "algebra.csv": "5d627b13f9ff4d994f1e29cfac742a23f39d7f52c5c68fa1cc294b4147e790cc",
+    }),
+]
+
+
+@pytest.mark.parametrize("args, config, digests", _CSV_PINS, ids=[a[0] for a, _, _ in _CSV_PINS])
+def test_csv_artifacts_pinned(tmp_path, args, config, digests):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run(args, out) == EXIT_PASS
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestExitCodes:

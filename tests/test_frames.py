@@ -20,7 +20,6 @@ from carnotlab.frames import (
     invariance_residuals,
     left_frame,
     right_frame_engel,
-    stratification_rank,
     translation_jacobian,
 )
 from carnotlab.group import FiliformGroup, engel_group
@@ -176,19 +175,6 @@ class TestRightCommutators:
         np.testing.assert_allclose(table[(1, 3)], [0, 0, 0, 1], atol=1e-12)
         np.testing.assert_allclose(table[(1, 4)], np.zeros(4), atol=1e-12)
         np.testing.assert_allclose(table[(2, 3)], np.zeros(4), atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_stratification_rank_full(n):
-    g = FiliformGroup(n)
-    rng = np.random.default_rng(500 + n)
-    x = rng.uniform(-2, 2, g.dimension)
-    assert stratification_rank(left_frame(g), x) == g.dimension
-
-
-def test_stratification_rank_right_frame():
-    g = engel_group()
-    assert stratification_rank(right_frame_engel(g), np.array([0.3, -1.2, 0.8, 2.0])) == 4
 
 
 def test_field_index_validation():
