@@ -22,11 +22,19 @@ Every member is defined once, by an `evaluate(batch) -> (values,
 gradients)` on a `MemberBatch`: the per-batch context that computes the
 norm N, its frame derivatives (X_1 N, X_2 N) and the bump factors once,
 and holds one child context per moved batch (the central shifts and the
-dilation of the rescales).  A family evaluated member by member on one
-context therefore computes each of those arrays once per batch, not once
-per member.  The member's `value` and `gradient` maps are read off the
-same `evaluate`; they stay replaceable fields, and a member built from
-bare maps is evaluated through its maps.
+dilation of the rescales).  A family evaluated on one context therefore
+computes each of those arrays once per batch, not once per member.  The
+member's `value` and `gradient` maps are read off the same `evaluate`;
+they stay replaceable fields, and a member built from bare maps is
+evaluated through its maps.
+
+A monomial and its bump products form one group (`TestFunction.monomial`).
+`scan_members` evaluates a member list one group at a time: the context
+holds the group's monomial series while the group runs and drops it when
+the group ends, so each monomial is evaluated once per context and at most
+one monomial's arrays are held at any time.  Members are pure functions of
+the context, so only the evaluation order changes; results come back in
+member order.
 
 The family is mirror-symmetric: flipping the sign of x_1 maps every member
 onto plus or minus another member, which keeps symmetry diagnostics exact.
@@ -38,11 +46,11 @@ import inspect
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import norm_derivative_tables
+from .calculus import norm_derivative_tables, pair_length
 from .group import _as_batch
 from .norms import ENGEL, NormKind
 
@@ -58,8 +66,11 @@ class MemberBatch:
 
     N, (X_1 N, X_2 N) and the bump factors of each scale are computed on
     first use and then kept; `shifted` and `dilated` return child contexts
-    on the moved batch, built once each.  Nothing member-specific is kept,
-    so a context costs a few columns per batch whatever the family size.
+    on the moved batch, built once each.  Besides those, a context holds at
+    most one monomial's (values, gradients), the last one evaluated on it,
+    until `release`; so it costs a few columns per batch whatever the
+    family size.  (X_1 N, X_2 N) comes from the norm table's
+    first-derivative path, which builds no second-order piece.
     """
 
     def __init__(self, kind: NormKind, points: np.ndarray):
@@ -68,6 +79,7 @@ class MemberBatch:
         self.table = norm_derivative_tables(kind)
         self._bumps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._children: dict[tuple[str, float], MemberBatch] = {}
+        self._held: tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray]] | None = None
 
     @cached_property
     def norm(self) -> np.ndarray:
@@ -84,6 +96,23 @@ class MemberBatch:
             t = self.norm / scale
             self._bumps[scale] = (_bump(t), _bump_prime(t) / scale)
         return self._bumps[scale]
+
+    def monomial(
+        self, expts: tuple[int, ...], compute: Callable[[], tuple[np.ndarray, np.ndarray]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The series of the monomial x^expts: the held one if it is that
+        monomial, else `compute()`, which then replaces it as the held one.
+        Callers must not write to the arrays: the group's other members
+        read them too."""
+        if self._held is None or self._held[0] != expts:
+            self._held = (expts, compute())
+        return self._held[1]
+
+    def release(self) -> None:
+        """Drop the held monomial series here and in every child context."""
+        self._held = None
+        for child in self._children.values():
+            child.release()
 
     def _child(self, key: tuple[str, float], move: Callable[[], np.ndarray]) -> MemberBatch:
         if key not in self._children:
@@ -140,6 +169,9 @@ class TestFunction:
     gradient: Callable[[np.ndarray], np.ndarray]
     is_constant: bool = False
     tags: tuple[str, ...] = ()
+    # Exponents of the monomial factor evaluated on the member's own
+    # context: the members that share one form its evaluation group.
+    monomial: tuple[int, ...] | None = None
 
     def evaluate(self, batch: MemberBatch) -> tuple[np.ndarray, np.ndarray]:
         """(values, gradients) on a batch context.
@@ -158,7 +190,12 @@ class TestFunction:
 
 
 def _member(
-    kind: NormKind, label: str, evaluate: Evaluate, tags: tuple[str, ...], is_constant: bool = False
+    kind: NormKind,
+    label: str,
+    evaluate: Evaluate,
+    tags: tuple[str, ...],
+    is_constant: bool = False,
+    monomial: tuple[int, ...] | None = None,
 ) -> TestFunction:
     return TestFunction(
         label=label,
@@ -166,6 +203,7 @@ def _member(
         gradient=_Derived(evaluate, kind, 1),
         is_constant=is_constant,
         tags=tags,
+        monomial=monomial,
     )
 
 
@@ -259,28 +297,35 @@ def _coordinate_gradient(kind: NormKind, j: int, xb: np.ndarray) -> np.ndarray:
     return out
 
 
+def _monomial_series(
+    kind: NormKind, active: list[tuple[int, int]], xb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and frame gradient of prod x_k^e over the (k, e) in `active`."""
+    m = xb.shape[0]
+    vals = np.ones(m)
+    for k, e in active:
+        vals = vals * xb[:, k] ** e
+    total = np.zeros((m, 2))
+    for k, e in active:
+        partial = np.full(m, float(e)) * xb[:, k] ** (e - 1)
+        for kk, ee in active:
+            if kk != k:
+                partial = partial * xb[:, kk] ** ee
+        total += partial[:, None] * _coordinate_gradient(kind, k + 1, xb)
+    return vals, total
+
+
 def monomial_member(kind: NormKind, expts: tuple[int, ...]) -> TestFunction:
     d = kind.group.dimension
     expts = tuple(expts) + (0,) * (d - len(expts))
     active = [(k, e) for k, e in enumerate(expts) if e > 0]
 
     def evaluate(batch: MemberBatch) -> tuple[np.ndarray, np.ndarray]:
-        xb = batch.xb
-        m = xb.shape[0]
-        vals = np.ones(m)
-        for k, e in active:
-            vals = vals * xb[:, k] ** e
-        total = np.zeros((m, 2))
-        for k, e in active:
-            partial = np.full(m, float(e)) * xb[:, k] ** (e - 1)
-            for kk, ee in active:
-                if kk != k:
-                    partial = partial * xb[:, kk] ** ee
-            total += partial[:, None] * _coordinate_gradient(kind, k + 1, xb)
-        return vals, total
+        return batch.monomial(expts, lambda: _monomial_series(kind, active, batch.xb))
 
     return _member(
-        kind, _monomial_label(expts), evaluate, ("monomial",), is_constant=not active
+        kind, _monomial_label(expts), evaluate, ("monomial",), is_constant=not active,
+        monomial=expts,
     )
 
 
@@ -300,7 +345,10 @@ def bump_product_member(kind: NormKind, base: TestFunction, scale: float) -> Tes
             chi[:, None] * base_grads + (base_vals * chi_p)[:, None] * batch.norm_first
         )
 
-    return _member(kind, f"{base.label}*bump{scale:g}", evaluate, ("bump",) + base.tags)
+    return _member(
+        kind, f"{base.label}*bump{scale:g}", evaluate, ("bump",) + base.tags,
+        monomial=base.monomial,
+    )
 
 
 def radial_bump_member(kind: NormKind, scale: float) -> TestFunction:
@@ -414,4 +462,28 @@ def member_series(
     is one `TestFunction.evaluate` on the shared context.
     """
     vals, grads = member.evaluate(batch)
-    return vals, np.sqrt(np.sum(grads**2, axis=-1)) ** q
+    return vals, pair_length(grads) ** q
+
+
+def scan_members(
+    members: Sequence[TestFunction],
+    batch: MemberBatch,
+    fn: Callable[[TestFunction, MemberBatch], object],
+) -> list:
+    """fn(member, batch) for every member, one monomial group at a time.
+
+    Members sharing a `monomial` run together, in member order within the
+    group and the groups in order of first appearance; every other member
+    is a group of its own.  The context releases its held monomial after
+    each group.  Results come back in member order.
+    """
+    groups: dict[object, list[int]] = {}
+    for i, member in enumerate(members):
+        key = ("member", i) if member.monomial is None else member.monomial
+        groups.setdefault(key, []).append(i)
+    results = [None] * len(members)
+    for indices in groups.values():
+        for i in indices:
+            results[i] = fn(members[i], batch)
+        batch.release()
+    return results

@@ -25,7 +25,7 @@ Reports are plain frozen dataclasses; CSV/JSON shaping lives in the CLI.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +35,9 @@ from .family import (
     TestFunction,
     TestFunctionFamily,
     member_series,
-    weighted_monomial_exponents,
     monomial_member,
+    scan_members,
+    weighted_monomial_exponents,
 )
 from .measures import MeasureSpec, SampleBatch, batch_mean_se, cone_samples, sample
 from .norms import ENGEL, NormKind, aux_seminorm, norm_value
@@ -174,45 +175,44 @@ def ubound_fit(
     inequality with multiplicative margin 1.05 plus 3 SE slack.
     """
     q = spec.q
-    weight = ubound_weight(spec, samples.coords)
-    batch = MemberBatch(spec.kind, samples.coords)
-    train_stats: list[FunctionMoments] = []
-    constraints = []
-    for member in family.train_members:
+    train_weight = ubound_weight(spec, samples.coords)
+
+    def moments(member: TestFunction, batch: MemberBatch) -> FunctionMoments:
         vals, gq = member_series(member, batch, q)
         fq = np.abs(vals) ** q
-        a, a_se = batch_mean_se(fq * weight)
+        a, a_se = batch_mean_se(fq * train_weight)
         b, b_se = batch_mean_se(gq)
         c, c_se = batch_mean_se(fq)
-        train_stats.append(FunctionMoments(member.label, a, a_se, b, b_se, c, c_se))
-        constraints.append((member.label, a, b, c))
+        return FunctionMoments(member.label, a, a_se, b, b_se, c, c_se)
 
-    fitted_c, fitted_d = _fit_vertex_lp(constraints)
+    train_stats = scan_members(
+        family.train_members, MemberBatch(spec.kind, samples.coords), moments
+    )
+    fitted_c, fitted_d = _fit_vertex_lp([(fm.label, fm.a, fm.b, fm.c) for fm in train_stats])
     feasible = all(
         fm.a <= fitted_c * fm.b + fitted_d * fm.c + SE_SLACK * fm.a_se + 1e-9
         for fm in train_stats
     )
 
     fresh, holdout_seed = _holdout_batch(spec, samples, holdout_count, "ubound-holdout")
-    weight = ubound_weight(spec, fresh.coords)
-    batch = MemberBatch(spec.kind, fresh.coords)
-    checks = []
-    for member in family.holdout_members:
+    holdout_weight = ubound_weight(spec, fresh.coords)
+
+    def check(member: TestFunction, batch: MemberBatch) -> HoldoutCheck:
         vals, gq = member_series(member, batch, q)
         fq = np.abs(vals) ** q
-        fqw = fq * weight
+        fqw = fq * holdout_weight
         resid, resid_se = batch_mean_se(fqw - fitted_c * gq - fitted_d * fq)
         rhs_mean = float(np.mean(fitted_c * gq + fitted_d * fq))
         slack = (HOLDOUT_MARGIN - 1.0) * rhs_mean + SE_SLACK * resid_se
-        checks.append(
-            HoldoutCheck(
-                label=member.label,
-                lhs=float(np.mean(fqw)),
-                rhs=rhs_mean,
-                slack=slack,
-                passed=resid <= slack,
-            )
+        return HoldoutCheck(
+            label=member.label,
+            lhs=float(np.mean(fqw)),
+            rhs=rhs_mean,
+            slack=slack,
+            passed=resid <= slack,
         )
+
+    checks = scan_members(family.holdout_members, MemberBatch(spec.kind, fresh.coords), check)
 
     return UBoundReport(
         spec_kind=spec.kind.variant,
@@ -253,35 +253,51 @@ class PoincareReport:
 
 
 def _screened_series(
-    members, batch: MemberBatch, q: float, excluded: list[str]
-) -> Iterator[tuple[str, np.ndarray, np.ndarray, float, float]]:
-    """Yield (label, |f - mu f|^q, |grad f|^q, b, b_se) per member.
+    members,
+    batch: MemberBatch,
+    q: float,
+    excluded: list[str],
+    stat: Callable[[str, np.ndarray, np.ndarray, float, float], object],
+) -> list:
+    """stat(label, |f - mu f|^q, |grad f|^q, b, b_se) per member, in member order.
 
     b is the batch-means gradient moment.  A member whose b sits within
     EXCLUSION_SE_FACTOR SE of zero, or is zero, is skipped and its label
-    appended to `excluded`; the constant member lands here.
+    appended to `excluded`, in member order; the constant member lands
+    here.  Members are evaluated one monomial group at a time.
     """
-    for member in members:
-        vals, grads = member_series(member, batch, q)
+
+    def screen(member: TestFunction, context: MemberBatch):
+        vals, grads = member_series(member, context, q)
         b, b_se = batch_mean_se(grads)
         if b <= EXCLUSION_SE_FACTOR * b_se or b == 0.0:
+            return None
+        return stat(member.label, np.abs(vals - np.mean(vals)) ** q, grads, b, b_se)
+
+    kept = []
+    for member, result in zip(members, scan_members(members, batch, screen)):
+        if result is None:
             excluded.append(member.label)
-            continue
-        yield member.label, np.abs(vals - np.mean(vals)) ** q, grads, b, b_se
+        else:
+            kept.append(result)
+    return kept
+
+
+def _ratio_entry(
+    label: str, centered: np.ndarray, grads: np.ndarray, b: float, b_se: float
+) -> RatioEntry:
+    l, l_se = batch_mean_se(centered)
+    ratio = l / b
+    ratio_se = ratio * float(np.hypot(l_se / l if l > 0 else 0.0, b_se / b))
+    return RatioEntry(label, ratio, ratio_se)
 
 
 def _ratio_scan(
     members, batch: MemberBatch, q: float
 ) -> tuple[list[RatioEntry], list[str]]:
     """Ratios mu(|f - mu f|^q) / mu(|grad f|^q) and the excluded labels."""
-    entries: list[RatioEntry] = []
     excluded: list[str] = []
-    for label, centered, _, b, b_se in _screened_series(members, batch, q, excluded):
-        l, l_se = batch_mean_se(centered)
-        ratio = l / b
-        ratio_se = ratio * float(np.hypot(l_se / l if l > 0 else 0.0, b_se / b))
-        entries.append(RatioEntry(label, ratio, ratio_se))
-    return entries, excluded
+    return _screened_series(members, batch, q, excluded, _ratio_entry), excluded
 
 
 def poincare_scan(
@@ -307,20 +323,20 @@ def poincare_scan(
     c0 = CANDIDATE_FACTOR * sup_ratio
 
     fresh, holdout_seed = _holdout_batch(spec, samples, holdout_count, "poincare-holdout")
-    checks = []
-    for label, centered, grads, b, _ in _screened_series(
-        family.holdout_members, MemberBatch(spec.kind, fresh.coords), q, excluded
-    ):
+
+    def check(label: str, centered: np.ndarray, grads: np.ndarray, b: float, _) -> HoldoutCheck:
         resid, resid_se = batch_mean_se(centered - c0 * grads)
-        checks.append(
-            HoldoutCheck(
-                label=label,
-                lhs=float(np.mean(centered)),
-                rhs=c0 * b,
-                slack=SE_SLACK * resid_se,
-                passed=resid <= SE_SLACK * resid_se,
-            )
+        return HoldoutCheck(
+            label=label,
+            lhs=float(np.mean(centered)),
+            rhs=c0 * b,
+            slack=SE_SLACK * resid_se,
+            passed=resid <= SE_SLACK * resid_se,
         )
+
+    checks = _screened_series(
+        family.holdout_members, MemberBatch(spec.kind, fresh.coords), q, excluded, check
+    )
 
     return PoincareReport(
         q=q,
@@ -713,7 +729,9 @@ def spectral_gap_galerkin(
         if any(expts)
     ]
     batch = MemberBatch(spec.kind, samples.coords)
-    series = [mm.evaluate(batch) for mm in members]
+    # Each basis monomial is its own group, so the context holds no copy of
+    # the stacked basis.
+    series = scan_members(members, batch, lambda mm, context: mm.evaluate(context))
     phi = np.stack([vals for vals, _ in series], axis=1)
     grads = np.stack([g for _, g in series], axis=1)
     value, se = _gap_with_jackknife(phi, grads, jackknife_blocks)

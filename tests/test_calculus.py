@@ -11,6 +11,8 @@ from carnotlab.calculus import (
     fd_frame_first,
     fd_frame_second,
     norm_derivative_tables,
+    pair_length,
+    pair_sum,
 )
 from carnotlab.frames import left_frame
 from carnotlab.group import FiliformGroup, engel_group
@@ -259,3 +261,51 @@ def test_x2_coefficients_bytes_match_reference_loop(n, scale):
     xb = scale * np.random.default_rng(n).uniform(-1, 1, size=(64, g.dimension))
     xb[:2, 0] = [0.0, -0.0]
     assert g.taylor_powers(xb[:, 0]).tobytes() == reference_x2_coefficients(g, xb).tobytes()
+
+
+def _special_pairs() -> np.ndarray:
+    """(m, 2) rows pairing 0, -0, subnormals, extremes, inf and NaN."""
+    tiny = np.nextafter(0.0, 1.0)
+    values = np.array([
+        0.0, -0.0, tiny, -tiny, 1e-310, -2.5e-320, np.finfo(float).tiny,
+        1e-160, 1.5, -3.0, 1e154, 1e200, -1e308, np.inf, -np.inf, np.nan, -np.nan,
+    ])
+    # Quiet and signalling NaNs with payloads.
+    nans = np.array([0x7FF8000000000123, 0xFFF8000000000456, 0x7FF0000000000001], dtype=np.uint64)
+    values = np.concatenate([values, nans.view(np.float64)])
+    rows = np.array([(a, b) for a in values for b in values])
+    rng = np.random.default_rng(0)
+    return np.vstack([rows, rng.normal(size=(500, 2)) * 10.0 ** rng.integers(-300, 300, size=(500, 1))])
+
+
+def test_pair_helpers_match_axis_sums_bitwise():
+    # The length-2 sums replace np.sum over the last axis in the norm jet
+    # and in member_series; they must not move a bit, signed zeros, NaNs
+    # and overflow included.
+    pairs = _special_pairs()
+    with np.errstate(all="ignore"):
+        assert pair_length(pairs).tobytes() == np.sqrt(np.sum(pairs**2, axis=-1)).tobytes()
+        assert pair_sum(pairs).tobytes() == np.sum(pairs, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind", [engel_kind()] + [filiform_kind(n) for n in range(3, 13)],
+    ids=lambda k: f"{k.variant}-{k.group.step}",
+)
+def test_first_alone_matches_the_shared_jet(kind, monkeypatch):
+    # `first` builds no second-order piece, yet equals the first
+    # derivatives of a jet that also served `second`.
+    table = norm_derivative_tables(kind)
+    x = smooth_points(kind, 2_000, seed=kind.group.step)
+    jet = table.jet(x)
+    jet.second
+    shared = jet.first
+
+    def no_second(self, arg):
+        raise AssertionError("first() built second-order pieces")
+
+    monkeypatch.setattr(type(table), "_jet_second", no_second)
+    if isinstance(table, FiliformNormTable):
+        # The filiform pieces of a jet hold both orders.
+        monkeypatch.setattr(FiliformNormTable, "_pieces", no_second)
+    assert table.first(x).tobytes() == shared.tobytes()

@@ -291,10 +291,30 @@ _CSV_PINS = [
                           "invariance_samples": 50}, {
         "algebra.csv": "5d627b13f9ff4d994f1e29cfac742a23f39d7f52c5c68fa1cc294b4147e790cc",
     }),
+    # Filiform runs reach the shifted and rescaled child contexts and the
+    # first-derivative-only norm table.
+    (["ubound", "--kind", "filiform", "--step", "4", "--count", "4000"], None, {
+        "ubound_train.csv": "0335eb6d4f846a532cf2c23642e01035f7935dd84de2cb00bb562e0c1a0ac0cc",
+        "ubound_holdout.csv": "8f3b4f39c2dc367766061b7886b7618f996252be5c4449c2a8f2c8d9959778dd",
+    }),
+    (["poincare", "--kind", "filiform", "--step", "5", "--count", "4000"], None, {
+        "poincare_ratios.csv": "dd2a0f46f28a8783bede141b3e4bc1f9cc29142deb53e8ab0ef4796af0364b9c",
+        "poincare_holdout.csv": "1c9392464904d00c81369bfe8f5149ab55e3bb71719bfa77439818d16fcfdd21",
+    }),
+    (["ball-check", "--kind", "filiform", "--step", "4", "--count", "2000"], None, {
+        "ball.csv": "8ad868b4f03da857593f165e2a5891990257613d25fcd84040b29057892d5776",
+    }),
 ]
 
 
-@pytest.mark.parametrize("args, config, digests", _CSV_PINS, ids=[a[0] for a, _, _ in _CSV_PINS])
+def _pin_id(args: list[str]) -> str:
+    """The command name, with the kind and step where the pin sets them."""
+    if "--kind" not in args:
+        return args[0]
+    return f"{args[0]}-{args[args.index('--kind') + 1]}{args[args.index('--step') + 1]}"
+
+
+@pytest.mark.parametrize("args, config, digests", _CSV_PINS, ids=[_pin_id(a) for a, _, _ in _CSV_PINS])
 def test_csv_artifacts_pinned(tmp_path, args, config, digests):
     if config is not None:
         cfg = tmp_path / "cfg.json"
