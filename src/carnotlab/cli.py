@@ -65,7 +65,7 @@ from .geodesics import (
     dump_path_csv,
     equivalence_scan,
 )
-from .group import FiliformGroup, GroupPoint
+from .group import FiliformGroup, GroupPoint, row_max_abs
 from .inequalities import (
     ConditioningError,
     InfeasibleFitError,
@@ -456,25 +456,19 @@ def _run_verify_algebra(params: dict, out: Path) -> int:
         xy = g.compose(x, y)
         xy_z = g.compose(xy, z)
         x_yz = g.compose(x, g.compose(y, z))
-        ref = np.max(np.abs(xy_z), axis=1) + 1.0
+        ref = row_max_abs(xy_z) + 1.0
 
-        assoc = np.max(np.max(np.abs(xy_z - x_yz), axis=1) / ref)
+        assoc = np.max(row_max_abs(xy_z - x_yz) / ref)
         ident = max(
             float(np.max(np.abs(g.compose(x, g.identity()) - x))),
             float(np.max(np.abs(g.compose(g.identity(), x) - x))),
         ) / float(np.max(np.abs(x)) + 1.0)
-        inv = np.max(
-            np.max(np.abs(g.compose(x, g.inverse(x))), axis=1)
-            / (np.max(np.abs(x), axis=1) + 1.0)
-        )
+        inv = np.max(row_max_abs(g.compose(x, g.inverse(x))) / (row_max_abs(x) + 1.0))
         dil = 0.0
         for lam in (0.5, 1.7):
             lhs = g.dilate(lam, xy)
             rhs = g.compose(g.dilate(lam, x), g.dilate(lam, y))
-            dil = max(
-                dil,
-                float(np.max(np.max(np.abs(lhs - rhs), axis=1) / (np.max(np.abs(lhs), axis=1) + 1.0))),
-            )
+            dil = max(dil, float(np.max(row_max_abs(lhs - rhs) / (row_max_abs(lhs) + 1.0))))
         for cid, defect in (
             ("alg-assoc", float(assoc)),
             ("alg-identity", float(ident)),

@@ -31,9 +31,11 @@ The frame-level functions compute each per-point quantity once and share
 it: `frame_commutators` and `commutator_table` evaluate every field's
 coefficients and Jacobian once per point (the table also its coefficient
 basis) and then form, or solve for, the bracket of each field pair;
-`invariance_residuals` computes the translated point and the translation
-Jacobian once per (alpha, x) pair for all fields.  They give the floats of
-the per-pair `commutator_coefficients` and per-field `check_invariance`.
+`invariance_residuals` computes the translated point, the translation
+Jacobian and the coefficients at x and at the translated point once per
+(alpha, x) pair for all fields.  On the left frame all fields at one point
+read a single Taylor table.  They give the floats of the per-pair
+`commutator_coefficients` and per-field `check_invariance`.
 """
 
 from __future__ import annotations
@@ -64,40 +66,46 @@ class VectorField:
         if not 1 <= self.index <= self.group.dimension:
             raise ValueError(f"field index out of range: {self.index}")
 
-    def coefficients(self, x: np.ndarray) -> np.ndarray:
-        """Coefficient vector of the field in the coordinate basis at x."""
+    def _powers(self, xb: np.ndarray) -> np.ndarray | None:
+        """The Taylor table the left-frame formulas read; None on the right frame."""
+        return self.group.taylor_powers(xb[:, 0]) if self.label == LEFT_LABEL else None
+
+    def _coefficient_rows(self, xb: np.ndarray, pw: np.ndarray | None) -> np.ndarray:
         d = self.group.dimension
-        xb, single = _as_batch(x, d)
         out = np.zeros((xb.shape[0], d))
         j = self.index
-        if self.label == LEFT_LABEL:
-            if j == 1:
-                out[:, 0] = 1.0
-            else:
-                out[:, j - 1:] = self.group.taylor_powers(xb[:, 0])[: d - j + 1].T
-        else:
-            if j == 1:
-                out[:, 0] = 1.0
+        if j == 1:
+            out[:, 0] = 1.0
+            if self.label == RIGHT_LABEL:
                 out[:, 2] = -xb[:, 1]
                 out[:, 3] = -xb[:, 2]
-            else:
-                out[:, j - 1] = 1.0
-        return _restore(out, single)
+        elif self.label == LEFT_LABEL:
+            out[:, j - 1:] = pw[: d - j + 1].T
+        else:
+            out[:, j - 1] = 1.0
+        return out
 
-    def coefficient_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Partial derivatives J[k, l] = d(coefficients_k)/dx_l at x."""
+    def _jacobian_rows(self, xb: np.ndarray, pw: np.ndarray | None) -> np.ndarray:
         d = self.group.dimension
-        xb, single = _as_batch(x, d)
         jac = np.zeros((xb.shape[0], d, d))
         j = self.index
         if self.label == LEFT_LABEL:
             if j >= 2:
-                jac[:, j:, 0] = self.group.taylor_powers(xb[:, 0])[: d - j].T
-        else:
-            if j == 1:
-                jac[:, 2, 1] = -1.0
-                jac[:, 3, 2] = -1.0
-        return jac[0] if single else jac
+                jac[:, j:, 0] = pw[: d - j].T
+        elif j == 1:
+            jac[:, 2, 1] = -1.0
+            jac[:, 3, 2] = -1.0
+        return jac
+
+    def coefficients(self, x: np.ndarray) -> np.ndarray:
+        """Coefficient vector of the field in the coordinate basis at x."""
+        xb, single = _as_batch(x, self.group.dimension)
+        return _restore(self._coefficient_rows(xb, self._powers(xb)), single)
+
+    def coefficient_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Partial derivatives J[k, l] = d(coefficients_k)/dx_l at x."""
+        xb, single = _as_batch(x, self.group.dimension)
+        return _restore(self._jacobian_rows(xb, self._powers(xb)), single)
 
 
 @dataclass(frozen=True)
@@ -171,11 +179,25 @@ def _translate(group: FiliformGroup, label: str, alpha, x) -> np.ndarray:
     return group.reflected_compose(x, alpha)
 
 
-def _invariance_residual(
-    field: VectorField, z: np.ndarray, jac: np.ndarray, x: np.ndarray
-) -> float:
-    pushed = jac @ field.coefficients(x)
-    return float(np.max(np.abs(field.coefficients(z) - pushed)))
+def _field_tables(
+    frame: Frame, x: np.ndarray, jacobians: bool = False
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Every field's `coefficients(x)` and, if asked, `coefficient_jacobian(x)`.
+
+    On the left frame all of them read one Taylor table, so a point costs one
+    `taylor_powers` call rather than one per field and table.  Each entry is
+    its own contiguous array, as the per-field methods return.
+    """
+    xb, single = _as_batch(x, frame.group.dimension)
+    pw = frame.fields[0]._powers(xb)
+    coeffs = [_restore(f._coefficient_rows(xb, pw), single) for f in frame.fields]
+    jacs = [_restore(f._jacobian_rows(xb, pw), single) for f in frame.fields] if jacobians else []
+    return coeffs, jacs
+
+
+def _invariance_residual(at_z: np.ndarray, jac: np.ndarray, at_x: np.ndarray) -> float:
+    """Max-norm gap between a field at z and its pushforward from x."""
+    return float(np.max(np.abs(at_z - jac @ at_x)))
 
 
 def check_invariance(field: VectorField, alpha: np.ndarray, x: np.ndarray) -> float:
@@ -189,18 +211,20 @@ def check_invariance(field: VectorField, alpha: np.ndarray, x: np.ndarray) -> fl
     g = field.group
     z = _translate(g, field.label, alpha, x)
     jac = translation_jacobian(g, field.label, alpha, x)
-    return _invariance_residual(field, z, jac, x)
+    return _invariance_residual(field.coefficients(z), jac, field.coefficients(x))
 
 
 def invariance_residuals(frame: Frame, alpha: np.ndarray, x: np.ndarray) -> list[float]:
     """`check_invariance` of every frame field, in field order.
 
-    The translated point and the translation Jacobian are computed once and
-    shared by all fields.
+    The translated point, the translation Jacobian and the coefficients at
+    each of x and z are computed once and shared by all fields.
     """
     z = _translate(frame.group, frame.label, alpha, x)
     jac = translation_jacobian(frame.group, frame.label, alpha, x)
-    return [_invariance_residual(f, z, jac, x) for f in frame.fields]
+    at_x = _field_tables(frame, x)[0]
+    at_z = _field_tables(frame, z)[0]
+    return [_invariance_residual(cz, jac, cx) for cz, cx in zip(at_z, at_x)]
 
 
 def _fd_coefficient_jacobian(field: VectorField, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -238,8 +262,9 @@ def commutator_coefficients(
 def _frame_brackets(
     frame: Frame, x: np.ndarray, method: str
 ) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
-    coeffs = [f.coefficients(x) for f in frame.fields]
-    jacs = [_jacobian(f, x, method) for f in frame.fields]
+    coeffs, jacs = _field_tables(frame, x, jacobians=method == "analytic")
+    if method != "analytic":
+        jacs = [_jacobian(f, x, method) for f in frame.fields]
     brackets = {
         (i + 1, j + 1): jacs[j] @ coeffs[i] - jacs[i] @ coeffs[j]
         for i in range(len(coeffs))

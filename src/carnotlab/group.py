@@ -18,6 +18,19 @@ shape (n+1,) or a batch of shape (m, n+1), and `compose` broadcasts a single
 point against a batch.  The step is capped at 12 so every factorial involved
 is exactly representable in float64 and the polynomial sums stay well
 conditioned on the boxes used throughout the package.
+
+Products and inverses walk a batch in blocks of 4096 rows, so the
+n(n-1)/2 column passes of the Taylor sums read data that sits in cache
+rather than striding through the whole batch each time.  Inside a block
+every output element sees the same float operations in the same order as
+an unblocked pass (Taylor powers of its own x_1, then a sum folded from 0
+in increasing i), so the bits are the same.  The one exception is the sign
+bit of a NaN.  When two NaNs of opposite sign meet, numpy's scalar and SIMD
+loops keep different ones, and a short tail block can take the other loop.
+That needs inf or NaN inputs, or overflow in the inverse, whose negations
+make NaNs of both signs.
+`row_max_abs` takes row-wise maxima by block in the same way; a max
+rounds nothing, so it is bit-equal to np.max(np.abs(a), axis=1).
 """
 
 from __future__ import annotations
@@ -27,6 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_STEP = 12
+# Rows per block of the batched product and inverse; see the module docstring.
+_BLOCK_ROWS = 4096
 
 
 def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
@@ -45,6 +60,27 @@ def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
 
 def _restore(arr: np.ndarray, single: bool) -> np.ndarray:
     return arr[0] if single else arr
+
+
+def _row_blocks(m: int):
+    """Slices of `_BLOCK_ROWS` consecutive rows covering range(m)."""
+    return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, m, _BLOCK_ROWS))
+
+
+def row_max_abs(a: np.ndarray) -> np.ndarray:
+    """max_j |a_ij| of a 2-D array, bit-equal to np.max(np.abs(a), axis=1).
+
+    Each block of rows folds its columns with np.maximum; a max rounds
+    nothing, so the fold order cannot change a bit.
+    """
+    out = np.empty(a.shape[0])
+    for rows in _row_blocks(a.shape[0]):
+        blk = np.abs(a[rows])
+        acc = out[rows]
+        acc[:] = blk[:, 0]
+        for j in range(1, blk.shape[1]):
+            np.maximum(acc, blk[:, j], out=acc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -114,12 +150,16 @@ class FiliformGroup:
             else:
                 raise ValueError("batch sizes do not broadcast")
         out = xb + yb
-        pw = self.taylor_powers(-xb[:, 0] if reflect else xb[:, 0])
-        for k in range(3, d + 1):
-            acc = np.zeros(out.shape[0])
-            for i in range(2, k):
-                acc += yb[:, i - 1] * pw[k - i]
-            out[:, k - 1] += acc
+        for rows in _row_blocks(out.shape[0]):
+            x1 = xb[rows, 0]
+            pw = self.taylor_powers(-x1 if reflect else x1)
+            yblk = yb[rows]
+            oblk = out[rows]
+            for k in range(3, d + 1):
+                acc = np.zeros(oblk.shape[0])
+                for i in range(2, k):
+                    acc += yblk[:, i - 1] * pw[k - i]
+                oblk[:, k - 1] += acc
         return _restore(out, xs and ys)
 
     def compose(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -131,14 +171,17 @@ class FiliformGroup:
         d = self.dimension
         xb, single = _as_batch(x, d)
         inv = np.empty_like(xb)
-        inv[:, 0] = -xb[:, 0]
-        inv[:, 1] = -xb[:, 1]
-        pw = self.taylor_powers(xb[:, 0])
-        for k in range(3, d + 1):
-            acc = xb[:, k - 1].copy()
-            for i in range(2, k):
-                acc += inv[:, i - 1] * pw[k - i]
-            inv[:, k - 1] = -acc
+        for rows in _row_blocks(xb.shape[0]):
+            xblk = xb[rows]
+            iblk = inv[rows]
+            iblk[:, 0] = -xblk[:, 0]
+            iblk[:, 1] = -xblk[:, 1]
+            pw = self.taylor_powers(xblk[:, 0])
+            for k in range(3, d + 1):
+                acc = xblk[:, k - 1].copy()
+                for i in range(2, k):
+                    acc += iblk[:, i - 1] * pw[k - i]
+                iblk[:, k - 1] = -acc
         return _restore(inv, single)
 
     def dilate(self, lam: float, x: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 from carnotlab import cli
@@ -27,6 +29,7 @@ from carnotlab.cli import (
     config_schema_text,
     main,
 )
+from carnotlab.group import _BLOCK_ROWS
 from carnotlab.measures import N_BATCHES, load_batch
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -304,11 +307,18 @@ _CSV_PINS = [
     (["ball-check", "--kind", "filiform", "--step", "4", "--count", "2000"], None, {
         "ball.csv": "8ad868b4f03da857593f165e2a5891990257613d25fcd84040b29057892d5776",
     }),
+    # 9,000 samples span three row blocks of the group product and inverse.
+    (["verify-algebra", "--steps", "3,12"], {"samples": 9000, "invariance_samples": 5,
+                                             "tolerance": 1}, {
+        "algebra.csv": "b28e8bd5ff0ae98702d6dc04b3bf85cb87df09e10a027611323693eafe8bcbab",
+    }),
 ]
 
 
 def _pin_id(args: list[str]) -> str:
-    """The command name, with the kind and step where the pin sets them."""
+    """The command name, with the kind and step or the steps where the pin sets them."""
+    if "--steps" in args:
+        return f"{args[0]}-steps{args[args.index('--steps') + 1].replace(',', '-')}"
     if "--kind" not in args:
         return args[0]
     return f"{args[0]}-{args[args.index('--kind') + 1]}{args[args.index('--step') + 1]}"
@@ -324,6 +334,29 @@ def test_csv_artifacts_pinned(tmp_path, args, config, digests):
     assert run(args, out) == EXIT_PASS
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def _decades(lo: int, hi: int):
+    return st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.0), st.integers(lo, hi))
+
+
+# --samples crosses the row block of the group product and inverse; the
+# tolerances reach far enough down that some checks fail (exit 2).
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(samples=st.integers(1, 9_000), invariance=st.integers(1, 50),
+       steps=st.lists(st.integers(3, 12), min_size=1, max_size=4, unique=True),
+       tolerance=_decades(-18, 1), comm=_decades(-18, 1), fd=_decades(-18, 1))
+@example(samples=_BLOCK_ROWS + 1, invariance=1, steps=[12], tolerance=1e-10, comm=1e-12, fd=1e-8)
+def test_verify_algebra_flags_keep_the_exit_contract(
+    tmp_path, samples, invariance, steps, tolerance, comm, fd
+):
+    code = run([
+        "verify-algebra", "--samples", str(samples), "--invariance-samples", str(invariance),
+        "--steps", ",".join(map(str, steps)), "--tolerance", repr(tolerance),
+        "--comm-tolerance", repr(comm), "--fd-tolerance", repr(fd),
+    ], tmp_path)
+    assert code in {0, 2, 3, 4}
 
 
 class TestExitCodes:

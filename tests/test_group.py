@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnotlab.group import FiliformGroup, engel_group
+from carnotlab.group import _BLOCK_ROWS, FiliformGroup, engel_group, row_max_abs
 
 
 def coords_strategy(dim: int, bound: float = 10.0):
@@ -201,3 +201,84 @@ def test_inverse_property(x):
     g = engel_group()
     out = g.compose(x, g.inverse(x))
     assert np.max(np.abs(out)) <= 1e-10 * (1.0 + np.max(np.abs(x)))
+
+
+# Reference: the product and inverse as one pass over the whole batch, the
+# loops the row-blocked kernels replace.
+def _ref_product(g, x, y, reflect):
+    xb, yb = np.broadcast_arrays(np.atleast_2d(x), np.atleast_2d(y))
+    out = xb + yb
+    pw = g.taylor_powers(-xb[:, 0] if reflect else xb[:, 0])
+    for k in range(3, g.dimension + 1):
+        acc = np.zeros(out.shape[0])
+        for i in range(2, k):
+            acc += yb[:, i - 1] * pw[k - i]
+        out[:, k - 1] += acc
+    return out
+
+
+def _ref_inverse(g, x):
+    inv = np.empty_like(x)
+    inv[:, 0] = -x[:, 0]
+    inv[:, 1] = -x[:, 1]
+    pw = g.taylor_powers(x[:, 0])
+    for k in range(3, g.dimension + 1):
+        acc = x[:, k - 1].copy()
+        for i in range(2, k):
+            acc += inv[:, i - 1] * pw[k - i]
+        inv[:, k - 1] = -acc
+    return inv
+
+
+_ORDINARY = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-3, 1.5, -0.75, 3.0, -2.0]
+_OVERFLOWING = _ORDINARY + [1e300, -1e300]
+_NONFINITE = _OVERFLOWING + [np.inf, -np.inf, np.nan, -np.nan]
+_SIZES = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+
+
+def _kernel_cases(g, pool, seed):
+    """(kernel, case, blocked result, reference) for every size and broadcast side."""
+    rng = np.random.default_rng(seed)
+    d = g.dimension
+    for m in _SIZES:
+        x, y = rng.choice(pool, size=(2, m, d))
+        p = rng.choice(pool, size=d)
+        for reflect in (False, True):
+            op = g.reflected_compose if reflect else g.compose
+            for a, b, case in ((x, y, "batch"), (p, y, "point o batch"), (x, p, "batch o point")):
+                name = f"{case} m={m} reflect={reflect}"
+                yield "product", name, op(a, b), _ref_product(g, a, b, reflect)
+        yield "inverse", f"inverse m={m}", g.inverse(x), _ref_inverse(g, x)
+
+
+def _bits(a, nan_sign):
+    """The bytes of `a`; without `nan_sign` every NaN is first made the same NaN."""
+    return (a if nan_sign else np.where(np.isnan(a), np.nan, a)).tobytes()
+
+
+# Products are bit-equal even where overflow makes NaNs, since every NaN they
+# make is the default NaN.  The inverse negates, so NaNs of both signs meet,
+# and numpy's scalar and SIMD loops pick different ones; seen in 3-row tail
+# blocks.  inf and NaN inputs do the same to every kernel.
+@pytest.mark.parametrize("pool, exact", [
+    (_ORDINARY, {"product", "inverse"}), (_OVERFLOWING, {"product"}), (_NONFINITE, set()),
+], ids=["ordinary", "overflowing", "nonfinite"])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_blocked_kernels_match_the_unblocked_loops(n, pool, exact):
+    g = FiliformGroup(n)
+    with np.errstate(all="ignore"):
+        for kernel, case, out, ref in _kernel_cases(g, np.array(pool), 100 * len(pool) + n):
+            assert out.shape == ref.shape, case
+            assert _bits(out, kernel in exact) == _bits(ref, kernel in exact), case
+
+
+@pytest.mark.parametrize("m", _SIZES)
+@pytest.mark.parametrize("width", [1, 4, 13])
+def test_row_max_abs_is_bit_equal(m, width):
+    rng = np.random.default_rng(m + width)
+    a = rng.choice(np.array(_NONFINITE), size=(m, width))
+    for arr in (a, np.asfortranarray(a), -a):
+        out = row_max_abs(arr)
+        ref = np.max(np.abs(arr), axis=1)
+        assert out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
