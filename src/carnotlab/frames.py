@@ -17,25 +17,24 @@ Right frame (step 3 only):
     X_1 = d/dx_1 - x_2 d/dx_3 - x_3 d/dx_4,
     X_2 = d/dx_2,   X_3 = d/dx_3,   X_4 = d/dx_4.
 
-These fields commute with every left-frame field and are invariant under the
-adapted right translation z -> reflected_compose(z, alpha) (the right
-translation of the presentation with the first coordinate negated; see
-FiliformGroup.reflected_compose).  `check_invariance` applies the matching
-translation for each label.  The bracket pattern is again
+Of their brackets with the left-frame fields X_j^L only two are nonzero:
+[X_1, X_2^L] = 2 X_3^L and [X_1, X_3^L] = 2 X_4^L.  The fields are
+invariant under the adapted right translation z -> reflected_compose(z, alpha)
+(the right translation of the presentation with the first coordinate
+negated; see FiliformGroup.reflected_compose).  `check_invariance` applies
+the matching translation for each label.  The bracket pattern is again
 [X_1, X_j] = X_{j+1}.
 
 In both frames the first two fields span the horizontal distribution; their
 iterated brackets restore the full tangent space at every point.
 
-The frame-level functions compute each per-point quantity once and share
-it: `frame_commutators` and `commutator_table` evaluate every field's
-coefficients and Jacobian once per point (the table also its coefficient
-basis) and then form, or solve for, the bracket of each field pair;
-`invariance_residuals` computes the translated point, the translation
-Jacobian and the coefficients at x and at the translated point once per
-(alpha, x) pair for all fields.  On the left frame all fields at one point
-read a single Taylor table.  They give the floats of the per-pair
-`commutator_coefficients` and per-field `check_invariance`.
+Each frame quantity has one implementation over a tuple of fields:
+`_field_tables` (coefficients, and Jacobians in closed form or by central
+differences), `_residuals` (invariance) and `_brackets` (every field pair).
+The per-field and per-pair functions run them on a tuple of one or two
+fields, the frame-level functions on `frame.fields`.  Left-frame fields read
+one Taylor table per batch of points, and the finite-difference Jacobians
+of all fields come from one batch of the 2d shifted points.
 """
 
 from __future__ import annotations
@@ -66,10 +65,6 @@ class VectorField:
         if not 1 <= self.index <= self.group.dimension:
             raise ValueError(f"field index out of range: {self.index}")
 
-    def _powers(self, xb: np.ndarray) -> np.ndarray | None:
-        """The Taylor table the left-frame formulas read; None on the right frame."""
-        return self.group.taylor_powers(xb[:, 0]) if self.label == LEFT_LABEL else None
-
     def _coefficient_rows(self, xb: np.ndarray, pw: np.ndarray | None) -> np.ndarray:
         d = self.group.dimension
         out = np.zeros((xb.shape[0], d))
@@ -99,13 +94,11 @@ class VectorField:
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Coefficient vector of the field in the coordinate basis at x."""
-        xb, single = _as_batch(x, self.group.dimension)
-        return _restore(self._coefficient_rows(xb, self._powers(xb)), single)
+        return _field_tables((self,), x)[0][0]
 
     def coefficient_jacobian(self, x: np.ndarray) -> np.ndarray:
         """Partial derivatives J[k, l] = d(coefficients_k)/dx_l at x."""
-        xb, single = _as_batch(x, self.group.dimension)
-        return _restore(self._jacobian_rows(xb, self._powers(xb)), single)
+        return _field_tables((self,), x, "analytic")[1][0]
 
 
 @dataclass(frozen=True)
@@ -173,31 +166,50 @@ def translation_jacobian(
     return jac
 
 
-def _translate(group: FiliformGroup, label: str, alpha, x) -> np.ndarray:
-    if label == LEFT_LABEL:
-        return group.compose(alpha, x)
-    return group.reflected_compose(x, alpha)
-
-
 def _field_tables(
-    frame: Frame, x: np.ndarray, jacobians: bool = False
+    fields: tuple[VectorField, ...], x: np.ndarray, jacobians: str | None = None
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Every field's `coefficients(x)` and, if asked, `coefficient_jacobian(x)`.
+    """Each field's coefficients at x and, if asked, its coefficient Jacobian.
 
-    On the left frame all of them read one Taylor table, so a point costs one
-    `taylor_powers` call rather than one per field and table.  Each entry is
-    its own contiguous array, as the per-field methods return.
+    `jacobians` is None, "analytic" for the closed forms, or "fd" for central
+    differences with step h = 1e-5: column l is (plus - minus) / (2h) with
+    plus and minus the coefficients at x + h e_l and x - h e_l, all 2d
+    shifted points taken as one batch.  The left-frame fields read one
+    Taylor table per batch.  Each entry is its own C-contiguous array.
     """
-    xb, single = _as_batch(x, frame.group.dimension)
-    pw = frame.fields[0]._powers(xb)
-    coeffs = [_restore(f._coefficient_rows(xb, pw), single) for f in frame.fields]
-    jacs = [_restore(f._jacobian_rows(xb, pw), single) for f in frame.fields] if jacobians else []
-    return coeffs, jacs
+    xb, single = _as_batch(x, fields[0].group.dimension)
+    left = [f.group for f in fields if f.label == LEFT_LABEL]
+    pw = left[0].taylor_powers(xb[:, 0]) if left else None
+    coeffs = [_restore(f._coefficient_rows(xb, pw), single) for f in fields]
+    if jacobians is None:
+        return coeffs, []
+    if jacobians == "analytic":
+        jacs = [f._jacobian_rows(xb, pw) for f in fields]
+    elif jacobians == "fd":
+        (m, d), h = xb.shape, 1e-5
+        shift = h * np.eye(d)
+        shifted = np.concatenate([xb[:, None] + shift, xb[:, None] - shift]).reshape(-1, d)
+        jacs = []
+        for rows in _field_tables(fields, shifted)[0]:
+            plus, minus = rows.reshape(2, m, d, d)
+            jacs.append(np.ascontiguousarray(((plus - minus) / (2 * h)).transpose(0, 2, 1)))
+    else:
+        raise ValueError(f"unknown method {jacobians!r}")
+    return coeffs, [_restore(jac, single) for jac in jacs]
 
 
-def _invariance_residual(at_z: np.ndarray, jac: np.ndarray, at_x: np.ndarray) -> float:
-    """Max-norm gap between a field at z and its pushforward from x."""
-    return float(np.max(np.abs(at_z - jac @ at_x)))
+def _residuals(fields: tuple[VectorField, ...], alpha: np.ndarray, x: np.ndarray) -> list[float]:
+    """Max-norm gap between each field at the translated point and its pushforward from x.
+
+    All fields share one label, whose translation z and its Jacobian are
+    computed once.
+    """
+    g, label = fields[0].group, fields[0].label
+    z = g.compose(alpha, x) if label == LEFT_LABEL else g.reflected_compose(x, alpha)
+    jac = translation_jacobian(g, label, alpha, x)
+    at_x = _field_tables(fields, x)[0]
+    at_z = _field_tables(fields, z)[0]
+    return [float(np.max(np.abs(cz - jac @ cx))) for cz, cx in zip(at_z, at_x)]
 
 
 def check_invariance(field: VectorField, alpha: np.ndarray, x: np.ndarray) -> float:
@@ -208,41 +220,29 @@ def check_invariance(field: VectorField, alpha: np.ndarray, x: np.ndarray) -> fl
     field's label.  Exactly invariant fields give a residual at rounding
     level.
     """
-    g = field.group
-    z = _translate(g, field.label, alpha, x)
-    jac = translation_jacobian(g, field.label, alpha, x)
-    return _invariance_residual(field.coefficients(z), jac, field.coefficients(x))
+    return _residuals((field,), alpha, x)[0]
 
 
 def invariance_residuals(frame: Frame, alpha: np.ndarray, x: np.ndarray) -> list[float]:
-    """`check_invariance` of every frame field, in field order.
+    """`check_invariance` of every frame field, in field order."""
+    return _residuals(frame.fields, alpha, x)
 
-    The translated point, the translation Jacobian and the coefficients at
-    each of x and z are computed once and shared by all fields.
+
+def _brackets(
+    fields: tuple[VectorField, ...], x: np.ndarray, method: str
+) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
+    """Each field's coefficients at x and the bracket of every pair (i, j), i < j.
+
+    [X, Y]_k = sum_l (a_l d b_k/dx_l - b_l d a_k/dx_l), with the Jacobians
+    from `_field_tables(fields, x, method)`; keys are 1-based positions.
     """
-    z = _translate(frame.group, frame.label, alpha, x)
-    jac = translation_jacobian(frame.group, frame.label, alpha, x)
-    at_x = _field_tables(frame, x)[0]
-    at_z = _field_tables(frame, z)[0]
-    return [_invariance_residual(cz, jac, cx) for cz, cx in zip(at_z, at_x)]
-
-
-def _fd_coefficient_jacobian(field: VectorField, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    d = field.group.dimension
-    jac = np.zeros((d, d))
-    for l in range(d):
-        e = np.zeros(d)
-        e[l] = h
-        jac[:, l] = (field.coefficients(x + e) - field.coefficients(x - e)) / (2 * h)
-    return jac
-
-
-def _jacobian(field: VectorField, x: np.ndarray, method: str) -> np.ndarray:
-    if method == "analytic":
-        return field.coefficient_jacobian(x)
-    if method == "fd":
-        return _fd_coefficient_jacobian(field, x)
-    raise ValueError(f"unknown method {method!r}")
+    coeffs, jacs = _field_tables(fields, x, method)
+    brackets = {
+        (i + 1, j + 1): jacs[j] @ coeffs[i] - jacs[i] @ coeffs[j]
+        for i in range(len(fields))
+        for j in range(i + 1, len(fields))
+    }
+    return coeffs, brackets
 
 
 def commutator_coefficients(
@@ -250,27 +250,11 @@ def commutator_coefficients(
 ) -> np.ndarray:
     """Coefficients of [fa, fb] at x in the coordinate basis.
 
-    [X, Y]_k = sum_l (a_l d b_k/dx_l - b_l d a_k/dx_l); the Jacobians come
-    from the closed forms when method == "analytic" and from central
-    differences of the coefficient maps when method == "fd".
+    The Jacobians come from the closed forms when method == "analytic" and
+    from central differences of the coefficient maps when method == "fd".
+    The fields may come from different frames.
     """
-    a = fa.coefficients(x)
-    b = fb.coefficients(x)
-    return _jacobian(fb, x, method) @ a - _jacobian(fa, x, method) @ b
-
-
-def _frame_brackets(
-    frame: Frame, x: np.ndarray, method: str
-) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
-    coeffs, jacs = _field_tables(frame, x, jacobians=method == "analytic")
-    if method != "analytic":
-        jacs = [_jacobian(f, x, method) for f in frame.fields]
-    brackets = {
-        (i + 1, j + 1): jacs[j] @ coeffs[i] - jacs[i] @ coeffs[j]
-        for i in range(len(coeffs))
-        for j in range(i + 1, len(coeffs))
-    }
-    return coeffs, brackets
+    return _brackets((fa, fb), x, method)[1][(1, 2)]
 
 
 def frame_commutators(
@@ -278,10 +262,9 @@ def frame_commutators(
 ) -> dict[tuple[int, int], np.ndarray]:
     """`commutator_coefficients` of every field pair (i, j), i < j, at one point x.
 
-    Each field's coefficients and Jacobian are computed once and shared by
-    all pairs; keys are 1-based field indices.
+    Keys are 1-based field indices.
     """
-    return _frame_brackets(frame, x, method)[1]
+    return _brackets(frame.fields, x, method)[1]
 
 
 def commutator_table(
@@ -301,7 +284,7 @@ def commutator_table(
         points = rng.uniform(-2.0, 2.0, size=(5, d))
     rows: dict[tuple[int, int], list[np.ndarray]] = {}
     for p in np.atleast_2d(points):
-        coeffs, brackets = _frame_brackets(frame, p, "analytic")
+        coeffs, brackets = _brackets(frame.fields, p, "analytic")
         basis = np.stack(coeffs, axis=1)
         for pair, comm in brackets.items():
             rows.setdefault(pair, []).append(np.linalg.solve(basis, comm))

@@ -359,6 +359,23 @@ def test_verify_algebra_flags_keep_the_exit_contract(
     assert code in {0, 2, 3, 4}
 
 
+# No other test runs the measure commands above step 6.  `gap` needs its
+# jackknife blocks at most count/2, which counts from 50 always allow.
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["sample", "ubound", "poincare", "gap", "ball-check", "localize"]),
+       step=st.integers(3, 12), count=st.integers(N_BATCHES, 2_000),
+       blocks=st.integers(2, N_BATCHES // 2), seed=st.integers(0, 2**16))
+@example(command="gap", step=12, count=2_000, blocks=2, seed=0)
+@example(command="localize", step=12, count=N_BATCHES, blocks=2, seed=0)
+def test_measure_commands_keep_the_exit_contract(tmp_path, command, step, count, blocks, seed):
+    args = [command, "--kind", "filiform", "--step", str(step), "--count", str(count),
+            "--seed", str(seed)]
+    if command == "gap":
+        args += ["--jackknife-blocks", str(blocks)]
+    assert run(args, tmp_path) in {0, 2, 3, 4}
+
+
 class TestExitCodes:
     def test_check_failure_exits_two(self, tmp_path, capsys):
         # An impossible tolerance turns rounding noise into a failure.

@@ -177,6 +177,47 @@ class TestRightCommutators:
         np.testing.assert_allclose(table[(2, 3)], np.zeros(4), atol=1e-12)
 
 
+class TestMixedBrackets:
+    """Right fields against left fields on Engel; only [X_1^R, X_2^L] and
+    [X_1^R, X_3^L] are nonzero."""
+
+    @staticmethod
+    def expected(i, j, x):
+        if (i, j) == (1, 2):
+            return np.array([0.0, 0.0, 2.0, 2.0 * x[0]])  # 2 X_3^L
+        if (i, j) == (1, 3):
+            return np.array([0.0, 0.0, 0.0, 2.0])  # 2 X_4^L
+        return np.zeros(4)
+
+    @pytest.mark.parametrize("x", [[0.7, -1.2, 0.4, 2.0], [-1.5, 0.3, -0.8, 0.1]])
+    def test_pinned(self, x):
+        g = engel_group()
+        x = np.array(x)
+        for right in right_frame_engel(g).fields:
+            for left in left_frame(g).fields:
+                want = self.expected(right.index, left.index, x)
+                np.testing.assert_array_equal(commutator_coefficients(right, left, x), want)
+                np.testing.assert_array_equal(commutator_coefficients(left, right, x), -want)
+                fd = commutator_coefficients(right, left, x, method="fd")
+                np.testing.assert_allclose(fd, want, atol=1e-8)
+                fd = commutator_coefficients(left, right, x, method="fd")
+                np.testing.assert_allclose(fd, -want, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_fd_brackets_read_one_table_for_the_shifted_points(n, monkeypatch):
+    # One Taylor table at the point and one for all 2d shifted points, where
+    # single-point shifts took 1 + 2d^2.
+    calls = []
+    powers = FiliformGroup.taylor_powers
+    monkeypatch.setattr(
+        FiliformGroup, "taylor_powers", lambda self, x1: calls.append(x1.shape) or powers(self, x1)
+    )
+    d = n + 1
+    frame_commutators(left_frame(FiliformGroup(n)), np.linspace(-1.0, 1.0, d), "fd")
+    assert calls == [(1,), (2 * d,)]
+
+
 def test_field_index_validation():
     with pytest.raises(ValueError):
         VectorField(engel_group(), LEFT_LABEL, 0)
