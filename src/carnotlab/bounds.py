@@ -91,21 +91,6 @@ class BoundReport:
     seed: int
 
 
-CSV_HEADER = "name,kind,step,direction,samples,extremum,target,passed,seed"
-
-
-def reports_to_csv(reports: list[BoundReport]) -> str:
-    rows = [CSV_HEADER]
-    for r in reports:
-        target = "" if r.target is None else repr(r.target)
-        passed = "" if r.passed is None else str(r.passed).lower()
-        rows.append(
-            f"{r.name},{r.kind_variant},{r.step},{r.direction},"
-            f"{r.sample_count},{r.extremum!r},{target},{passed},{r.seed}"
-        )
-    return "\n".join(rows) + "\n"
-
-
 # The first 13 primes: a group has at most MAX_STEP + 1 = 13 coordinates.
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 

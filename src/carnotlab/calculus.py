@@ -221,14 +221,10 @@ class EngelNormTable(NormDerivativeTable):
         self.frame = right_frame_engel(kind.group)
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, 4)
-        out = engel_norm(xb)
-        return out[0] if single else out
+        return engel_norm(x)
 
     def seminorm(self, x: np.ndarray) -> np.ndarray:
-        xb, single = _as_batch(x, 4)
-        out = engel_seminorm(xb)
-        return out[0] if single else out
+        return engel_seminorm(x)
 
     def _pieces(self, xb: np.ndarray):
         sem = engel_seminorm(xb)

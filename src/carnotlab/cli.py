@@ -20,6 +20,10 @@ schemas and the flags all come from the COMMANDS table below, and
 `carnotlab --dump-schema` generates that file from it.  Outputs embed the
 resolved config, the master seed, and package versions; nothing embeds a
 timestamp, so a rerun with the same config and seed is bit-identical.
+CSV/JSON shaping lives here: the library returns arrays and dataclasses,
+this module writes every text artifact (through `_write_json`,
+`_write_lines` and `_write_csv`), and only `measures.save_batch` writes a
+file elsewhere, the binary CCMB batch.
 
 The master seed is consumed only through named substreams
 (`seeding.seed_sequence(seed, *labels)`), so different consumers never
@@ -50,7 +54,7 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from . import __version__
-from .bounds import EmptyDomainError, reports_to_csv, verify_kind
+from .bounds import EmptyDomainError, verify_kind
 from .family import default_family
 from .frames import (
     commutator_table,
@@ -60,9 +64,9 @@ from .frames import (
     right_frame_engel,
 )
 from .geodesics import (
+    RESIDUAL_REPORT_FACTOR,
     InfeasiblePathError,
     approx_distance,
-    dump_path_csv,
     equivalence_scan,
 )
 from .group import FiliformGroup, GroupPoint, row_max_abs
@@ -81,10 +85,8 @@ from .inequalities import (
 from .measures import (
     N_BATCHES,
     MeasureSpec,
-    SampleBatch,
     batch_mean_se,
     estimate_Z,
-    export_csv,
     sample,
     save_batch,
 )
@@ -341,15 +343,16 @@ def _fmt(value: float) -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
     if isinstance(value, (float, np.floating)):
         return _fmt(value)
-    return str(value)
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    return "" if value is None else str(value)
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    """`header`, then one line per row: bools lower-case, floats by repr, the rest by str."""
+    """`header`, then one line per row: bools lower-case, floats by repr,
+    None empty, the rest by str."""
     _write_lines(path, [header, *(",".join(map(_cell, row)) for row in rows)])
 
 
@@ -547,7 +550,11 @@ def _run_verify_bounds(params: dict, out: Path) -> int:
     ctx.check("bnd-fil-sup", sup_ok, f"{2 * len(params['filiform_steps'])} sups recorded")
     ctx.check("bnd-fil-x1", lower_ok, f"worst inf {_fmt(lower_worst)}")
 
-    (out / "bounds.csv").write_text(reports_to_csv(reports), encoding="utf-8")
+    _write_csv(out / "bounds.csv", "name,kind,step,direction,samples,extremum,target,passed,seed", [
+        (r.name, r.kind_variant, r.step, r.direction, r.sample_count, r.extremum, r.target,
+         r.passed, r.seed)
+        for r in reports
+    ])
     return ctx.finish("bounds.json", {"reports": [dataclasses.asdict(r) for r in reports]})
 
 
@@ -572,13 +579,17 @@ def _run_sample(params: dict, out: Path) -> int:
     save_batch(out / "samples.ccmb", batch)
     rows = min(params["csv_rows"], batch.coords.shape[0])
     if rows > 0:
-        head = SampleBatch(
-            spec=spec,
-            coords=batch.coords[:rows],
-            seed=batch.seed,
-            diagnostics=batch.diagnostics,
-        )
-        export_csv(out / "samples.csv", head)
+        # Rows go as Python floats, which format faster than NumPy scalars.
+        header = "\n".join([
+            f"# kind: {spec.kind.variant}",
+            f"# step: {spec.kind.group.step}",
+            f"# a: {spec.a!r}",
+            f"# p: {spec.p!r}",
+            f"# seed: {batch.seed}",
+            f"# count: {rows}",
+            ",".join(f"x{k}" for k in range(1, spec.kind.group.dimension + 1)),
+        ])
+        _write_csv(out / "samples.csv", header, batch.coords[:rows].tolist())
         ctx.note(f"samples.csv holds the first {rows} rows; samples.ccmb holds all")
 
     results = {
@@ -836,11 +847,16 @@ def _run_geodesic(params: dict, out: Path) -> int:
     )
     ctx.check(
         "geo-residual",
-        est.residual <= 1e-6 * (1.0 + nval),
+        est.residual <= RESIDUAL_REPORT_FACTOR * (1.0 + nval),
         f"value {_fmt(est.value)} residual {_fmt(est.residual)} "
         f"segments {est.segments}",
     )
-    dump_path_csv(est.path, out / "geodesic_path.csv")
+    # One row per segment: its controls, then the state after it.
+    _write_csv(
+        out / "geodesic_path.csv",
+        "segment,u1,u2," + ",".join(f"x{k}" for k in range(1, group.dimension + 1)),
+        ((s, *u, *x) for s, (u, x) in enumerate(zip(est.path.controls, est.path.states()))),
+    )
     results = {
         "value": est.value,
         "residual": est.residual,

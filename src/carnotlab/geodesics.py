@@ -416,7 +416,9 @@ def approx_distance(
     Cascades over doubling segment counts, warm-starting each level with
     the refined previous optimum plus staircase, constant, and randomized
     initial paths, which run in lockstep; restarts merge deterministically
-    by taking the shortest feasible result (ties keep the earliest).
+    by taking the shortest feasible result (ties keep the earliest).  A
+    level with no feasible optimum keeps its staircase when that meets the
+    residual tolerance.
     """
     if k_segments < 4:
         raise ValueError("need at least 4 segments")
@@ -446,6 +448,7 @@ def approx_distance(
     best_length = np.inf
     total_iterations = 0
     best_residual = np.inf
+    tolerance = RESIDUAL_REPORT_FACTOR * (1.0 + nval)
     for level_idx, k_seg in enumerate(levels):
         starts: list[np.ndarray] = []
         if best_controls is not None:
@@ -464,13 +467,19 @@ def approx_distance(
         for controls, rnorm, iters in _optimize_all(group, tvec, starts, scale):
             total_iterations += iters
             best_residual = min(best_residual, rnorm)
-            if rnorm <= RESIDUAL_REPORT_FACTOR * (1.0 + nval):
+            if rnorm <= tolerance:
                 length = HorizontalPath(group, controls).length()
                 if length < level_len:
                     level_len = length
-                    level_best = (controls, rnorm)
+                    level_best = controls
+        # Every start can collapse towards the zero path on a target close
+        # to the origin; the staircase still reaches it.
+        if level_best is None and stair is not None:
+            if np.linalg.norm(endpoint_only(group, stair) - tvec) <= tolerance:
+                level_best = stair
+                level_len = HorizontalPath(group, stair).length()
         if level_best is not None:
-            best_controls = level_best[0]
+            best_controls = level_best
             best_length = level_len
 
     if best_controls is None:
@@ -535,18 +544,3 @@ def equivalence_scan(
             "conservative"
         ),
     )
-
-
-def dump_path_csv(path_obj: HorizontalPath, file_path) -> None:
-    """CSV rows (segment, u1, u2, state after segment)."""
-    d = path_obj.group.dimension
-    states = path_obj.states()
-    header = "segment,u1,u2," + ",".join(f"x{k}" for k in range(1, d + 1))
-    lines = [header]
-    for s in range(path_obj.segments):
-        u1, u2 = path_obj.controls[s]
-        row = [str(s), repr(float(u1)), repr(float(u2))]
-        row.extend(repr(float(v)) for v in states[s])
-        lines.append(",".join(row))
-    with open(file_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -19,7 +19,7 @@ batch-means standard errors (50 batches):
   * `spectral_gap_galerkin`: variational upper bound for the 2-spectral gap
     from a monomial basis, with an exact-sampler Gaussian calibration mode.
 
-Reports are plain frozen dataclasses; CSV/JSON shaping lives in the CLI.
+Reports are plain frozen dataclasses.
 """
 
 from __future__ import annotations

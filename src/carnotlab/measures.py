@@ -14,8 +14,7 @@ a^(-Q/p) times the unit-ball volume of the kind (see `estimate_Z`).
 Sample batches serialise to a small binary format ("CCMB"): magic bytes,
 u32 version and step, f64 spec fields (a, p, kind code, and a flag that
 is always 0 in format version 1), u64 seed and count, then the points
-row-major as little-endian f64.  A CSV mirror with a key:value
-provenance header is also available.  Outputs carry no timestamps, so a
+row-major as little-endian f64.  Outputs carry no timestamps, so a
 rerun with the same inputs is bit-identical.
 """
 
@@ -335,21 +334,3 @@ def load_batch(path) -> tuple[dict, np.ndarray]:
         "count": count,
     }
     return header, np.array(data)
-
-
-def export_csv(path, batch: SampleBatch) -> None:
-    """CSV mirror: provenance header lines, then one row per point."""
-    spec = batch.spec
-    d = spec.kind.group.dimension
-    lines = [
-        f"# kind: {spec.kind.variant}",
-        f"# step: {spec.kind.group.step}",
-        f"# a: {spec.a!r}",
-        f"# p: {spec.p!r}",
-        f"# seed: {batch.seed}",
-        f"# count: {batch.coords.shape[0]}",
-        ",".join(f"x{k}" for k in range(1, d + 1)),
-    ]
-    body = "\n".join(",".join(repr(float(v)) for v in row) for row in batch.coords)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n" + body + "\n")

@@ -20,10 +20,8 @@ from carnotlab import bounds, calculus
 from carnotlab.bounds import (
     DEFAULT_BOX,
     DEFAULT_STANDOFF,
-    BoundReport,
     BoundSpec,
     EmptyDomainError,
-    reports_to_csv,
     stratified_smooth_samples,
     verify_engel_gradient_bound,
     verify_engel_laplacian_bound,
@@ -230,33 +228,19 @@ def test_step3_engel_and_filiform_constants_differ():
 
 
 class TestReportSerialization:
-    def make_report(self):
-        return BoundReport(
-            name="demo",
-            kind_variant="engel",
-            step=3,
-            direction="upper",
-            sample_count=10,
-            extremum=1.25,
-            arg_point=(1.0, 2.0, 3.0, 4.0),
-            target=2.0,
-            passed=True,
-            domain="test domain",
-            seed=7,
-        )
-
-    def test_csv(self):
-        rep = self.make_report()
-        recorded = BoundReport(
-            name="rec", kind_variant="filiform", step=4, direction="upper",
-            sample_count=5, extremum=3.5, arg_point=(0.0,) * 5, target=None,
-            passed=None, domain="d", seed=1,
-        )
-        csv = reports_to_csv([rep, recorded])
-        lines = csv.strip().splitlines()
-        assert lines[0].startswith("name,kind,step")
-        assert len(lines) == 3
-        assert lines[2].split(",")[6] == ""  # empty target field
+    def test_csv(self, tmp_path):
+        args = ["verify-bounds", "--samples", "2000", "--filiform-steps", "3,5"]
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "bounds.csv").read_text().splitlines()
+        assert lines[0] == "name,kind,step,direction,samples,extremum,target,passed,seed"
+        assert len(lines) == 1 + 3 + 3 * 2
+        cells = {line.split(",")[0]: line.split(",") for line in lines[1:]}
+        # The filiform sups are recorded without a target: empty cells.
+        for n in (3, 5):
+            for name in (f"filiform-gradient-sup-n{n}", f"filiform-laplacian-sup-n{n}"):
+                assert cells[name][6:8] == ["", ""]
+            assert cells[f"filiform-x1-lower-n{n}"][6:8] == ["1.0", "true"]
+        assert cells["engel-laplacian-sup"][6:] == ["7.0", "true", "0"]
 
     def test_bad_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -341,7 +325,13 @@ def test_cli_reports_equal_the_single_ratio_wrappers(tmp_path):
     for n in (3, 4):
         reports.extend(verify_filiform_bounds(n, samples))
         reports.append(verify_filiform_x1_lower(n, samples))
-    assert (tmp_path / "bounds.csv").read_text() == reports_to_csv(reports)
+    rows = [line.split(",") for line in (tmp_path / "bounds.csv").read_text().splitlines()[1:]]
+    assert len(rows) == len(reports)
+    for row, r in zip(rows, reports):
+        assert row[:5] == [r.name, r.kind_variant, str(r.step), r.direction, str(r.sample_count)]
+        assert float(row[5]) == r.extremum and row[8] == str(r.seed)
+        assert row[6] == ("" if r.target is None else repr(r.target))
+        assert row[7] == ("" if r.passed is None else str(r.passed).lower())
     written = json.loads((tmp_path / "bounds.json").read_text())["results"]["reports"]
     assert written == json.loads(json.dumps([dataclasses.asdict(r) for r in reports]))
 

@@ -312,6 +312,21 @@ _CSV_PINS = [
                                              "tolerance": 1}, {
         "algebra.csv": "b28e8bd5ff0ae98702d6dc04b3bf85cb87df09e10a027611323693eafe8bcbab",
     }),
+    # The filiform sups carry no target or verdict: empty cells.
+    (["verify-bounds", "--samples", "20000", "--filiform-steps", "3,4"], None, {
+        "bounds.csv": "3677b2e9406c231212ea770a1c3c80f23509dd2f25a60de64a661522a98abae3",
+    }),
+    # Provenance lines first; "# count" is the row count of the CSV.
+    (["sample", "--count", "2000", "--csv-rows", "100"], None, {
+        "samples.csv": "f922ed3bd6b34d7979f02868775d446e55685b177f2d080b5b264425bce75416",
+    }),
+    (["sample", "--kind", "filiform", "--step", "5", "--a", "1.5", "--p", "5",
+      "--count", "2000", "--csv-rows", "100"], None, {
+        "samples.csv": "fb0953c4373e9fc0444d029a36cb1fb7b64a8696f808dfbaa078412a97c538b6",
+    }),
+    (["geodesic", "--segments", "8", "--restarts", "2"], None, {
+        "geodesic_path.csv": "e3f4c399f83b450e4ec0e3932529e6ba0538a4614cc8fcd45aa23027130ecd62",
+    }),
 ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import warnings
 from math import factorial
 
@@ -10,8 +11,12 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from carnotlab.cli import main
 from carnotlab.geodesics import (
     LBFGS_MAXITER,
+    RESIDUAL_REPORT_FACTOR,
+    VALUE_PAD_ABS,
+    VALUE_PAD_REL,
     DistanceEstimate,
     EquivalenceBand,
     HorizontalPath,
@@ -20,7 +25,6 @@ from carnotlab.geodesics import (
     _drive_lbfgsb,
     _optimize_all,
     approx_distance,
-    dump_path_csv,
     endpoint_and_jacobian,
     endpoint_only,
     equivalence_scan,
@@ -455,20 +459,39 @@ class TestEquivalenceScan:
 
 class TestPathDump:
     def test_csv_round_trip(self, tmp_path):
+        args = ["geodesic", "--target", "0.5,0.5,0.2,0.1", "--segments", "8", "--restarts", "2"]
+        assert main([*args, "--out", str(tmp_path)]) == 0
         est = approx_distance(
             GroupPoint(ENGEL, np.array([0.5, 0.5, 0.2, 0.1])), 8, restarts=2, seed=0
         )
-        out = tmp_path / "path.csv"
-        dump_path_csv(est.path, out)
-        rows = out.read_text().strip().split("\n")
+        rows = (tmp_path / "geodesic_path.csv").read_text().strip().split("\n")
         assert rows[0] == "segment,u1,u2,x1,x2,x3,x4"
         assert len(rows) == 1 + est.path.segments
-        last = np.array([float(v) for v in rows[-1].split(",")[3:]])
-        np.testing.assert_allclose(last, est.path.endpoint().coords, atol=1e-15)
-        controls = np.array(
-            [[float(v) for v in r.split(",")[1:3]] for r in rows[1:]]
-        )
-        np.testing.assert_allclose(controls, est.path.controls, atol=1e-15)
+        table = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+        np.testing.assert_array_equal(table[:, 0], np.arange(est.path.segments))
+        np.testing.assert_array_equal(table[:, 1:3], est.path.controls)
+        np.testing.assert_array_equal(table[:, 3:], est.path.states())
+        np.testing.assert_allclose(table[-1, 3:], est.path.endpoint().coords, atol=1e-15)
+
+
+class TestNearOriginTarget:
+    """delta_0.1(e_top) at step 3 is (0, 0, 0, 0.001): every optimised start
+    collapses towards the zero path, and the staircase still reaches it."""
+
+    def test_approx_distance_keeps_the_staircase(self):
+        target = ENGEL.dilate(0.1, np.array([0.0, 0.0, 0.0, 1.0]))
+        est = approx_distance(GroupPoint(ENGEL, target), 8, restarts=3, seed=0)
+        stair = HorizontalPath(ENGEL, staircase_controls(ENGEL, target, 8))
+        assert est.residual <= RESIDUAL_REPORT_FACTOR
+        assert est.value == stair.length() * (1.0 + VALUE_PAD_REL) + VALUE_PAD_ABS
+
+    def test_cli_passes_within_the_staircase_length(self, tmp_path, capsys):
+        assert main(["geodesic", "--target", "0,0,0,0.001", "--out", str(tmp_path)]) == 0
+        assert "[geo-residual] PASS" in capsys.readouterr().out
+        value = json.loads((tmp_path / "geodesic.json").read_text())["results"]["value"]
+        target = np.array([0.0, 0.0, 0.0, 0.001])
+        stair = HorizontalPath(ENGEL, staircase_controls(ENGEL, target, 8))
+        assert value <= stair.length() * (1.0 + VALUE_PAD_REL) + VALUE_PAD_ABS
 
 
 # approx_distance on the `distance` benchmark workload's targets: e_1 and

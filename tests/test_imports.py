@@ -1,4 +1,5 @@
-"""Start-up cost: importing the CLI loads no heavy scipy submodule."""
+"""Start-up cost: importing the CLI loads no heavy scipy submodule; no
+module imports a name it never uses."""
 
 from __future__ import annotations
 
@@ -84,3 +85,32 @@ def test_no_source_module_imports_scipy_stats():
         for path in sorted((SRC / "carnotlab").glob("*.py"))
     }
     assert {name: mods for name, mods in offenders.items() if mods} == {}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; `__all__` entries count as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_keeps_an_unused_import():
+    paths = [
+        *sorted((SRC / "carnotlab").glob("*.py")),
+        *sorted((REPO_ROOT / "tests").glob("*.py")),
+        *sorted((REPO_ROOT / "bench").glob("*.py")),
+    ]
+    assert [entry for path in paths for entry in _unused_imports(path)] == []

@@ -9,6 +9,7 @@ import pytest
 from scipy.special import gamma
 
 from carnotlab.calculus import norm_derivative_tables
+from carnotlab.cli import main
 from carnotlab.measures import (
     SampleDiagnostics,
     MeasureSpec,
@@ -17,7 +18,6 @@ from carnotlab.measures import (
     batch_mean_se,
     cone_samples,
     estimate_Z,
-    export_csv,
     load_batch,
     sample,
     save_batch,
@@ -364,26 +364,30 @@ def test_save_writes_zero_flag_at_offset_36(tmp_path):
     assert header["perturbed"] is True
 
 
+def _sample_csv(tmp_path, *args):
+    """The lines of `carnotlab sample`'s samples.csv and the CCMB coordinates."""
+    assert main(["sample", *args, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "samples.csv").read_text().splitlines()
+    return lines, load_batch(tmp_path / "samples.ccmb")[1]
+
+
 def test_csv_mirror(tmp_path):
-    batch = sample(ENGEL_SPEC, 25, seed=2)
-    path = tmp_path / "batch.csv"
-    export_csv(path, batch)
-    lines = path.read_text().splitlines()
+    lines, coords = _sample_csv(tmp_path, "--count", "100", "--csv-rows", "25", "--seed", "2")
     header_lines = [ln for ln in lines if ln.startswith("#")]
     assert any("seed: 2" in ln for ln in header_lines)
     assert lines[len(header_lines)] == "x1,x2,x3,x4"
     rows = lines[len(header_lines) + 1 :]
     assert len(rows) == 25
     parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
-    np.testing.assert_array_equal(parsed, batch.coords)
+    np.testing.assert_array_equal(parsed, coords[:25])
+    np.testing.assert_array_equal(coords, sample(ENGEL_SPEC, 100, seed=2).coords)
 
 
 def test_csv_mirror_filiform_columns(tmp_path):
-    spec = MeasureSpec(filiform_kind(5), a=1.5, p=5.0)
-    batch = sample(spec, 12, seed=3)
-    path = tmp_path / "fil.csv"
-    export_csv(path, batch)
-    lines = path.read_text().splitlines()
+    lines, coords = _sample_csv(
+        tmp_path, "--kind", "filiform", "--step", "5", "--a", "1.5", "--p", "5",
+        "--count", "100", "--csv-rows", "12", "--seed", "3",
+    )
     assert lines[:6] == [
         "# kind: filiform",
         "# step: 5",
@@ -394,7 +398,7 @@ def test_csv_mirror_filiform_columns(tmp_path):
     ]
     assert lines[6] == "x1,x2,x3,x4,x5,x6"
     parsed = np.array([[float(v) for v in row.split(",")] for row in lines[7:]])
-    np.testing.assert_array_equal(parsed, batch.coords)
+    np.testing.assert_array_equal(parsed, coords[:12])
 
 
 def test_filiform_kind_code_roundtrip(tmp_path):
