@@ -37,7 +37,9 @@ from .norms import (
     engel_from_seminorm,
     engel_norm,
     engel_seminorm,
+    filiform_from_sum,
     filiform_norm,
+    filiform_rows,
     filiform_seminorm,
 )
 
@@ -124,10 +126,13 @@ class NormDerivativeTable:
     Subclasses fix the norm kind and its natural frame and implement
     vectorised `value`, `seminorm`, `first` (X_i N, shape (m, 2)) and
     `second` (X_i^2 N, shape (m, 2)).  `first` and `second` are read off a
-    `NormJet`, built from the subclass's `_pieces`, `_jet_first` and
-    `_jet_second`; a jet's pieces serve both derivative orders.  `first`
-    builds no second-order piece: the Engel pieces hold none, and the
-    filiform `first` reads only `_first_pieces`, the first half of its
+    `NormJet`, built from the subclass's `_pieces` and `_jet_second`; a
+    jet's pieces serve both derivative orders.  `_pieces` starts with
+    (N, seminorm, X_1 g, X_2 g), where g = N^n and n is the step (3 for
+    Engel): the pass that builds the derivatives also gives N and the
+    seminorm, and `_chain_first` turns X_i g into X_i N for either kind.
+    `first` builds no second-order piece: the Engel pieces hold none, and
+    the filiform `first` reads only `_first_pieces`, the first half of its
     `_pieces`.  Each subclass defines `first` and `second` in its own body,
     where the per-layer tracer of the benchmark wraps them.  Values are only
     meaningful on the smooth region; no masking is applied here.
@@ -146,11 +151,11 @@ class NormDerivativeTable:
         """The norm quantities of the batch x, each computed at most once."""
         return NormJet(self, _as_batch(x, self.kind.group.dimension)[0])
 
-    def _jet_value(self, jet: "NormJet") -> np.ndarray:
-        return self.value(jet.xb)
-
-    def _jet_seminorm(self, jet: "NormJet") -> np.ndarray:
-        return self.seminorm(jet.xb)
+    def _chain_first(self, nval: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+        """(X_1 N, X_2 N) = (X_1 g, X_2 g) / (n N^(n-1)) for g = N^n, n the step."""
+        n = self.kind.group.step
+        denom = n * nval ** (n - 1)
+        return np.stack([g1 / denom, g2 / denom], axis=-1)
 
     def _read(self, x: np.ndarray, name: str) -> np.ndarray:
         xb, single = _as_batch(x, self.kind.group.dimension)
@@ -163,9 +168,10 @@ class NormJet:
 
     Each quantity is computed on first access and kept, so every ratio built
     on one batch shares a single derivative pass; the table's intermediate
-    pieces (`pieces`) are likewise computed once for both derivative orders.
-    The arrays are bitwise those of the table's `value`, `seminorm`, `first`,
-    `second`, `gradient_norm` and `laplacian` on the same batch.
+    pieces (`pieces`) are likewise computed once for both derivative orders,
+    and N and the seminorm are read off them.  The arrays are bitwise those
+    of the table's `value`, `seminorm`, `first`, `second`, `gradient_norm`
+    and `laplacian` on the same batch.
     """
 
     def __init__(self, table: NormDerivativeTable, xb: np.ndarray):
@@ -176,17 +182,18 @@ class NormJet:
     def pieces(self) -> tuple:
         return self.table._pieces(self.xb)
 
-    @cached_property
+    @property
     def value(self) -> np.ndarray:
-        return self.table._jet_value(self)
+        return self.pieces[0]
 
-    @cached_property
+    @property
     def seminorm(self) -> np.ndarray:
-        return self.table._jet_seminorm(self)
+        return self.pieces[1]
 
     @cached_property
     def first(self) -> np.ndarray:
-        return self.table._jet_first(self)
+        nval, _, g1, g2 = self.pieces[:4]
+        return self.table._chain_first(nval, g1, g2)
 
     @cached_property
     def second(self) -> np.ndarray:
@@ -234,23 +241,11 @@ class EngelNormTable(NormDerivativeTable):
         w = 2.0 * xb[:, 0] - xb[:, 1] * s3
         g1 = 1.5 * sem * w - xb[:, 2] * s4
         g2 = 3.0 * sem * xb[:, 1]
-        return sem, nval, s3, s4, w, g1, g2
-
-    # The pieces already hold N and the seminorm.
-    def _jet_value(self, jet: NormJet) -> np.ndarray:
-        return jet.pieces[1]
-
-    def _jet_seminorm(self, jet: NormJet) -> np.ndarray:
-        return jet.pieces[0]
-
-    def _jet_first(self, jet: NormJet) -> np.ndarray:
-        _, nval, _, _, _, g1, g2 = jet.pieces
-        denom = 3.0 * nval**2
-        return np.stack([g1 / denom, g2 / denom], axis=-1)
+        return nval, sem, g1, g2, s4, w
 
     def _jet_second(self, jet: NormJet) -> np.ndarray:
         xb = jet.xb
-        sem, nval, _, s4, w, g1, g2 = jet.pieces
+        nval, sem, g1, g2, s4, w = jet.pieces
         gg1 = 0.75 * w**2 / sem + 3.0 * sem + xb[:, 1] * s4
         gg2 = 3.0 * xb[:, 1] ** 2 / sem + 3.0 * sem
         denom = 3.0 * nval**2
@@ -297,7 +292,7 @@ class FiliformNormTable(NormDerivativeTable):
         n = kind.group.step
         self.n = n
         self.beta = 2.0 * n / (n + 1)
-        self.alphas = {j: (n + 1) / (2.0 * (j - 1)) for j in range(2, n + 1)}
+        self.alphas = {j: (n + 1) / (2.0 * (j - 1)) for j in range(3, n + 1)}
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return filiform_norm(self.kind.group, x)
@@ -306,27 +301,22 @@ class FiliformNormTable(NormDerivativeTable):
         return filiform_seminorm(self.kind.group, x)
 
     def _first_pieces(self, xb: np.ndarray):
-        """(X_1 g, X_2 g) on the batch, then the intermediates the second
-        derivatives reuse: the S_j rows, S_j^(beta-1), its row sum, A', B',
-        T_j' and the X_2 coefficients."""
+        """|x|^n and (X_1 g, X_2 g) on the batch, then the intermediates the
+        second derivatives reuse: the S_j rows, S_j^(beta-1), its row sum,
+        A', B', T_j' (j >= 3) and the X_2 coefficients.  N is left to the
+        callers: taken last, it adds no array at the pass's memory peak."""
         n = self.n
         beta = self.beta
         half = (n + 1) / 2.0
-        ax1 = np.abs(xb[:, 0])
-        ax2 = np.abs(xb[:, 1])
-        a_pow = ax1**half
-        b_pow = ax2**half
-        s_rows = []
-        t_p = {}
-        for j in range(2, n + 1):
-            aj = self.alphas[j]
-            axj = np.abs(xb[:, j - 1])
-            s_rows.append(a_pow + b_pow + axj**aj)
-            t_p[j] = aj * axj ** (aj - 1.0) * np.sign(xb[:, j - 1])
-        s = np.stack(s_rows, axis=0)  # (n-1, m), rows j = 2..n
+        # The power sum first: no (n-1, m) array besides the rows is alive yet.
+        s, power_sum = filiform_rows(n, xb)  # s: (n-1, m), rows j = 2..n
         sb1 = s ** (beta - 1.0)
-        a_p = half * ax1 ** (half - 1.0) * np.sign(xb[:, 0])
-        b_p = half * ax2 ** (half - 1.0) * np.sign(xb[:, 1])
+        a_p = half * np.abs(xb[:, 0]) ** (half - 1.0) * np.sign(xb[:, 0])
+        b_p = half * np.abs(xb[:, 1]) ** (half - 1.0) * np.sign(xb[:, 1])
+        t_p = {
+            j: aj * np.abs(xb[:, j - 1]) ** (aj - 1.0) * np.sign(xb[:, j - 1])
+            for j, aj in self.alphas.items()
+        }
         sum_sb1 = np.sum(sb1, axis=0)
         # Left X_2 coefficients c_k = x_1^(k-2)/(k-2)!, rows k = 2..n+1.
         c = self.kind.group.taylor_powers(xb[:, 0])
@@ -338,11 +328,11 @@ class FiliformNormTable(NormDerivativeTable):
         for j in range(3, n + 1):
             x2g = x2g + c[j - 2] * beta * sb1[j - 2] * t_p[j]
         x2g = x2g + c[n - 1] * np.sign(xb[:, -1])
-        return g1, x2g, s, sb1, sum_sb1, a_p, b_p, t_p, c
+        return power_sum, g1, x2g, s, sb1, sum_sb1, a_p, b_p, t_p, c
 
     def _pieces(self, xb: np.ndarray):
-        """(X_1 g, X_2 g, X_1^2 g, X_2^2 g) on the batch, in one pass."""
-        g1, x2g, s, sb1, sum_sb1, a_p, b_p, t_p, c = self._first_pieces(xb)
+        """(N, |x|, X_1 g, X_2 g, X_1^2 g, X_2^2 g) on the batch, in one pass."""
+        power_sum, g1, x2g, s, sb1, sum_sb1, a_p, b_p, t_p, c = self._first_pieces(xb)
         n = self.n
         beta = self.beta
         half = (n + 1) / 2.0
@@ -370,19 +360,10 @@ class FiliformNormTable(NormDerivativeTable):
             h2k = beta * (beta - 1.0) * sb2[j - 2] * b_p * t_p[j]
             hkk = beta * ((beta - 1.0) * sb2[j - 2] * t_p[j] ** 2 + sb1[j - 2] * t_pp)
             gg2 = gg2 + 2.0 * c[0] * c[j - 2] * h2k + c[j - 2] ** 2 * hkk
-        return g1, x2g, gg1, gg2
-
-    def _scaled_first(self, g1: np.ndarray, g2: np.ndarray, nval: np.ndarray) -> np.ndarray:
-        denom = self.n * nval ** (self.n - 1)
-        return np.stack([g1 / denom, g2 / denom], axis=-1)
-
-    def _jet_first(self, jet: NormJet) -> np.ndarray:
-        g1, g2, _, _ = jet.pieces
-        return self._scaled_first(g1, g2, jet.value)
+        return filiform_from_sum(power_sum, xb), power_sum ** (1.0 / n), g1, x2g, gg1, gg2
 
     def _jet_second(self, jet: NormJet) -> np.ndarray:
-        g1, g2, gg1, gg2 = jet.pieces
-        nval = jet.value
+        nval, _, g1, g2, gg1, gg2 = jet.pieces
         n = self.n
         denom = n * nval ** (n - 1)
         corr = (n - 1.0) / n**2 / nval ** (2 * n - 1)
@@ -393,7 +374,8 @@ class FiliformNormTable(NormDerivativeTable):
     def first(self, x: np.ndarray) -> np.ndarray:
         # First-order pieces only: no jet, whose pieces hold both orders.
         xb, single = _as_batch(x, self.kind.group.dimension)
-        out = self._scaled_first(*self._first_pieces(xb)[:2], self.value(xb))
+        power_sum, g1, g2 = self._first_pieces(xb)[:3]
+        out = self._chain_first(filiform_from_sum(power_sum, xb), g1, g2)
         return out[0] if single else out
 
     def second(self, x: np.ndarray) -> np.ndarray:

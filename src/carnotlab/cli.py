@@ -90,7 +90,7 @@ from .measures import (
     sample,
     save_batch,
 )
-from .norms import engel_kind, filiform_kind, norm_value
+from .norms import NormKind, engel_kind, filiform_kind, norm_value
 from .seeding import derive_rng
 
 EXIT_PASS = 0
@@ -102,6 +102,8 @@ EXIT_NUMERIC_ERROR = 4
 MOMENT_SE_FACTOR = 5.0
 # Largest relative quadrature error the normalization constant may carry.
 Z_RTOL = 1e-9
+# Scan points with a norm at or below this are dropped before the scan.
+SCAN_NORM_FLOOR = 1e-6
 
 CHECK_IDS = {
     "cfg-schema": "run configuration validates against the shipped schema",
@@ -411,12 +413,11 @@ class RunContext:
         return EXIT_PASS if self.passed else EXIT_CHECK_FAIL
 
 
-def _norm_kind(params: dict):
-    if params["kind"] == "engel":
-        if params["step"] != 3:
-            raise ConfigError("the engel kind fixes step = 3")
-        return engel_kind()
-    return filiform_kind(params["step"])
+def _norm_kind(params: dict) -> NormKind:
+    try:
+        return NormKind(params["kind"], FiliformGroup(params["step"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _measure_spec(params: dict) -> MeasureSpec:
@@ -839,6 +840,15 @@ def _run_geodesic(params: dict, out: Path) -> int:
         raise ConfigError(
             f"segments must be at least {2 * group.step + 1} for step {group.step}"
         )
+    if params["scan_points"] > 0:
+        rng = derive_rng(params["seed"], "geodesic-scan-points")
+        pts = rng.normal(scale=params["scan_box"], size=(params["scan_points"], group.dimension))
+        scan_pts = pts[norm_value(kind, pts) > SCAN_NORM_FLOOR]
+        if scan_pts.shape[0] == 0:
+            raise ConfigError(
+                f"no scan point has norm above {SCAN_NORM_FLOOR:g}; "
+                f"scan_box {params['scan_box']:g} is too small"
+            )
     est = approx_distance(
         GroupPoint(group, target),
         k_segments=params["segments"],
@@ -866,11 +876,9 @@ def _run_geodesic(params: dict, out: Path) -> int:
     }
 
     if params["scan_points"] > 0:
-        rng = derive_rng(params["seed"], "geodesic-scan-points")
-        pts = rng.normal(scale=params["scan_box"], size=(params["scan_points"], group.dimension))
-        keep = norm_value(kind, pts) > 1e-6
         band = equivalence_scan(
-            kind, pts[keep], k_segments=params["segments"], seed=params["seed"]
+            kind, scan_pts, k_segments=params["segments"], seed=params["seed"],
+            restarts=params["restarts"],
         )
         ctx.check(
             "geo-band",

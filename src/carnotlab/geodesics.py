@@ -518,7 +518,7 @@ class EquivalenceBand:
 
 
 def equivalence_scan(
-    kind: NormKind, points: np.ndarray, k_segments: int = 16, seed: int = 0
+    kind: NormKind, points: np.ndarray, k_segments: int = 16, seed: int = 0, restarts: int = 3
 ) -> EquivalenceBand:
     """Ratio band of the distance upper bound against the homogeneous norm."""
     xb, _ = _as_batch(points, kind.group.dimension)
@@ -527,7 +527,9 @@ def equivalence_scan(
         nval = float(norm_value(kind, row))
         if nval <= 0:
             raise ValueError("scan points must avoid the origin")
-        est = approx_distance(GroupPoint(kind.group, row), k_segments, seed=seed)
+        est = approx_distance(
+            GroupPoint(kind.group, row), k_segments, restarts=restarts, seed=seed
+        )
         ratios.append(est.value / nval)
     ratios = np.asarray(ratios)
     return EquivalenceBand(

@@ -57,10 +57,10 @@ class InfeasibleFitError(RuntimeError):
     """The U-bound feasibility problem has contradictory constraints."""
 
 
-def ubound_weight(spec: MeasureSpec, xb: np.ndarray) -> np.ndarray:
-    """w(x) = N^(p-n) * |||x|||^n, the U-bound right-hand weight."""
+def ubound_weight(spec: MeasureSpec, batch: MemberBatch) -> np.ndarray:
+    """w(x) = N^(p-n) * |||x|||^n on the batch, the U-bound right-hand weight."""
     n = spec.kind.group.step
-    return norm_value(spec.kind, xb) ** (spec.p - n) * aux_seminorm(spec.kind, xb) ** n
+    return batch.norm ** (spec.p - n) * aux_seminorm(spec.kind, batch.xb) ** n
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,8 @@ def ubound_fit(
     inequality with multiplicative margin 1.05 plus 3 SE slack.
     """
     q = spec.q
-    train_weight = ubound_weight(spec, samples.coords)
+    train_batch = MemberBatch(spec.kind, samples.coords)
+    train_weight = ubound_weight(spec, train_batch)
 
     def moments(member: TestFunction, batch: MemberBatch) -> FunctionMoments:
         vals, gq = member_series(member, batch, q)
@@ -185,9 +186,8 @@ def ubound_fit(
         c, c_se = batch_mean_se(fq)
         return FunctionMoments(member.label, a, a_se, b, b_se, c, c_se)
 
-    train_stats = scan_members(
-        family.train_members, MemberBatch(spec.kind, samples.coords), moments
-    )
+    train_stats = scan_members(family.train_members, train_batch, moments)
+    del train_batch  # free its cached columns before the holdout draw
     fitted_c, fitted_d = _fit_vertex_lp([(fm.label, fm.a, fm.b, fm.c) for fm in train_stats])
     feasible = all(
         fm.a <= fitted_c * fm.b + fitted_d * fm.c + SE_SLACK * fm.a_se + 1e-9
@@ -195,7 +195,8 @@ def ubound_fit(
     )
 
     fresh, holdout_seed = _holdout_batch(spec, samples, holdout_count, "ubound-holdout")
-    holdout_weight = ubound_weight(spec, fresh.coords)
+    holdout_batch = MemberBatch(spec.kind, fresh.coords)
+    holdout_weight = ubound_weight(spec, holdout_batch)
 
     def check(member: TestFunction, batch: MemberBatch) -> HoldoutCheck:
         vals, gq = member_series(member, batch, q)
@@ -212,7 +213,7 @@ def ubound_fit(
             passed=resid <= slack,
         )
 
-    checks = scan_members(family.holdout_members, MemberBatch(spec.kind, fresh.coords), check)
+    checks = scan_members(family.holdout_members, holdout_batch, check)
 
     return UBoundReport(
         spec_kind=spec.kind.variant,
@@ -433,12 +434,8 @@ class LocalizationParams:
             raise ValueError("L must exceed 1")
 
     def shift_element(self) -> np.ndarray:
-        n = self.kind.group.step
         h = np.zeros(self.kind.group.dimension)
-        if self.kind.variant == ENGEL:
-            h[1] = 2.0 * self.radius_r ** (1.0 / 3.0)
-        else:
-            h[0] = 2.0 * self.radius_r ** (1.0 / n)
+        h[self.kind.aux_axis] = 2.0 * self.radius_r ** (1.0 / self.kind.group.step)
         return h
 
     def shift_margins(self, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

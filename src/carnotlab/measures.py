@@ -71,7 +71,7 @@ class MeasureSpec:
 
     @property
     def threshold_p(self) -> float:
-        return 3.0 if self.kind.variant == ENGEL else float(self.kind.group.step)
+        return float(self.kind.group.step)
 
     @property
     def meets_theorem_threshold(self) -> bool:
@@ -133,7 +133,7 @@ def cone_samples(kind: NormKind, count: int, rng: np.random.Generator) -> tuple[
     if count < 1:
         raise ValueError("count must be at least 1")
     group = kind.group
-    n = 3 if kind.variant == ENGEL else group.step
+    n = group.step
     weights = np.array(group.weights, dtype=np.float64)
     coef = np.ones(group.dimension)
     if kind.variant != ENGEL:

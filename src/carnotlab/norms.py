@@ -14,7 +14,9 @@ General filiform norm (`filiform_norm`), any step n >= 3, built from
 
 as ``(|x|^n + |x_{n+1}|)^(1/n)``.  Note the j = 2 summand counts |x_2| twice
 (its own power term coincides with the shared one); the formula is kept
-verbatim, and downstream derivative code honours the doubled term.
+verbatim.  `filiform_rows` is the one place that builds the S_j rows: the
+norm, the seminorm and the derivative tables of `calculus` all read them,
+and the tables take N and |x| from the same power sum.
 
 Both norms are exactly 1-homogeneous under the weighted dilations, positive
 off the origin, continuous, and invariant under flipping the sign of any one
@@ -28,7 +30,6 @@ the measures and inequality modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -88,29 +89,38 @@ def _engel_kernel(xb: np.ndarray, with_top: bool = True) -> np.ndarray:
     return engel_from_seminorm(sem, xb) if with_top else sem
 
 
-@lru_cache(maxsize=None)
-def _filiform_kernel(n: int, with_top: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """N (or |x|, without the top term) on validated (m, n+1) batches of step n."""
+def filiform_rows(n: int, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows S_j, j = 2..n, of a validated step-n batch and |x|^n.
+
+    Returns the (n-1, m) stack of S_j = A + B + T_j, with A = |x_1|^((n+1)/2),
+    B = |x_2|^((n+1)/2) and T_j = |x_j|^((n+1)/(2(j-1))), so T_2 = B and S_2
+    counts x_2 twice; and the power sum |x|^n = sum_j S_j^(2n/(n+1)).
+    """
     half = (n + 1) / 2.0
-    alphas = [(n + 1) / (2.0 * (j - 1)) for j in range(3, n + 1)]
-    beta, inv_n = 2.0 * n / (n + 1), 1.0 / n
+    b_pow = np.abs(xb[:, 1]) ** half
+    ab = np.abs(xb[:, 0]) ** half + b_pow
+    rows = np.empty((n - 1, xb.shape[0]))
+    np.add(ab, b_pow, out=rows[0])
+    for j in range(3, n + 1):
+        np.add(ab, np.abs(xb[:, j - 1]) ** ((n + 1) / (2.0 * (j - 1))), out=rows[j - 2])
+    # np.sum, not a row fold: NumPy sums a one-point column pairwise.
+    return rows, np.sum(rows ** (2.0 * n / (n + 1)), axis=0)
 
-    def kernel(xb: np.ndarray) -> np.ndarray:
-        b_pow = np.abs(xb[:, 1]) ** half
-        ab = np.abs(xb[:, 0]) ** half + b_pow  # S_2 has T_2 = B
-        rows = [ab + b_pow] + [ab + np.abs(xb[:, j]) ** al for j, al in enumerate(alphas, 2)]
-        # np.sum, not a row fold: NumPy sums a one-point column pairwise.
-        total = np.sum(np.stack(rows) ** beta, axis=0)
-        if with_top:
-            total += np.abs(xb[:, -1])
-        return total**inv_n
 
-    return kernel
+def filiform_from_sum(power_sum: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """The filiform norm (|x|^n + |x_{n+1}|)^(1/n) from a validated batch's |x|^n."""
+    return (power_sum + np.abs(xb[:, -1])) ** (1.0 / (xb.shape[1] - 1))
+
+
+def _filiform_kernel(xb: np.ndarray, with_top: bool = True) -> np.ndarray:
+    n = xb.shape[1] - 1
+    power_sum = filiform_rows(n, xb)[1]
+    return filiform_from_sum(power_sum, xb) if with_top else power_sum ** (1.0 / n)
 
 
 def norm_kernel(kind: NormKind) -> Callable[[np.ndarray], np.ndarray]:
     """The closed-form norm of `kind` on validated (m, d) float64 batches."""
-    return _engel_kernel if kind.variant == ENGEL else _filiform_kernel(kind.group.step, True)
+    return _engel_kernel if kind.variant == ENGEL else _filiform_kernel
 
 
 def engel_seminorm(x: np.ndarray) -> np.ndarray:
@@ -130,14 +140,14 @@ def engel_norm(x: np.ndarray) -> np.ndarray:
 def filiform_seminorm(group: FiliformGroup, x: np.ndarray) -> np.ndarray:
     """The degree-1 homogeneous seminorm |x| with |x|^n = sum_j S_j^(2n/(n+1))."""
     xb, single = _as_batch(x, group.dimension)
-    out = _filiform_kernel(group.step, False)(xb)
+    out = _filiform_kernel(xb, with_top=False)
     return out[0] if single else out
 
 
 def filiform_norm(group: FiliformGroup, x: np.ndarray) -> np.ndarray:
     """(|x|^n + |x_{n+1}|)^(1/n) for the filiform seminorm above."""
     xb, single = _as_batch(x, group.dimension)
-    out = _filiform_kernel(group.step, True)(xb)
+    out = _filiform_kernel(xb)
     return out[0] if single else out
 
 

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from carnotlab import cli
+from carnotlab import cli, geodesics
 from carnotlab.cli import (
     CHECK_IDS,
     DEFAULTS,
@@ -585,6 +585,31 @@ class TestExitCodes:
         assert code == EXIT_PASS
         assert "segments 9" in capsys.readouterr().out
         assert json.loads((tmp_path / "geodesic.json").read_text())["results"]["segments"] == 9
+
+    def test_geodesic_scan_below_the_norm_floor_exits_three(self, tmp_path, capsys):
+        # Every scan point falls under the norm floor; the scan used to
+        # reduce an empty ratio array and exit 4.
+        code = run(["geodesic", "--scan-points", "2", "--scan-box", "1e-30"], tmp_path)
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "input error: no scan point has norm above 1e-06" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "geodesic_path.csv").exists()
+
+    def test_geodesic_scan_uses_the_restart_count(self, tmp_path, monkeypatch):
+        seen = []
+        real = cli.approx_distance
+
+        def spy(target, k_segments=16, restarts=3, seed=0):
+            seen.append(restarts)
+            return real(target, k_segments, restarts, seed)
+
+        monkeypatch.setattr(cli, "approx_distance", spy)
+        monkeypatch.setattr(geodesics, "approx_distance", spy)
+        code = run(["geodesic", "--segments", "8", "--restarts", "1", "--scan-points", "2"],
+                   tmp_path)
+        assert code == EXIT_PASS
+        assert seen == [1, 1, 1]
 
     def test_empty_axis_filter_exits_three(self, tmp_path, capsys):
         code = run(

@@ -148,7 +148,7 @@ class TestUBound:
         # f = 1 forces A_one <= D, with A_one = mu(weight).
         rep = ubound_fit(ENGEL_SPEC, engel_family, engel_batch, holdout_count=60_000)
         one = next(fm for fm in rep.train if fm.label == "one")
-        w = ubound_weight(ENGEL_SPEC, engel_batch.coords)
+        w = ubound_weight(ENGEL_SPEC, MemberBatch(ENGEL_SPEC.kind, engel_batch.coords))
         assert one.a == pytest.approx(float(np.mean(w)))
         assert one.b == 0.0
         assert one.c == pytest.approx(1.0)
@@ -176,6 +176,16 @@ def test_ubound_training_moments_equal_family_audit(spec):
         assert fm.label == member.label
         assert fm.c == float(np.mean(np.abs(vals) ** fam.q))
         assert fm.b == float(np.mean(gmag))
+
+
+@pytest.mark.parametrize("spec", [ENGEL_SPEC, FIL4_SPEC], ids=["engel", "filiform-n4"])
+def test_ubound_weight_reads_the_batch_norm(spec):
+    # The weight takes N from the member context, the same kernel as
+    # norm_value, so it keeps the bytes of the formula written out.
+    x = sample(spec, 2_000, seed=32).coords
+    n = spec.kind.group.step
+    ref = norm_value(spec.kind, x) ** (spec.p - n) * aux_seminorm(spec.kind, x) ** n
+    assert ubound_weight(spec, MemberBatch(spec.kind, x)).tobytes() == ref.tobytes()
 
 
 class TestPoincare:
