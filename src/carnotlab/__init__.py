@@ -43,7 +43,7 @@ from .inequalities import (
     ubound_fit,
 )
 from .measures import MeasureSpec, SampleBatch, estimate_Z, load_batch, sample, save_batch
-from .norms import aux_seminorm, engel_kind, filiform_kind, norm_value, seminorm_value
+from .norms import aux_seminorm, engel_kind, filiform_kind, norm_value
 from .seeding import derive_rng, seed_sequence
 
 __all__ = [
@@ -83,7 +83,6 @@ __all__ = [
     "sample",
     "save_batch",
     "seed_sequence",
-    "seminorm_value",
     "spectral_gap_galerkin",
     "translation_trick_check",
     "ubound_fit",

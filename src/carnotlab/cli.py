@@ -345,6 +345,10 @@ def _fmt(value: float) -> str:
 
 
 def _cell(value) -> str:
+    # Most cells are Python floats (rows from .tolist()); an np.float64 is a
+    # float subclass whose repr differs, so it takes the generic path.
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, (float, np.floating)):
         return _fmt(value)
     if isinstance(value, (bool, np.bool_)):

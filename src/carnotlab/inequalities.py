@@ -25,8 +25,9 @@ Reports are plain frozen dataclasses.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -658,48 +659,60 @@ def _gap_from_sums(
     return float(scipy.linalg.eigvalsh(stiff_s, cov_s)[0])
 
 
+def _block_edges(count: int, jackknife_blocks: int) -> list[tuple[int, int]]:
+    """(lo, hi) row bounds of the jackknife blocks of a `count`-row sample."""
+    if count < 2 * jackknife_blocks:
+        raise ValueError("too few samples for the jackknife block count")
+    edges = np.linspace(0, count, jackknife_blocks + 1, dtype=int).tolist()
+    return list(zip(edges, edges[1:]))
+
+
+def _block_sums(
+    phi: np.ndarray, grads: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Sufficient statistics of one block: (rows, sum phi, phi^T phi, G^T G).
+
+    `phi` is (m_b, k) and `grads` is (m_b, 2, k), so a C-contiguous block
+    reshapes for free to the (2 m_b, k) matrix G whose Gram matrix is the
+    stiffness sum sum_m grad phi_k . grad phi_l.  Both Gram products are
+    one BLAS syrk each, and their results are exactly symmetric.
+    """
+    stacked = grads.reshape(-1, grads.shape[-1])
+    return phi.shape[0], phi.sum(axis=0), phi.T @ phi, stacked.T @ stacked
+
+
 def _gap_with_jackknife(
-    phi: np.ndarray, grads: np.ndarray, jackknife_blocks: int
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[float, float]:
     """Point estimate plus leave-one-block-out jackknife standard error.
 
-    Works from per-block sufficient statistics, so no sample-sized arrays
-    are copied per block.
+    `blocks` yields each jackknife block's basis values (m_b, k) and
+    horizontal gradients (m_b, 2, k) in turn.  Each block is reduced at once
+    to its row count, sum phi and two Gram sums, phi^T phi and G^T G with G
+    the (2 m_b, k) view of its gradients (`_block_sums`), and dropped; the
+    estimates then come from those sums alone.  So a caller may build each
+    block on demand, and no sample-sized array is copied per block.
     """
-    m = phi.shape[0]
-    if m < 2 * jackknife_blocks:
-        raise ValueError("too few samples for the jackknife block count")
-    edges = np.linspace(0, m, jackknife_blocks + 1, dtype=int)
-    blocks = []
-    for b in range(jackknife_blocks):
-        lo, hi = edges[b], edges[b + 1]
-        pb = phi[lo:hi]
-        gb = grads[lo:hi]
-        blocks.append(
-            (
-                hi - lo,
-                pb.sum(axis=0),
-                pb.T @ pb,
-                np.einsum("mkg,mlg->kl", gb, gb),
-            )
-        )
-    tot_n = sum(b[0] for b in blocks)
-    tot_phi = sum(b[1] for b in blocks)
-    tot_outer = sum(b[2] for b in blocks)
-    tot_stiff = sum(b[3] for b in blocks)
+    # starmap drops each block before it asks for the next one.
+    sums = list(starmap(_block_sums, blocks))
+    tot_n = sum(b[0] for b in sums)
+    tot_phi = sum(b[1] for b in sums)
+    tot_outer = sum(b[2] for b in sums)
+    tot_stiff = sum(b[3] for b in sums)
     value = _gap_from_sums(tot_n, tot_phi, tot_outer, tot_stiff)
     estimates = np.array(
         [
             _gap_from_sums(
                 tot_n - nb, tot_phi - sp, tot_outer - so, tot_stiff - ss
             )
-            for nb, sp, so, ss in blocks
+            for nb, sp, so, ss in sums
         ]
     )
+    n_blocks = len(sums)
     se = float(
         np.sqrt(
-            (jackknife_blocks - 1)
-            / jackknife_blocks
+            (n_blocks - 1)
+            / n_blocks
             * np.sum((estimates - estimates.mean()) ** 2)
         )
     )
@@ -719,6 +732,11 @@ def spectral_gap_galerkin(
     eigenvalue of the pencil.  The result bounds the true gap from above
     (Rayleigh quotient restricted to the span).  The standard error comes
     from leave-one-block-out jackknifing.
+
+    Member c's values go straight into column c of one (m, k) array and
+    its horizontal gradient into column c of one (m, 2, k) array, so the
+    basis costs those two arrays plus one member's series; the jackknife
+    then reduces contiguous row blocks of both to BLAS Gram sums.
     """
     members = [
         monomial_member(spec.kind, expts)
@@ -726,21 +744,64 @@ def spectral_gap_galerkin(
         if any(expts)
     ]
     batch = MemberBatch(spec.kind, samples.coords)
+    m = batch.xb.shape[0]
+    edges = _block_edges(m, jackknife_blocks)
+    phi = np.empty((m, len(members)))
+    grads = np.empty((m, 2, len(members)))
+    column = {id(member): c for c, member in enumerate(members)}
+
+    def store(member: TestFunction, context: MemberBatch) -> None:
+        c = column[id(member)]
+        phi[:, c], grads[:, :, c] = member.evaluate(context)
+
     # Each basis monomial is its own group, so the context holds no copy of
-    # the stacked basis.
-    series = scan_members(members, batch, lambda mm, context: mm.evaluate(context))
-    phi = np.stack([vals for vals, _ in series], axis=1)
-    grads = np.stack([g for _, g in series], axis=1)
-    value, se = _gap_with_jackknife(phi, grads, jackknife_blocks)
+    # the basis.
+    scan_members(members, batch, store)
+    value, se = _gap_with_jackknife(
+        (phi[lo:hi], grads[lo:hi]) for lo, hi in edges
+    )
     return GapEstimate(
         value=value,
         standard_error=se,
         basis_size=len(members),
         degree=degree,
-        sample_count=batch.xb.shape[0],
+        sample_count=m,
         seed=samples.seed,
         mode="carnot",
     )
+
+
+def _calibration_exponents(degree: int) -> list[tuple[int, int]]:
+    """(i, j) of the plane monomials x^i y^j with 0 < i + j <= degree."""
+    return [
+        (i, j)
+        for i in range(degree + 1)
+        for j in range(degree + 1)
+        if 0 < i + j <= degree
+    ]
+
+
+def _calibration_basis(
+    pts: np.ndarray, degree: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values (m, k) and Euclidean gradients (m, 2, k) of the calibration basis.
+
+    Every column is formed from the power tables x^i and y^j exactly as
+    `x ** i * y ** j`, `i * x ** (i-1) * y ** j` and `j * x ** i * y ** (j-1)`
+    (exponents floored at 0), so a row depends only on its own point and
+    any block of rows is byte-equal to the same rows of the whole sample.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    xp = [x**i for i in range(degree + 1)]
+    yp = [y**j for j in range(degree + 1)]
+    exponents = _calibration_exponents(degree)
+    phi = np.empty((pts.shape[0], len(exponents)))
+    grads = np.empty((pts.shape[0], 2, len(exponents)))
+    for c, (i, j) in enumerate(exponents):
+        phi[:, c] = xp[i] * yp[j]
+        grads[:, 0, c] = i * xp[max(i - 1, 0)] * yp[j]
+        grads[:, 1, c] = j * xp[i] * yp[max(j - 1, 0)]
+    return phi, grads
 
 
 def gaussian_calibration_gap(
@@ -751,34 +812,22 @@ def gaussian_calibration_gap(
     For the density exp(-|z|^2 / 2) with the Euclidean gradient, the
     generator's spectrum is the nonnegative integers, so the true gap is 1;
     a degree-4 polynomial basis contains the optimal function z_1.
+
+    The basis is built one jackknife block at a time (`_calibration_basis`,
+    values (m_b, k) and gradients (m_b, 2, k)) and reduced to that block's
+    Gram sums before the next is built, so only the points and one block's
+    arrays are held, never the whole (count, k) basis.
     """
     rng = derive_rng(seed, "gap-calibration")
     pts = rng.normal(size=(count, 2))
-    exponent_sets = [
-        (i, j)
-        for i in range(degree + 1)
-        for j in range(degree + 1)
-        if 0 < i + j <= degree
-    ]
-    phi = np.stack([pts[:, 0] ** i * pts[:, 1] ** j for i, j in exponent_sets], axis=1)
-    grads = np.stack(
-        [
-            np.stack(
-                [
-                    i * pts[:, 0] ** max(i - 1, 0) * pts[:, 1] ** j,
-                    j * pts[:, 0] ** i * pts[:, 1] ** max(j - 1, 0),
-                ],
-                axis=-1,
-            )
-            for i, j in exponent_sets
-        ],
-        axis=1,
+    value, se = _gap_with_jackknife(
+        _calibration_basis(pts[lo:hi], degree)
+        for lo, hi in _block_edges(count, jackknife_blocks)
     )
-    value, se = _gap_with_jackknife(phi, grads, jackknife_blocks)
     return GapEstimate(
         value=value,
         standard_error=se,
-        basis_size=len(exponent_sets),
+        basis_size=len(_calibration_exponents(degree)),
         degree=degree,
         sample_count=count,
         seed=seed,

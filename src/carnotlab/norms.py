@@ -158,13 +158,6 @@ def norm_value(kind: NormKind, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def seminorm_value(kind: NormKind, x: np.ndarray) -> np.ndarray:
-    """Evaluate the paired seminorm selected by `kind`."""
-    if kind.variant == ENGEL:
-        return engel_seminorm(x)
-    return filiform_seminorm(kind.group, x)
-
-
 def aux_seminorm(kind: NormKind, x: np.ndarray) -> np.ndarray:
     """|x_2| for the engel kind, |x_1| for the filiform kind."""
     xb, single = _as_batch(x, kind.group.dimension)

@@ -10,6 +10,7 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -284,7 +285,7 @@ _CSV_PINS = [
         "poincare_holdout.csv": "ef52d3f323ddfa10210c9d5ccc9520082b33d88176b5064232975fd897987991",
     }),
     (["gap", "--count", "2000", "--calibration-count", "2000"], None, {
-        "gap.csv": "907b49bc8d3ee2364748386d72ddf4a2aeb62dbc9211cb99318bd78e794b933d",
+        "gap.csv": "ce07eeb1fb06efce5263501e605338d35ec55fa38d77e61f67ad6aed7c121e42",
     }),
     # Integer JSON values in float columns still print as floats ("1.0").
     (["ball-check"], {"radii": [1, 2], "count": 2000}, {
@@ -349,6 +350,12 @@ def test_csv_artifacts_pinned(tmp_path, args, config, digests):
     assert run(args, out) == EXIT_PASS
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("value", [0.1, np.float64(0.1), np.float32(0.1), -0.0, 1e-310, float("inf")])
+def test_csv_float_cells_print_the_plain_repr(value):
+    # np.float64 subclasses float but its repr reads "np.float64(0.1)".
+    assert cli._cell(value) == repr(float(value))
 
 
 def _decades(lo: int, hi: int):

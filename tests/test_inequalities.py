@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from carnotlab import inequalities
+from carnotlab.cli import main as cli_main
 from carnotlab.family import (
     MemberBatch,
     TestFunction,
     default_family,
     member_series,
     monomial_member,
+    weighted_monomial_exponents,
 )
 from carnotlab.inequalities import (
     ConditioningError,
@@ -29,13 +34,14 @@ from carnotlab.inequalities import (
     ubound_weight,
     uniform_ball_samples,
 )
-from carnotlab.measures import MeasureSpec, sample
+from carnotlab.measures import MeasureSpec, SampleBatch, sample
 from carnotlab.norms import (
     aux_seminorm,
     engel_kind,
     filiform_kind,
     norm_value,
 )
+from carnotlab.seeding import derive_rng
 
 ENGEL_SPEC = MeasureSpec(kind=engel_kind(), a=1.0, p=3.0)
 FIL4_SPEC = MeasureSpec(kind=filiform_kind(4), a=1.0, p=4.0)
@@ -403,8 +409,6 @@ class TestSpectralGap:
         batch = sample(ENGEL_SPEC, 2_000, seed=0)
         frozen = batch.coords.copy()
         frozen[:] = frozen[0]
-        from carnotlab.measures import SampleBatch
-
         fake = SampleBatch(
             spec=ENGEL_SPEC,
             coords=frozen,
@@ -418,6 +422,163 @@ class TestSpectralGap:
         batch = sample(ENGEL_SPEC, 30, seed=0)
         with pytest.raises(ValueError, match="jackknife"):
             spectral_gap_galerkin(ENGEL_SPEC, 2, batch, jackknife_blocks=20)
+
+
+def _reference_block_sums(phi, grads, jackknife_blocks):
+    # The per-block sums before the Gram rewrite, verbatim: gradients laid
+    # out (m, k, 2) and the stiffness summed by einsum.
+    m = phi.shape[0]
+    edges = np.linspace(0, m, jackknife_blocks + 1, dtype=int)
+    blocks = []
+    for b in range(jackknife_blocks):
+        lo, hi = edges[b], edges[b + 1]
+        pb = phi[lo:hi]
+        gb = grads[lo:hi]
+        blocks.append(
+            (
+                hi - lo,
+                pb.sum(axis=0),
+                pb.T @ pb,
+                np.einsum("mkg,mlg->kl", gb, gb),
+            )
+        )
+    return blocks
+
+
+def _reference_calibration_basis(count, seed, degree=4):
+    # The calibration basis before it was streamed, verbatim.
+    rng = derive_rng(seed, "gap-calibration")
+    pts = rng.normal(size=(count, 2))
+    exponent_sets = [
+        (i, j)
+        for i in range(degree + 1)
+        for j in range(degree + 1)
+        if 0 < i + j <= degree
+    ]
+    phi = np.stack([pts[:, 0] ** i * pts[:, 1] ** j for i, j in exponent_sets], axis=1)
+    grads = np.stack(
+        [
+            np.stack(
+                [
+                    i * pts[:, 0] ** max(i - 1, 0) * pts[:, 1] ** j,
+                    j * pts[:, 0] ** i * pts[:, 1] ** max(j - 1, 0),
+                ],
+                axis=-1,
+            )
+            for i, j in exponent_sets
+        ],
+        axis=1,
+    )
+    return phi, grads
+
+
+def _reference_galerkin_basis(spec, degree, coords):
+    # The Galerkin basis before it was written in place: a list of series,
+    # then np.stack.
+    members = [
+        monomial_member(spec.kind, expts)
+        for expts in weighted_monomial_exponents(spec.kind, degree)
+        if any(expts)
+    ]
+    batch = MemberBatch(spec.kind, coords)
+    series = [mm.evaluate(batch) for mm in members]
+    phi = np.stack([vals for vals, _ in series], axis=1)
+    grads = np.stack([g for _, g in series], axis=1)
+    return phi, grads
+
+
+def _streamed_blocks(monkeypatch, run):
+    """Every block `_gap_with_jackknife` reduces during `run()`, with its sums."""
+    seen = []
+    block_sums = inequalities._block_sums
+
+    def spy(phi, grads):
+        sums = block_sums(phi, grads)
+        seen.append((phi.copy(), grads.copy(), sums))
+        return sums
+
+    monkeypatch.setattr(inequalities, "_block_sums", spy)
+    run()
+    return seen
+
+
+def _frobenius_rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+# `gap --kind engel --step 3 --count 20000 --calibration-count 50000
+# --seed 0` (the benchmark's gap-engel operation) before the Gram rewrite.
+PARENT_GAP_CSV = {
+    ("carnot", 2): (0.23990705653642083, 0.0035132890001604573),
+    ("carnot", 3): (0.010203358820048084, 0.00017893945795801404),
+    ("gaussian-calibration", 4): (1.0047396778478006, 0.006543771748190763),
+}
+
+
+class TestGramSums:
+    # 100,003 rows in 20 blocks: edges fall at 5,000 and 5,001 rows.
+    COUNT = 100_003
+
+    def test_streamed_calibration_basis_is_byte_equal(self, monkeypatch):
+        seen = _streamed_blocks(
+            monkeypatch, lambda: gaussian_calibration_gap(self.COUNT, seed=3)
+        )
+        sizes = {phi.shape[0] for phi, _, _ in seen}
+        assert len(seen) == 20 and sizes == {5_000, 5_001}
+        phi_ref, grads_ref = _reference_calibration_basis(self.COUNT, seed=3)
+        phi = np.concatenate([phi for phi, _, _ in seen])
+        grads = np.concatenate([grads for _, grads, _ in seen])
+        assert phi.tobytes() == phi_ref.tobytes()
+        assert grads.tobytes() == np.ascontiguousarray(grads_ref.transpose(0, 2, 1)).tobytes()
+
+    def test_galerkin_basis_is_byte_equal(self, monkeypatch):
+        coords = np.random.default_rng(4).normal(size=(30_011, 4))
+        samples = SampleBatch(spec=ENGEL_SPEC, coords=coords, seed=4, diagnostics=None)
+        seen = _streamed_blocks(
+            monkeypatch, lambda: spectral_gap_galerkin(ENGEL_SPEC, 3, samples)
+        )
+        phi_ref, grads_ref = _reference_galerkin_basis(ENGEL_SPEC, 3, coords)
+        phi = np.concatenate([phi for phi, _, _ in seen])
+        grads = np.concatenate([grads for _, grads, _ in seen])
+        assert phi.tobytes() == phi_ref.tobytes()
+        assert grads.tobytes() == np.ascontiguousarray(grads_ref.transpose(0, 2, 1)).tobytes()
+
+    @pytest.mark.parametrize("degree", [None, 2, 3], ids=["calibration", "engel-deg2", "engel-deg3"])
+    def test_gram_sums_match_einsum_reference(self, degree, monkeypatch, engel_batch):
+        if degree is None:
+            seen = _streamed_blocks(
+                monkeypatch, lambda: gaussian_calibration_gap(self.COUNT, seed=3)
+            )
+            phi_ref, grads_ref = _reference_calibration_basis(self.COUNT, seed=3)
+        else:
+            seen = _streamed_blocks(
+                monkeypatch, lambda: spectral_gap_galerkin(ENGEL_SPEC, degree, engel_batch)
+            )
+            phi_ref, grads_ref = _reference_galerkin_basis(ENGEL_SPEC, degree, engel_batch.coords)
+        reference = _reference_block_sums(phi_ref, grads_ref, 20)
+        assert len(seen) == len(reference)
+        for (_, _, got), want in zip(seen, reference):
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
+            assert _frobenius_rel(got[2], want[2]) <= 1e-13
+            assert _frobenius_rel(got[3], want[3]) <= 1e-13
+            # One syrk each: both Gram sums are exactly symmetric.
+            assert np.array_equal(got[2], got[2].T)
+            assert np.array_equal(got[3], got[3].T)
+
+    def test_workload_gap_matches_the_einsum_numbers(self, tmp_path):
+        argv = ["gap", "--kind", "engel", "--step", "3", "--count", "20000",
+                "--calibration-count", "50000", "--seed", "0", "--out", str(tmp_path)]
+        assert cli_main(argv) == 0
+        results = json.loads((tmp_path / "gap.json").read_text())["results"]
+        got = {
+            (e["mode"], e["degree"]): (e["value"], e["standard_error"])
+            for e in results["estimates"] + [results["calibration"]]
+        }
+        assert got.keys() == PARENT_GAP_CSV.keys()
+        for key, (value, se) in PARENT_GAP_CSV.items():
+            assert abs(got[key][0] - value) <= 1e-12 * abs(value), key
+            assert abs(got[key][1] - se) <= 1e-9 * se, key
 
 
 class TestFiliformPipelines:

@@ -20,7 +20,9 @@ from carnotlab.family import (
     TestFunction,
     default_family,
     member_series,
+    monomial_member,
     scan_members,
+    weighted_monomial_exponents,
 )
 from carnotlab.measures import MeasureSpec, sample
 from carnotlab.norms import engel_kind, filiform_kind
@@ -181,7 +183,7 @@ def test_scan_evaluates_each_monomial_once_per_context(name, monkeypatch):
 
 
 def test_galerkin_basis_is_not_held_on_the_context(monkeypatch):
-    # spectral_gap_galerkin stacks the basis itself: each basis monomial is
+    # spectral_gap_galerkin writes the basis itself: each basis monomial is
     # its own group, so the context drops it before the next is computed.
     kind = filiform_kind(4)
     spec = MeasureSpec(kind, 1.0, 4.0)
@@ -204,8 +206,18 @@ def test_galerkin_basis_is_not_held_on_the_context(monkeypatch):
     samples = types.SimpleNamespace(coords=normal_points(kind, 2000), seed=1)
     inequalities.spectral_gap_galerkin(spec, 3, samples, jackknife_blocks=5)
     assert released == [True]
-    # Each gradient series was dropped once stacked: nothing else held it.
+    # Each gradient series was dropped once written: nothing else held it.
     assert alive and all(ref() is None for ref in alive)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 # tracemalloc peak of the poincare_scan below at the commit before grouped
@@ -219,10 +231,46 @@ def test_poincare_scan_memory_is_bounded():
     spec = MeasureSpec(filiform_kind(4), 1.0, 4.0)
     samples = sample(spec, 100_000, seed=5)
     fam = default_family(spec.kind, q=spec.q)
-    tracemalloc.start()
-    try:
-        inequalities.poincare_scan(spec, fam, samples)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: inequalities.poincare_scan(spec, fam, samples))
     assert peak <= PARENT_SCAN_PEAK + ONE_MONOMIAL, f"peak {peak / 1e6:.2f} MB"
+
+
+# tracemalloc peak of gaussian_calibration_gap(1_000_000, seed=5) while it
+# held the whole (count, 14) basis and (count, 14, 2) gradients (numpy
+# 2.4.6): 577 MB.  Built one jackknife block at a time it needs the points
+# plus one block's arrays.
+CALIBRATION_PEAK_BOUND = 100e6
+
+
+def test_calibration_gap_memory_is_bounded():
+    peak = _traced_peak(lambda: inequalities.gaussian_calibration_gap(1_000_000, seed=5))
+    assert peak <= CALIBRATION_PEAK_BOUND, f"peak {peak / 1e6:.2f} MB"
+
+
+# Room for the k x k block sums and the context's own bookkeeping.
+GALERKIN_SLACK = 0.25e6
+
+
+def test_galerkin_holds_the_basis_and_one_member_series():
+    # The degree-3 Engel basis costs its (m, k) values and (m, 2, k)
+    # gradients plus the footprint of one member's evaluation; a list of
+    # series stacked afterwards would hold the basis twice.
+    kind = engel_kind()
+    spec = MeasureSpec(kind, 1.0, 3.0)
+    coords = normal_points(kind, 100_000)
+    members = [
+        monomial_member(kind, expts)
+        for expts in weighted_monomial_exponents(kind, 3)
+        if any(expts)
+    ]
+    one_member = max(
+        _traced_peak(lambda: member.evaluate(MemberBatch(kind, coords)))
+        for member in members
+    )
+    basis = coords.shape[0] * len(members) * 3 * 8
+    samples = types.SimpleNamespace(coords=coords, seed=1)
+    peak = _traced_peak(lambda: inequalities.spectral_gap_galerkin(spec, 3, samples))
+    assert peak <= basis + one_member + GALERKIN_SLACK, (
+        f"peak {peak / 1e6:.2f} MB, basis {basis / 1e6:.2f} MB, "
+        f"one member {one_member / 1e6:.2f} MB"
+    )
