@@ -239,10 +239,25 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
         **_GROUP,
         "target": (None, {"anyOf": [_array({"type": "number"}, 4), {"type": "null"}]},
                    "comma-separated coordinates", "unit point on x1"),
-        "segments": (None, {"anyOf": [{"type": "integer", "minimum": 4}, {"type": "null"}]},
-                     "path segments K, at least 2n+1", "2n+1 rounded up to a power of two"),
-        "restarts": (3, _INT, "randomized restarts"),
-        "scan_points": (0, _NONNEG, "points for the equivalence scan, 0 skips"),
+        # Each start's Jacobian kernel holds two (K, 2, K, n-1) float64 tensors,
+        # 32 K^2 (n-1) bytes, and the last level batches restarts + 3 starts.
+        "segments": (
+            None,
+            {"anyOf": [{"type": "integer", "minimum": 4, "maximum": 256}, {"type": "null"}]},
+            "path segments K, at least 2n+1 and at most 256 (at 256, the Jacobian "
+            "kernel takes 23 MB per start at step 12)",
+            "2n+1 rounded up to a power of two",
+        ),
+        "restarts": (
+            3, {**_INT, "maximum": 16},
+            "randomized restarts, at most 16 (the last level runs restarts + 3 starts "
+            "at once: 0.44 GB at 256 segments and step 12)",
+        ),
+        "scan_points": (
+            0, {**_NONNEG, "maximum": 1000},
+            "points for the equivalence scan, 0 skips, at most 1000 (solved one at a "
+            "time, so the scan adds 0.1 MB of points to one solve's memory)",
+        ),
         "scan_box": (1.5, _POS, "scale of the scan point cloud"),
         **_SEED,
     }),

@@ -618,6 +618,26 @@ class TestExitCodes:
         assert code == EXIT_PASS
         assert seen == [1, 1, 1]
 
+    @pytest.mark.parametrize("key, cap", [("segments", 256), ("restarts", 16), ("scan_points", 1000)])
+    def test_geodesic_sizes_above_their_caps_exit_three(
+        self, tmp_path, capsys, monkeypatch, key, cap
+    ):
+        # Each cap bounds the optimiser's memory; one above it must be
+        # rejected before any solve starts.  The caps themselves pass the
+        # schema but are never run here.
+        calls = []
+        monkeypatch.setattr(cli, "approx_distance", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(geodesics, "approx_distance", lambda *a, **k: calls.append(a))
+        flag = "--" + key.replace("_", "-")
+        args = build_parser().parse_args(["geodesic", flag, str(cap)])
+        assert _resolve_params("geodesic", args)[key] == cap
+        code = run(["geodesic", flag, str(cap + 1)], tmp_path)
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"[cfg-schema] {cap + 1} is greater than the maximum of {cap}" in err
+        assert "Traceback" not in err
+        assert calls == []
+
     def test_empty_axis_filter_exits_three(self, tmp_path, capsys):
         code = run(
             ["verify-bounds", "--samples", "1", "--standoff", "1e-9", "--filiform-steps", "3"],

@@ -6,6 +6,7 @@ import hashlib
 import json
 import warnings
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from carnotlab.geodesics import (
 from carnotlab.group import FiliformGroup, GroupPoint
 from carnotlab.norms import engel_kind, filiform_norm, norm_value
 from carnotlab.seeding import derive_rng
+from test_imports import _run_fresh
 
 ENGEL = FiliformGroup(3)
 
@@ -511,6 +513,28 @@ DISTANCE_PINS = [
 ]
 
 
+LOAD_ORDER = """
+import hashlib, sys
+import numpy as np
+from carnotlab.geodesics import approx_distance
+from carnotlab.group import FiliformGroup, GroupPoint
+
+def solve():
+    est = approx_distance(GroupPoint(FiliformGroup(4), np.eye(5)[4]), 9, restarts=3, seed=0)
+    digest = hashlib.sha256(est.path.controls.tobytes()).hexdigest()
+    got = tuple(map(repr, (est.value, est.residual, est.iterations, digest)))
+    assert got == PIN, got
+
+solve()
+assert "scipy.optimize._lbfgsb" in sys.modules and "scipy.optimize" not in sys.modules
+import scipy.optimize
+solve()
+sys.path.insert(0, sys.argv[1])
+from test_geodesics import TestLbfgsbDriver
+TestLbfgsbDriver().test_matches_scipy_minimize(4)
+"""
+
+
 class TestDistancePins:
     @pytest.mark.parametrize("n,name,value,residual,iterations,digest", DISTANCE_PINS)
     def test_workload_target(self, n, name, value, residual, iterations, digest):
@@ -520,6 +544,13 @@ class TestDistancePins:
         assert (repr(est.value), repr(est.residual)) == (repr(value), repr(residual))
         assert est.iterations == iterations
         assert hashlib.sha256(est.path.controls.tobytes()).hexdigest() == digest
+
+    def test_load_order_cannot_change_results(self):
+        # A fresh process solves the step-4 e_top row with the L-BFGS-B core
+        # loaded alone, then again after importing scipy.optimize, and then
+        # repeats one comparison with scipy.optimize.minimize.
+        pin = next(row[2:] for row in DISTANCE_PINS if row[:2] == (4, "etop"))
+        _run_fresh(f"PIN = {tuple(map(repr, pin))!r}\n" + LOAD_ORDER, str(Path(__file__).parent))
 
     def test_workload_scan_band(self):
         # The workload's scan: two Engel points from the CLI's scan stream.

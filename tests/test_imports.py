@@ -1,5 +1,6 @@
-"""Start-up cost: importing the CLI loads no heavy scipy submodule; no
-module imports a name it never uses."""
+"""Start-up cost: importing the CLI, and running the pointwise and
+geodesic commands, loads no heavy scipy submodule; no module imports a
+name it never uses."""
 
 from __future__ import annotations
 
@@ -13,22 +14,24 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
 
 # Each costs 0.1-1.1 s to import; a command that needs one imports it in
-# the function that uses it.
+# the function that uses it.  The geodesic driver needs none of them: it
+# loads scipy's compiled L-BFGS-B core, scipy.optimize._lbfgsb, by itself.
 HEAVY = ("scipy.optimize", "scipy.special", "scipy.linalg", "scipy.stats", "numpy.f2py")
 
-GUARD = """
+CHECK = f"""
 import sys
 from carnotlab.cli import build_parser, main
 
-HEAVY = {heavy!r}
-
 def check(step):
-    loaded = sorted(m for m in HEAVY if m in sys.modules)
+    loaded = sorted(m for m in {HEAVY!r} if m in sys.modules)
     if loaded:
         print(step, "loaded", loaded)
         sys.exit(1)
 
 check("import")
+"""
+
+GUARD = CHECK + """
 build_parser()
 check("build_parser")
 code = main(["verify-algebra", "--steps", "3,4", "--samples", "500",
@@ -39,6 +42,24 @@ code = main(["verify-bounds", "--samples", "2000", "--filiform-steps", "3",
              "--out", sys.argv[1] + "/bounds"])
 assert code == 0, code
 check("verify-bounds")
+"""
+
+GEODESIC_GUARD = CHECK + """
+import numpy as np
+from carnotlab.geodesics import approx_distance
+from carnotlab.group import FiliformGroup, GroupPoint
+
+assert "scipy.optimize._lbfgsb" not in sys.modules
+approx_distance(GroupPoint(FiliformGroup(3), np.array([0.0, 0.0, 0.0, 1.0])), 7)
+check("approx_distance")
+assert "scipy.optimize._lbfgsb" in sys.modules
+code = main(["geodesic", "--target", "1,0,0,0", "--out", sys.argv[1] + "/geodesic"])
+assert code == 0, code
+check("geodesic")
+code = main(["geodesic", "--segments", "7", "--restarts", "1", "--scan-points", "2",
+             "--out", sys.argv[1] + "/scan"])
+assert code == 0, code
+check("geodesic --scan-points 2")
 """
 
 
@@ -56,16 +77,12 @@ def _run_fresh(*argv: str) -> None:
 
 
 def test_cli_and_pointwise_commands_load_no_heavy_module(tmp_path):
-    _run_fresh(GUARD.format(heavy=HEAVY), str(tmp_path))
+    _run_fresh(GUARD, str(tmp_path))
 
 
-def test_geodesics_import_loads_no_heavy_module():
-    # The L-BFGS-B core is imported inside the driver, on the first solve.
-    _run_fresh(
-        "import sys, carnotlab.geodesics\n"
-        f"loaded = sorted(m for m in {HEAVY!r} if m in sys.modules)\n"
-        "assert not loaded, loaded\n"
-    )
+def test_geodesics_import_loads_no_heavy_module(tmp_path):
+    # The first solve loads the L-BFGS-B core, and nothing else of scipy.optimize.
+    _run_fresh(GEODESIC_GUARD, str(tmp_path))
 
 
 def _imported_modules(path: Path) -> set[str]:
