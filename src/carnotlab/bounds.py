@@ -69,10 +69,6 @@ class BoundSpec:
     description: str
     tolerance: float = PASS_SLACK
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("upper", "lower"):
-            raise ValueError(f"direction must be 'upper' or 'lower', got {self.direction!r}")
-
 
 @dataclass(frozen=True)
 class BoundReport:

@@ -63,16 +63,9 @@ from .frames import (
     left_frame,
     right_frame_engel,
 )
-from .geodesics import (
-    RESIDUAL_REPORT_FACTOR,
-    InfeasiblePathError,
-    approx_distance,
-    equivalence_scan,
-)
+from .geodesics import RESIDUAL_REPORT_FACTOR, approx_distance, default_segments, equivalence_scan
 from .group import FiliformGroup, GroupPoint, row_max_abs
 from .inequalities import (
-    ConditioningError,
-    InfeasibleFitError,
     LocalizationParams,
     ball_poincare_check,
     localization_decomposition,
@@ -853,8 +846,7 @@ def _run_geodesic(params: dict, out: Path) -> int:
             f"{limit:.6g}, where N^(2n) overflows float64"
         )
     if params["segments"] is None:
-        # 2n+1 is odd, so the smallest power of two above it is 2^bits(2n).
-        params["segments"] = 1 << (2 * group.step).bit_length()
+        params["segments"] = default_segments(group.step)
     if params["segments"] < 2 * group.step + 1:
         raise ConfigError(
             f"segments must be at least {2 * group.step + 1} for step {group.step}"
@@ -1029,15 +1021,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, EmptyDomainError) as exc:
         print(f"carnotlab: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (
-        ConditioningError,
-        InfeasibleFitError,
-        InfeasiblePathError,
-        ArithmeticError,
-        np.linalg.LinAlgError,
-        ValueError,
-        RuntimeError,
-    ) as exc:
+    # These cover LinAlgError (a ValueError) and every carnotlab RuntimeError.
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
         print(f"carnotlab: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
 

@@ -168,7 +168,6 @@ class TestFunction:
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     is_constant: bool = False
-    tags: tuple[str, ...] = ()
     # Exponents of the monomial factor evaluated on the member's own
     # context: the members that share one form its evaluation group.
     monomial: tuple[int, ...] | None = None
@@ -193,7 +192,6 @@ def _member(
     kind: NormKind,
     label: str,
     evaluate: Evaluate,
-    tags: tuple[str, ...],
     is_constant: bool = False,
     monomial: tuple[int, ...] | None = None,
 ) -> TestFunction:
@@ -202,7 +200,6 @@ def _member(
         value=_Derived(evaluate, kind, 0),
         gradient=_Derived(evaluate, kind, 1),
         is_constant=is_constant,
-        tags=tags,
         monomial=monomial,
     )
 
@@ -216,7 +213,6 @@ class TestFunctionFamily:
     members: tuple[TestFunction, ...]
     train_indices: tuple[int, ...]
     holdout_indices: tuple[int, ...]
-    description: str
 
     def __post_init__(self) -> None:
         overlap = set(self.train_indices) & set(self.holdout_indices)
@@ -324,8 +320,7 @@ def monomial_member(kind: NormKind, expts: tuple[int, ...]) -> TestFunction:
         return batch.monomial(expts, lambda: _monomial_series(kind, active, batch.xb))
 
     return _member(
-        kind, _monomial_label(expts), evaluate, ("monomial",), is_constant=not active,
-        monomial=expts,
+        kind, _monomial_label(expts), evaluate, is_constant=not active, monomial=expts
     )
 
 
@@ -345,10 +340,7 @@ def bump_product_member(kind: NormKind, base: TestFunction, scale: float) -> Tes
             chi[:, None] * base_grads + (base_vals * chi_p)[:, None] * batch.norm_first
         )
 
-    return _member(
-        kind, f"{base.label}*bump{scale:g}", evaluate, ("bump",) + base.tags,
-        monomial=base.monomial,
-    )
+    return _member(kind, f"{base.label}*bump{scale:g}", evaluate, monomial=base.monomial)
 
 
 def radial_bump_member(kind: NormKind, scale: float) -> TestFunction:
@@ -360,7 +352,7 @@ def radial_bump_member(kind: NormKind, scale: float) -> TestFunction:
         factor = chi + nval * _bump_prime(nval / scale) / scale
         return nval * chi, factor[:, None] * batch.norm_first
 
-    return _member(kind, f"N*bump{scale:g}", evaluate, ("radial", "bump"))
+    return _member(kind, f"N*bump{scale:g}", evaluate)
 
 
 def tanh_truncation_member(kind: NormKind, scale: float) -> TestFunction:
@@ -368,7 +360,7 @@ def tanh_truncation_member(kind: NormKind, scale: float) -> TestFunction:
         th = np.tanh(batch.norm / scale)
         return scale * th, (1.0 - th**2)[:, None] * batch.norm_first
 
-    return _member(kind, f"tanh{scale:g}", evaluate, ("truncation",))
+    return _member(kind, f"tanh{scale:g}", evaluate)
 
 
 def central_shift_member(kind: NormKind, base: TestFunction, offset: float) -> TestFunction:
@@ -381,7 +373,7 @@ def central_shift_member(kind: NormKind, base: TestFunction, offset: float) -> T
     def evaluate(batch: MemberBatch) -> tuple[np.ndarray, np.ndarray]:
         return base.evaluate(batch.shifted(offset))
 
-    return _member(kind, f"{base.label}@top{offset:+g}", evaluate, ("shifted",) + base.tags)
+    return _member(kind, f"{base.label}@top{offset:+g}", evaluate)
 
 
 def rescale_member(kind: NormKind, base: TestFunction, factor: float) -> TestFunction:
@@ -391,7 +383,7 @@ def rescale_member(kind: NormKind, base: TestFunction, factor: float) -> TestFun
         vals, grads = base.evaluate(batch.dilated(factor))
         return vals, factor * grads
 
-    return _member(kind, f"{base.label}|scale{factor:g}", evaluate, ("rescaled",) + base.tags)
+    return _member(kind, f"{base.label}|scale{factor:g}", evaluate)
 
 
 def default_family(kind: NormKind, q: float) -> TestFunctionFamily:
@@ -445,11 +437,6 @@ def default_family(kind: NormKind, q: float) -> TestFunctionFamily:
         members=tuple(members),
         train_indices=train,
         holdout_indices=holdout,
-        description=(
-            f"monomials deg<=3 with bumps {BUMP_SCALES}, radial bumps, "
-            f"tanh truncations {TANH_SCALES}, central shifts and rescales "
-            f"({total} members)"
-        ),
     )
 
 

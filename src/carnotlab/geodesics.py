@@ -213,9 +213,11 @@ class DistanceEstimate:
     iterations: int
     path: HorizontalPath
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("distance upper bound cannot be negative")
+
+def default_segments(step: int) -> int:
+    """The default K: 2n + 1, the fewest segments that admit the staircase
+    start, rounded up to a power of two (2^bits(2n), as 2n + 1 is odd)."""
+    return 1 << (2 * step).bit_length()
 
 
 def staircase_controls(
@@ -441,20 +443,23 @@ def _optimize_all(
 
 
 def approx_distance(
-    target: GroupPoint, k_segments: int = 16, restarts: int = 3, seed: int = 0
+    target: GroupPoint, k_segments: int | None = None, restarts: int = 3, seed: int = 0
 ) -> DistanceEstimate:
     """Upper bound on the metric distance from the identity to `target`.
 
-    Cascades over doubling segment counts, warm-starting each level with
-    the refined previous optimum plus staircase, constant, and randomized
-    initial paths, which run in lockstep; restarts merge deterministically
-    by taking the shortest feasible result (ties keep the earliest).  A
-    level with no feasible optimum keeps its staircase when that meets the
+    Cascades over doubling segment counts up to K (`default_segments` of
+    the step unless given), warm-starting each level with the refined
+    previous optimum plus staircase, constant, and randomized initial
+    paths, which run in lockstep; restarts merge deterministically by
+    taking the shortest feasible result (ties keep the earliest).  A level
+    with no feasible optimum keeps its staircase when that meets the
     residual tolerance.
     """
+    group = target.group
+    if k_segments is None:
+        k_segments = default_segments(group.step)
     if k_segments < 4:
         raise ValueError("need at least 4 segments")
-    group = target.group
     tvec = np.asarray(target.coords, dtype=np.float64)
     if not np.all(np.isfinite(tvec)):
         raise ValueError("target must be finite")
@@ -546,14 +551,17 @@ class EquivalenceBand:
     count: int
     segments: int
     seed: int
-    caveat: str
 
 
 def equivalence_scan(
-    kind: NormKind, points: np.ndarray, k_segments: int = 16, seed: int = 0, restarts: int = 3
+    kind: NormKind, points: np.ndarray, k_segments: int | None = None, seed: int = 0,
+    restarts: int = 3,
 ) -> EquivalenceBand:
-    """Ratio band of the distance upper bound against the homogeneous norm."""
+    """Ratio band of the distance upper bound against the homogeneous norm;
+    K defaults to `default_segments` of the kind's step."""
     xb, _ = _as_batch(points, kind.group.dimension)
+    if k_segments is None:
+        k_segments = default_segments(kind.group.step)
     ratios = []
     for row in xb:
         nval = float(norm_value(kind, row))
@@ -573,8 +581,4 @@ def equivalence_scan(
         count=len(ratios),
         segments=k_segments,
         seed=seed,
-        caveat=(
-            "distance values are upper bounds; the band's lower edge is "
-            "conservative"
-        ),
     )

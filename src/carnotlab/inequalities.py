@@ -58,6 +58,12 @@ class InfeasibleFitError(RuntimeError):
     """The U-bound feasibility problem has contradictory constraints."""
 
 
+def _require_kind(kind: NormKind, other: NormKind, what: str) -> None:
+    """ValueError unless `other`, the norm kind of `what`, is `kind`."""
+    if other != kind:
+        raise ValueError(f"{what} is built on {other}, the measure on {kind}")
+
+
 def ubound_weight(spec: MeasureSpec, batch: MemberBatch) -> np.ndarray:
     """w(x) = N^(p-n) * |||x|||^n on the batch, the U-bound right-hand weight."""
     n = spec.kind.group.step
@@ -175,6 +181,7 @@ def ubound_fit(
     training batch's seed; each holdout member must satisfy the fitted
     inequality with multiplicative margin 1.05 plus 3 SE slack.
     """
+    _require_kind(spec.kind, family.kind, "the family")
     q = spec.q
     train_batch = MemberBatch(spec.kind, samples.coords)
     train_weight = ubound_weight(spec, train_batch)
@@ -315,6 +322,7 @@ def poincare_scan(
     is 1.1 times the training sup; holdout members must satisfy
     lhs <= c0 * rhs within 3 SE on independently drawn samples.
     """
+    _require_kind(spec.kind, family.kind, "the family")
     q = spec.q
     entries, excluded = _ratio_scan(
         family.train_members, MemberBatch(spec.kind, samples.coords), q
@@ -397,6 +405,7 @@ def ball_poincare_check(
     equivalence band; no numeric target exists for the constant, so the sup
     ratio is recorded as an empirical lower bound only.
     """
+    _require_kind(kind, family.kind, "the family")
     coords, acc = uniform_ball_samples(kind, radius, count, seed)
     entries, excluded = _ratio_scan(family.members, MemberBatch(kind, coords), exponent)
     if not entries:
@@ -482,6 +491,7 @@ def localization_decomposition(
     |||x|||^n, which holds exactly on shared samples; the annulus region
     A_{L,R} is re-checked against the translation-shift claims.
     """
+    _require_kind(spec.kind, params.kind, "the localization")
     batch = MemberBatch(spec.kind, samples.coords)
     xb = batch.xb
     q = spec.q

@@ -77,21 +77,18 @@ class MeasureSpec:
     def meets_theorem_threshold(self) -> bool:
         return self.p >= self.threshold_p
 
-    def tail_radius(self) -> float:
-        return 3.0 * (50.0 / self.a) ** (1.0 / self.p)
-
 
 @dataclass(frozen=True)
 class SampleDiagnostics:
-    """How a batch was drawn: `method` is always "exact" (iid draws),
-    `acceptance_rate` is the cone sampler's envelope acceptance,
-    `effective_samples` equals the count, and `tail_audit_count` counts the
-    points beyond `MeasureSpec.tail_radius`."""
+    """How an exact, iid batch was drawn.
 
-    method: str
+    `acceptance_rate` is the share of cone-sampler envelope proposals that
+    were accepted; `effective_samples` is the count, since iid draws are
+    uncorrelated.
+    """
+
     acceptance_rate: float
     effective_samples: float
-    tail_audit_count: int
 
 
 @dataclass(frozen=True)
@@ -174,12 +171,7 @@ def sample(spec: MeasureSpec, count: int, seed: int) -> SampleBatch:
     )
     radii = (gam / spec.a) ** (1.0 / spec.p)
     coords = theta * radii[:, None] ** np.array(group.weights, dtype=np.float64)
-    diag = SampleDiagnostics(
-        method="exact",
-        acceptance_rate=float(envelope_rate),
-        effective_samples=float(count),
-        tail_audit_count=int(np.count_nonzero(radii > spec.tail_radius())),
-    )
+    diag = SampleDiagnostics(acceptance_rate=float(envelope_rate), effective_samples=float(count))
     return SampleBatch(spec=spec, coords=coords, seed=seed, diagnostics=diag)
 
 

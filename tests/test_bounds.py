@@ -20,7 +20,6 @@ from carnotlab import bounds, calculus
 from carnotlab.bounds import (
     DEFAULT_BOX,
     DEFAULT_STANDOFF,
-    BoundSpec,
     EmptyDomainError,
     stratified_smooth_samples,
     verify_engel_gradient_bound,
@@ -249,10 +248,6 @@ class TestReportSerialization:
                 assert cells[name][6:8] == ["", ""]
             assert cells[f"filiform-x1-lower-n{n}"][6:8] == ["1.0", "true"]
         assert cells["engel-laplacian-sup"][6:] == ["7.0", "true", "0"]
-
-    def test_bad_direction_rejected(self):
-        with pytest.raises(ValueError):
-            BoundSpec(name="x", direction="sideways", target=None, description="")
 
 
 def test_empty_domain_error():

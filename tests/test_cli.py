@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 from carnotlab import cli, geodesics
+from carnotlab.bounds import EmptyDomainError
 from carnotlab.cli import (
     CHECK_IDS,
     DEFAULTS,
@@ -30,7 +31,9 @@ from carnotlab.cli import (
     config_schema_text,
     main,
 )
+from carnotlab.geodesics import InfeasiblePathError
 from carnotlab.group import _BLOCK_ROWS
+from carnotlab.inequalities import ConditioningError, InfeasibleFitError
 from carnotlab.measures import N_BATCHES, load_batch
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -169,7 +172,7 @@ class TestBasicRuns:
         assert len([ln for ln in csv_lines if not ln.startswith("#")]) == 101
         payload = json.loads((tmp_path / "sample.json").read_text())
         assert payload["results"]["count"] == 5000
-        assert payload["results"]["diagnostics"]["method"] == "exact"
+        assert set(payload["results"]["diagnostics"]) == {"acceptance_rate", "effective_samples"}
         assert payload["results"]["diagnostics"]["effective_samples"] == 5000.0
 
     @pytest.mark.parametrize("seed", range(11))
@@ -519,6 +522,33 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC_ERROR
         err = capsys.readouterr().err
         assert "numerical error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (cli.ConfigError("bad input"), EXIT_INPUT_ERROR),
+            (EmptyDomainError("no smooth points"), EXIT_INPUT_ERROR),
+            (ConditioningError("constant basis function"), EXIT_NUMERIC_ERROR),
+            (InfeasibleFitError("no feasible vertex"), EXIT_NUMERIC_ERROR),
+            (InfeasiblePathError("no path", best_residual=1.0), EXIT_NUMERIC_ERROR),
+            (np.linalg.LinAlgError("singular matrix"), EXIT_NUMERIC_ERROR),
+            (FloatingPointError("overflow"), EXIT_NUMERIC_ERROR),
+            (ValueError("bad value"), EXIT_NUMERIC_ERROR),
+            (RuntimeError("no convergence"), EXIT_NUMERIC_ERROR),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+    )
+    def test_runner_errors_keep_the_exit_contract(
+        self, tmp_path, capsys, monkeypatch, error, code
+    ):
+        def failing_runner(params, out):
+            raise error
+
+        monkeypatch.setitem(cli.RUNNERS, "verify-bounds", failing_runner)
+        assert run(["verify-bounds"], tmp_path) == code
+        err = capsys.readouterr().err
+        assert str(error) in err
         assert "Traceback" not in err
 
     def test_overflowing_geodesic_target_exits_three(self, tmp_path, capsys):

@@ -121,7 +121,6 @@ class TestConstruction:
                 members=fam.members,
                 train_indices=(0, 1),
                 holdout_indices=(1, 2),
-                description="bad",
             )
 
 
@@ -235,22 +234,7 @@ class TestAudit:
                 members=(one,),
                 train_indices=(0,),
                 holdout_indices=(),
-                description="only the constant",
             )
-
-
-class TestTags:
-    def test_tags_partition_sensibly(self):
-        fam = default_family(engel_kind(), q=1.5)
-        by_tag = {}
-        for m in fam.members:
-            for t in m.tags:
-                by_tag.setdefault(t, []).append(m.label)
-        assert len(by_tag.get("monomial", [])) >= 14
-        assert len(by_tag.get("bump", [])) >= 42
-        assert len(by_tag.get("shifted", [])) == 12  # 6 shifts + 6 rescaled
-        assert len(by_tag.get("rescaled", [])) == 6
-        assert len(by_tag.get("truncation", [])) >= 3
 
 
 # SHA-256 over every default_family member's values then gradients, in

@@ -414,6 +414,14 @@ class TestApproxDistance:
         assert 3.0 <= est.value <= 4.5
         assert est.residual <= 1e-6 * 2.0
 
+    def test_default_segments_reach_e_top_at_step_8(self):
+        # A fixed default of 16 is below 2n + 1 = 17 here: no level of the
+        # cascade had a staircase start, and no start reached e_top.
+        group = FiliformGroup(8)
+        est = approx_distance(GroupPoint(group, np.eye(9)[8]))
+        assert est.segments == 32
+        assert est.residual <= RESIDUAL_REPORT_FACTOR * 2.0
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="segments"):
             approx_distance(GroupPoint(ENGEL, np.ones(4)), 3)
@@ -442,7 +450,6 @@ class TestEquivalenceScan:
         assert 0.0 < band.ratio_min <= band.ratio_max
         assert band.spread >= 1.0
         assert band.count == 8
-        assert band.caveat
 
     def test_rejects_origin(self):
         pts = np.zeros((1, 4))

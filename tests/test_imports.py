@@ -1,11 +1,12 @@
 """Start-up cost: importing the CLI, and running the pointwise and
 geodesic commands, loads no heavy scipy submodule; no module imports a
-name it never uses."""
+name it never uses, and no package function or class goes unnamed."""
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,3 +132,27 @@ def test_no_module_keeps_an_unused_import():
         *sorted((REPO_ROOT / "bench").glob("*.py")),
     ]
     assert [entry for path in paths for entry in _unused_imports(path)] == []
+
+
+def test_every_package_definition_is_named_elsewhere():
+    """A top-level function or class of the package that no module, test,
+    benchmark or the README names again is unused API.  The search is on
+    text, so the benchmark tracer's string names count as uses."""
+    texts = [
+        path.read_text(encoding="utf-8")
+        for path in (
+            *sorted(SRC.rglob("*.py")),
+            *sorted((REPO_ROOT / "tests").glob("*.py")),
+            *sorted((REPO_ROOT / "bench").glob("*.py")),
+            REPO_ROOT / "README.md",
+        )
+    ]
+    unused = []
+    for path in sorted((SRC / "carnotlab").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                word = re.compile(rf"\b{node.name}\b")
+                # The definition itself is one occurrence.
+                if sum(len(word.findall(text)) for text in texts) < 2:
+                    unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []

@@ -231,12 +231,42 @@ class TestPoincare:
             members=(x2, lifted),
             train_indices=(0, 1),
             holdout_indices=(),
-            description="level-shift pair",
         )
         rep = poincare_scan(ENGEL_SPEC, fam, engel_batch, holdout_count=2_000)
         assert rep.entries[0].ratio == pytest.approx(
             rep.entries[1].ratio, rel=1e-12
         )
+
+
+class TestKindMismatch:
+    """A family or region built for another norm kind than the measure's is
+    rejected before any member is evaluated."""
+
+    def test_engel_poincare_scan_with_the_filiform_3_family(self):
+        # Scanned, this reported sup 15.97 and passed its holdout; the Engel
+        # family gives 2.51 on the same batch.
+        batch = sample(ENGEL_SPEC, 20_000, seed=1)
+        family = default_family(filiform_kind(3), q=ENGEL_SPEC.q)
+        with pytest.raises(ValueError, match="family"):
+            poincare_scan(ENGEL_SPEC, family, batch, holdout_count=5_000)
+
+    @pytest.mark.parametrize("run", [ubound_fit, poincare_scan])
+    def test_filiform_4_spec_with_the_engel_family(self, run, engel_family):
+        batch = sample(FIL4_SPEC, 2_000, seed=1)
+        with pytest.raises(ValueError, match="family"):
+            run(FIL4_SPEC, engel_family, batch, holdout_count=1_000)
+
+    def test_ball_check_with_the_engel_family(self, engel_family):
+        with pytest.raises(ValueError, match="family"):
+            ball_poincare_check(filiform_kind(3), 1.0, 2.0, engel_family, 2_000, seed=0)
+
+    def test_localization_with_filiform_params(self):
+        batch = sample(ENGEL_SPEC, 2_000, seed=1)
+        params = LocalizationParams(kind=filiform_kind(3), radius_r=4.0, level_l=2.0)
+        with pytest.raises(ValueError, match="localization"):
+            localization_decomposition(
+                ENGEL_SPEC, monomial_member(engel_kind(), (1,)), params, batch
+            )
 
 
 class TestBallUniform:
