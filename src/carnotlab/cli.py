@@ -64,7 +64,7 @@ from .frames import (
     right_frame_engel,
 )
 from .geodesics import RESIDUAL_REPORT_FACTOR, approx_distance, default_segments, equivalence_scan
-from .group import FiliformGroup, GroupPoint, row_max_abs
+from .group import FiliformGroup, GroupPoint, row_blocks, row_max_abs
 from .inequalities import (
     LocalizationParams,
     ball_poincare_check,
@@ -173,15 +173,18 @@ _SEED = {"seed": (0, _NONNEG, "master seed")}
 COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     "verify-algebra": ("group axioms, commutators, invariance", {
         "steps": ([3, 4, 5, 6], _STEPS, "steps to check"),
-        "samples": (100_000, _INT, "random instances per axiom"),
-        "invariance_samples": (1_000, _INT, "random (alpha, x) pairs per frame"),
+        "samples": (100_000, {**_INT, "maximum": 10_000_000}, "random instances per axiom, "
+                    "at most 10,000,000 (x, y and z take 24(n+1) bytes each: 3.1 GB at step 12)"),
+        "invariance_samples": (1_000, {**_INT, "maximum": 1_000_000}, "(alpha, x) pairs per "
+                               "frame, at most 1,000,000 (16(n+1) bytes each: 0.21 GB at step 12)"),
         "tolerance": (1e-10, _POS, "axiom tolerance"),
         "comm_tolerance": (1e-12, _POS, "structure-constant tolerance"),
         "fd_tolerance": (1e-8, _POS, "finite-difference commutator tolerance"),
         **_SEED,
     }),
     "verify-bounds": ("norm-derivative bound certification", {
-        "samples": (1_000_000, _INT, "sample count per bound"),
+        "samples": (1_000_000, {**_INT, "maximum": 10_000_000}, "sample count per bound, at "
+                    "most 10,000,000 (the draw and its ratios: 2.6 GB at step 12)"),
         "filiform_steps": ([3, 4, 5, 6], _STEPS, "filiform steps to scan"),
         "box": (5.0, _POS, "sampling box half-width"),
         "standoff": (1e-2, _POS, "distance kept from singular hyperplanes"),
@@ -449,6 +452,33 @@ _HOLDOUT_HEADER = "label,lhs,rhs,slack,passed"
 # ---------------------------------------------------------------- commands
 
 
+def _group_law_defects(g: FiliformGroup, x, y, z) -> list[tuple[str, float]]:
+    """Associativity, identity, inverse and dilation defects on the rows of x, y, z.
+
+    The laws run one row block at a time, so a block's products stay in
+    cache for every check that shares them.  Each defect folds the blocks'
+    maxima with np.maximum, which rounds nothing and keeps a NaN.
+    """
+    assoc = ident = inv = dil = 0.0
+    for blk in row_blocks(x.shape[0]):
+        xb, yb, zb = x[blk], y[blk], z[blk]
+        xy = g.compose(xb, yb)
+        xy_z = g.compose(xy, zb)
+        x_yz = g.compose(xb, g.compose(yb, zb))
+        assoc = np.maximum(assoc, np.max(row_max_abs(xy_z - x_yz) / (row_max_abs(xy_z) + 1.0)))
+        for ex in (g.compose(xb, g.identity()), g.compose(g.identity(), xb)):
+            ident = np.maximum(ident, np.max(np.abs(ex - xb)))
+        inv = np.maximum(inv, np.max(
+            row_max_abs(g.compose(xb, g.inverse(xb))) / (row_max_abs(xb) + 1.0)))
+        for lam in (0.5, 1.7):
+            lhs = g.dilate(lam, xy)
+            rhs = g.compose(g.dilate(lam, xb), g.dilate(lam, yb))
+            dil = np.maximum(dil, np.max(row_max_abs(lhs - rhs) / (row_max_abs(lhs) + 1.0)))
+    ident /= float(max(x.max(), -x.min()) + 1.0)  # max |x|, exactly and with no copy
+    return [("alg-assoc", float(assoc)), ("alg-identity", float(ident)),
+            ("alg-inverse", float(inv)), ("alg-dilation", float(dil))]
+
+
 def _run_verify_algebra(params: dict, out: Path) -> int:
     ctx = RunContext("verify-algebra", params, out)
     rng = derive_rng(params["seed"], "verify-algebra")
@@ -465,32 +495,8 @@ def _run_verify_algebra(params: dict, out: Path) -> int:
         g = FiliformGroup(n)
         d = g.dimension
         m = params["samples"]
-        x = rng.uniform(-3.0, 3.0, size=(m, d))
-        y = rng.uniform(-3.0, 3.0, size=(m, d))
-        z = rng.uniform(-3.0, 3.0, size=(m, d))
-        # Each product is built once; the checks below share them.
-        xy = g.compose(x, y)
-        xy_z = g.compose(xy, z)
-        x_yz = g.compose(x, g.compose(y, z))
-        ref = row_max_abs(xy_z) + 1.0
-
-        assoc = np.max(row_max_abs(xy_z - x_yz) / ref)
-        ident = max(
-            float(np.max(np.abs(g.compose(x, g.identity()) - x))),
-            float(np.max(np.abs(g.compose(g.identity(), x) - x))),
-        ) / float(np.max(np.abs(x)) + 1.0)
-        inv = np.max(row_max_abs(g.compose(x, g.inverse(x))) / (row_max_abs(x) + 1.0))
-        dil = 0.0
-        for lam in (0.5, 1.7):
-            lhs = g.dilate(lam, xy)
-            rhs = g.compose(g.dilate(lam, x), g.dilate(lam, y))
-            dil = max(dil, float(np.max(row_max_abs(lhs - rhs) / (row_max_abs(lhs) + 1.0))))
-        for cid, defect in (
-            ("alg-assoc", float(assoc)),
-            ("alg-identity", float(ident)),
-            ("alg-inverse", float(inv)),
-            ("alg-dilation", float(dil)),
-        ):
+        # The draw is one temporary, so it is freed before the next step draws.
+        for cid, defect in _group_law_defects(g, *rng.uniform(-3.0, 3.0, size=(3, m, d))):
             record(cid, n, "-", m, defect)
 
         frames = [left_frame(g)]
@@ -518,10 +524,10 @@ def _run_verify_algebra(params: dict, out: Path) -> int:
             k = params["invariance_samples"]
             alphas = rng.uniform(-2.0, 2.0, size=(k, d))
             points = rng.uniform(-2.0, 2.0, size=(k, d))
-            for alpha, pt in zip(alphas, points):
-                for residual in invariance_residuals(frame, alpha, pt):
-                    inv_defect = max(inv_defect, residual)
-            record("frame-invar", n, frame.label, k, inv_defect)
+            for blk in row_blocks(k):
+                for residuals in invariance_residuals(frame, alphas[blk], points[blk]):
+                    inv_defect = np.maximum(inv_defect, np.max(residuals))
+            record("frame-invar", n, frame.label, k, float(inv_defect))
 
     # Checks in the order of their first row; the worst defect folds from 0.0.
     for cid in per_step:
@@ -535,15 +541,10 @@ def _run_verify_algebra(params: dict, out: Path) -> int:
 
 def _run_verify_bounds(params: dict, out: Path) -> int:
     ctx = RunContext("verify-bounds", params, out)
-    m = params["samples"]
-    seed = params["seed"]
-    box = params["box"]
-    standoff = params["standoff"]
+    draw = (params["samples"], params["seed"], params["box"], params["standoff"])
     # One draw and one derivative jet per kind serve all of its ratios.
-    reports = verify_kind(
-        engel_kind(), ("engel-gradient", "engel-laplacian", "engel-x2-lower"), m, seed, box,
-        standoff,
-    )
+    reports = verify_kind(engel_kind(), ("engel-gradient", "engel-laplacian", "engel-x2-lower"),
+                          *draw)
     for cid, rep in zip(("bnd-engel-grad", "bnd-engel-lap", "bnd-engel-x2"), reports):
         bound = "sup" if rep.direction == "upper" else "inf"
         ctx.check(cid, bool(rep.passed), f"{bound} {_fmt(rep.extremum)} target {_fmt(rep.target)}")
@@ -554,7 +555,7 @@ def _run_verify_bounds(params: dict, out: Path) -> int:
     for n in params["filiform_steps"]:
         grad_rep, lap_rep, low = verify_kind(
             filiform_kind(n), ("filiform-gradient", "filiform-laplacian", "filiform-x1-lower"),
-            m, seed, box, standoff,
+            *draw,
         )
         reports.extend([grad_rep, lap_rep, low])
         sup_ok = sup_ok and np.isfinite(grad_rep.extremum) and np.isfinite(lap_rep.extremum)
@@ -1021,8 +1022,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, EmptyDomainError) as exc:
         print(f"carnotlab: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    # These cover LinAlgError (a ValueError) and every carnotlab RuntimeError.
-    except (ArithmeticError, ValueError, RuntimeError) as exc:
+    # These cover LinAlgError (a ValueError), carnotlab's RuntimeErrors and sizes too big for RAM.
+    except (ArithmeticError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"carnotlab: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
 

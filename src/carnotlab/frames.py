@@ -30,11 +30,11 @@ iterated brackets restore the full tangent space at every point.
 
 Each frame quantity has one implementation over a tuple of fields:
 `_field_tables` (coefficients, and Jacobians in closed form or by central
-differences), `_residuals` (invariance) and `_brackets` (every field pair).
-The per-field and per-pair functions run them on a tuple of one or two
-fields, the frame-level functions on `frame.fields`.  Left-frame fields read
-one Taylor table per batch of points, and the finite-difference Jacobians
-of all fields come from one batch of the 2d shifted points.
+differences), `_residuals` (invariance, for one (alpha, x) pair or a batch
+of pairs) and `_brackets` (every field pair).  The per-field and per-pair
+functions run them on a tuple of one or two fields, the frame-level ones on
+`frame.fields`.  Left-frame fields read one Taylor table per batch of points,
+and the finite-difference Jacobians come from one batch of 2d shifted points.
 """
 
 from __future__ import annotations
@@ -142,28 +142,27 @@ def translation_jacobian(
     unipotent matrix in alpha_1.  For the right label it is d/dx of
     x -> reflected_compose(x, alpha), the identity plus corrections in the
     first column built from alpha_2, ..., alpha_n and powers of -x_1.
+    (k, d) batches of alpha and x give (k, d, d), bit-equal pair by pair.
     """
     d = group.dimension
-    a = np.asarray(alpha, dtype=np.float64)
-    xp = np.asarray(x, dtype=np.float64)
-    jac = np.eye(d)
+    ab, a_single = _as_batch(alpha, d)
+    xb, x_single = _as_batch(x, d)
+    jac = np.tile(np.eye(d), (np.broadcast_shapes(ab.shape, xb.shape)[0], 1, 1))
     if label == LEFT_LABEL:
-        term_row = group.taylor_powers(a[:1])[:, 0]  # alpha_1^t / t!
-        for k in range(3, d + 1):
-            for i in range(2, k):
-                jac[k - 1, i - 1] += term_row[k - i]
+        terms = group.taylor_powers(ab[:, 0])  # alpha_1^t / t!
+        for r in range(3, d + 1):
+            for i in range(2, r):
+                jac[:, r - 1, i - 1] += terms[r - i]
     elif label == RIGHT_LABEL:
-        # d/dx1 of sum_i alpha_i (-x1)^(k-i)/(k-i)! is
-        # -sum_i alpha_i (-x1)^(k-i-1)/(k-i-1)!.
-        neg = group.taylor_powers(-xp[:1])[:, 0]  # (-x1)^t / t!
-        for k in range(3, d + 1):
-            acc = 0.0
-            for i in range(2, k):
-                acc -= a[i - 1] * neg[k - i - 1]
-            jac[k - 1, 0] += acc
+        # d/dx1 of sum_i alpha_i (-x1)^(r-i)/(r-i)! is
+        # -sum_i alpha_i (-x1)^(r-i-1)/(r-i-1)!.
+        neg = group.taylor_powers(-xb[:, 0])  # (-x1)^t / t!
+        for r in range(3, d + 1):
+            for i in range(2, r):
+                jac[:, r - 1, 0] -= ab[:, i - 1] * neg[r - i - 1]
     else:
         raise ValueError(f"unknown frame label {label!r}")
-    return jac
+    return _restore(jac, a_single and x_single)
 
 
 def _field_tables(
@@ -198,32 +197,36 @@ def _field_tables(
     return coeffs, [_restore(jac, single) for jac in jacs]
 
 
-def _residuals(fields: tuple[VectorField, ...], alpha: np.ndarray, x: np.ndarray) -> list[float]:
+def _residuals(fields: tuple[VectorField, ...], alpha: np.ndarray, x: np.ndarray) -> list:
     """Max-norm gap between each field at the translated point and its pushforward from x.
 
     All fields share one label, whose translation z and its Jacobian are
-    computed once.
+    computed once.  (k, d) batches of alpha and x give one (k,) array per
+    field in place of the float, entry i bit-equal to pair i's float.
     """
     g, label = fields[0].group, fields[0].label
     z = g.compose(alpha, x) if label == LEFT_LABEL else g.reflected_compose(x, alpha)
     jac = translation_jacobian(g, label, alpha, x)
     at_x = _field_tables(fields, x)[0]
     at_z = _field_tables(fields, z)[0]
-    return [float(np.max(np.abs(cz - jac @ cx))) for cz, cx in zip(at_z, at_x)]
+    # numpy runs one BLAS matrix-vector product per pair, batched or not.
+    gaps = [np.max(np.abs(cz - (jac @ cx[..., None])[..., 0]), axis=-1)
+            for cz, cx in zip(at_z, at_x)]
+    return [float(gap) for gap in gaps] if jac.ndim == 2 else gaps
 
 
-def check_invariance(field: VectorField, alpha: np.ndarray, x: np.ndarray) -> float:
+def check_invariance(field: VectorField, alpha: np.ndarray, x: np.ndarray) -> float | np.ndarray:
     """Max-norm residual of the invariance identity for one translation.
 
     Compares the field's coefficients at the translated point with the
     pushforward of its coefficients at x through the translation matching the
     field's label.  Exactly invariant fields give a residual at rounding
-    level.
+    level.  (k, d) batches of alpha and x give the k residuals as an array.
     """
     return _residuals((field,), alpha, x)[0]
 
 
-def invariance_residuals(frame: Frame, alpha: np.ndarray, x: np.ndarray) -> list[float]:
+def invariance_residuals(frame: Frame, alpha: np.ndarray, x: np.ndarray) -> list:
     """`check_invariance` of every frame field, in field order."""
     return _residuals(frame.fields, alpha, x)
 

@@ -30,7 +30,8 @@ loops keep different ones, and a short tail block can take the other loop.
 That needs inf or NaN inputs, or overflow in the inverse, whose negations
 make NaNs of both signs.
 `row_max_abs` takes row-wise maxima by block in the same way; a max
-rounds nothing, so it is bit-equal to np.max(np.abs(a), axis=1).
+rounds nothing, so it is bit-equal to np.max(np.abs(a), axis=1).  The CLI
+walks the same `row_blocks` to reduce its group-law and invariance checks.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def _restore(arr: np.ndarray, single: bool) -> np.ndarray:
     return arr[0] if single else arr
 
 
-def _row_blocks(m: int):
+def row_blocks(m: int):
     """Slices of `_BLOCK_ROWS` consecutive rows covering range(m)."""
     return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, m, _BLOCK_ROWS))
 
@@ -74,7 +75,7 @@ def row_max_abs(a: np.ndarray) -> np.ndarray:
     nothing, so the fold order cannot change a bit.
     """
     out = np.empty(a.shape[0])
-    for rows in _row_blocks(a.shape[0]):
+    for rows in row_blocks(a.shape[0]):
         blk = np.abs(a[rows])
         acc = out[rows]
         acc[:] = blk[:, 0]
@@ -150,7 +151,7 @@ class FiliformGroup:
             else:
                 raise ValueError("batch sizes do not broadcast")
         out = xb + yb
-        for rows in _row_blocks(out.shape[0]):
+        for rows in row_blocks(out.shape[0]):
             x1 = xb[rows, 0]
             pw = self.taylor_powers(-x1 if reflect else x1)
             yblk = yb[rows]
@@ -171,7 +172,7 @@ class FiliformGroup:
         d = self.dimension
         xb, single = _as_batch(x, d)
         inv = np.empty_like(xb)
-        for rows in _row_blocks(xb.shape[0]):
+        for rows in row_blocks(xb.shape[0]):
             xblk = xb[rows]
             iblk = inv[rows]
             iblk[:, 0] = -xblk[:, 0]

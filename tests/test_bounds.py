@@ -40,6 +40,7 @@ from carnotlab.norms import (
     norm_value,
     smooth_mask,
 )
+from test_member_batch import _traced_peak
 
 SAMPLES = 60_000  # acceptance reruns these at full scale
 
@@ -311,13 +312,28 @@ def test_verify_bounds_csv_pinned(tmp_path):
 
 
 def test_verify_bounds_csv_pinned_across_chunks(tmp_path):
-    # 1,000,000 samples span four RATIO_CHUNK chunks, now cut from the
-    # unfiltered draw; digest recorded when each key's axis filter ran
-    # before the chunks were cut.
+    # 1,000,000 samples span many RATIO_CHUNK chunks (four when a chunk held
+    # 250,000 rows), cut from the unfiltered draw; digest recorded when each
+    # key's axis filter ran before the chunks were cut.
     args = ["verify-bounds", "--samples", "1000000", "--filiform-steps", "3,4"]
     assert main([*args, "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest()
     assert digest == "f1970b2059fdbae476807540d9f06ec8710aa58e3c8b875802555180e7a7686e"
+
+
+# tracemalloc peak of this call at RATIO_CHUNK = 250,000 (numpy 2.4.6): 79.2 MB.
+# The 200,000-point draw takes 11.2 MB.  The sampler holds it twice while it
+# concatenates shells and bulk, and the x_1 bound keeps a filtered copy, so
+# 8,192-row chunks leave a peak of about 33 MB.
+VERIFY_KIND_PEAK_BOUND = 40e6
+
+
+def test_verify_kind_memory_is_bounded():
+    keys = ("filiform-gradient", "filiform-laplacian", "filiform-x1-lower")
+    peak = _traced_peak(
+        lambda: verify_kind(filiform_kind(6), keys, 200_000, 0, DEFAULT_BOX, DEFAULT_STANDOFF)
+    )
+    assert peak <= VERIFY_KIND_PEAK_BOUND, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_cli_reports_equal_the_single_ratio_wrappers(tmp_path):

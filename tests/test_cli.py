@@ -32,9 +32,11 @@ from carnotlab.cli import (
     main,
 )
 from carnotlab.geodesics import InfeasiblePathError
-from carnotlab.group import _BLOCK_ROWS
+from carnotlab.group import _BLOCK_ROWS, FiliformGroup
 from carnotlab.inequalities import ConditioningError, InfeasibleFitError
 from carnotlab.measures import N_BATCHES, load_batch
+from carnotlab.seeding import derive_rng
+from test_member_batch import _traced_peak
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -384,6 +386,58 @@ def test_verify_algebra_flags_keep_the_exit_contract(
     assert code in {0, 2, 3, 4}
 
 
+def reference_group_law_defects(g, x, y, z):
+    """The four group-law defects as verify-algebra took them on whole arrays."""
+    def row_max(a):
+        return np.max(np.abs(a), axis=1)
+
+    xy = g.compose(x, y)
+    xy_z = g.compose(xy, z)
+    x_yz = g.compose(x, g.compose(y, z))
+    assoc = np.max(row_max(xy_z - x_yz) / (row_max(xy_z) + 1.0))
+    ident = max(
+        float(np.max(np.abs(g.compose(x, g.identity()) - x))),
+        float(np.max(np.abs(g.compose(g.identity(), x) - x))),
+    ) / float(np.max(np.abs(x)) + 1.0)
+    inv = np.max(row_max(g.compose(x, g.inverse(x))) / (row_max(x) + 1.0))
+    dil = 0.0
+    for lam in (0.5, 1.7):
+        lhs = g.dilate(lam, xy)
+        rhs = g.compose(g.dilate(lam, x), g.dilate(lam, y))
+        dil = max(dil, float(np.max(row_max(lhs - rhs) / (row_max(lhs) + 1.0))))
+    return {"alg-assoc": float(assoc), "alg-identity": ident, "alg-inverse": float(inv),
+            "alg-dilation": dil}
+
+
+# The laws run block by block; sample counts around the block size leave
+# short tail blocks, and one sample leaves a single short block.
+@pytest.mark.parametrize("m", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS + 1, 10_001])
+@pytest.mark.parametrize("n", [3, 7, 12])
+def test_blocked_group_law_defects_equal_whole_array_reference(tmp_path, n, m):
+    argv = ["verify-algebra", "--steps", str(n), "--samples", str(m), "--invariance-samples", "1",
+            "--seed", "11"]
+    assert run(argv, tmp_path) == EXIT_PASS
+    defects = json.loads((tmp_path / "algebra.json").read_text())["results"]["defects"]
+    rng = derive_rng(11, "verify-algebra")
+    x, y, z = (rng.uniform(-3.0, 3.0, size=(m, n + 1)) for _ in range(3))
+    for cid, value in reference_group_law_defects(FiliformGroup(n), x, y, z).items():
+        assert defects[cid][f"n{n}:-"] == value, cid
+
+
+# tracemalloc peak of this run while verify-algebra built every product on
+# the whole batch (numpy 2.4.6): 70.1 MB.  Block by block it needs the x, y
+# and z draws plus a few block-sized products.
+ALGEBRA_DRAWS = 3 * 60_000 * 13 * 8
+ALGEBRA_BLOCK_ROOM = 16 * _BLOCK_ROWS * 13 * 8
+
+
+def test_verify_algebra_memory_is_bounded(tmp_path):
+    argv = ["verify-algebra", "--steps", "12", "--samples", "60000", "--invariance-samples", "30"]
+    peak = _traced_peak(lambda: run(argv, tmp_path))
+    assert (tmp_path / "summary.txt").read_text().endswith("overall: PASS\n")
+    assert peak <= ALGEBRA_DRAWS + ALGEBRA_BLOCK_ROOM, f"peak {peak / 1e6:.2f} MB"
+
+
 # No other test runs the measure commands above step 6.  `gap` needs its
 # jackknife blocks at most count/2, which counts from 50 always allow.
 @settings(derandomize=True, max_examples=60, deadline=None,
@@ -536,6 +590,7 @@ class TestExitCodes:
             (FloatingPointError("overflow"), EXIT_NUMERIC_ERROR),
             (ValueError("bad value"), EXIT_NUMERIC_ERROR),
             (RuntimeError("no convergence"), EXIT_NUMERIC_ERROR),
+            (MemoryError("Unable to allocate 7.28 TiB for an array"), EXIT_NUMERIC_ERROR),
         ],
         ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
     )
@@ -648,20 +703,24 @@ class TestExitCodes:
         assert code == EXIT_PASS
         assert seen == [1, 1, 1]
 
-    @pytest.mark.parametrize("key, cap", [("segments", 256), ("restarts", 16), ("scan_points", 1000)])
-    def test_geodesic_sizes_above_their_caps_exit_three(
-        self, tmp_path, capsys, monkeypatch, key, cap
+    @pytest.mark.parametrize("command, key, cap", [
+        ("geodesic", "segments", 256), ("geodesic", "restarts", 16),
+        ("geodesic", "scan_points", 1000), ("verify-algebra", "samples", 10_000_000),
+        ("verify-algebra", "invariance_samples", 1_000_000),
+        ("verify-bounds", "samples", 10_000_000),
+    ])
+    def test_sizes_above_their_caps_exit_three(
+        self, tmp_path, capsys, monkeypatch, command, key, cap
     ):
-        # Each cap bounds the optimiser's memory; one above it must be
-        # rejected before any solve starts.  The caps themselves pass the
-        # schema but are never run here.
+        # Each cap bounds the command's memory; one above it must be
+        # rejected before the runner draws or solves anything.  The caps
+        # themselves pass the schema but are never run here.
         calls = []
-        monkeypatch.setattr(cli, "approx_distance", lambda *a, **k: calls.append(a))
-        monkeypatch.setattr(geodesics, "approx_distance", lambda *a, **k: calls.append(a))
+        monkeypatch.setitem(cli.RUNNERS, command, lambda params, out: calls.append(params))
         flag = "--" + key.replace("_", "-")
-        args = build_parser().parse_args(["geodesic", flag, str(cap)])
-        assert _resolve_params("geodesic", args)[key] == cap
-        code = run(["geodesic", flag, str(cap + 1)], tmp_path)
+        args = build_parser().parse_args([command, flag, str(cap)])
+        assert _resolve_params(command, args)[key] == cap
+        code = run([command, flag, str(cap + 1)], tmp_path)
         assert code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert f"[cfg-schema] {cap + 1} is greater than the maximum of {cap}" in err

@@ -328,6 +328,15 @@ class TestSharedPathsMatchReferences:
             assert invariance_residuals(frame, alpha, x) == expected
             assert [check_invariance(f, alpha, x) for f in frame.fields] == expected
 
+    @pytest.mark.parametrize("k", [1, 30])
+    def test_batched_invariance_residuals_equal_per_pair(self, frame, k):
+        alphas, xs = np.random.default_rng(850 + k).uniform(-2, 2, (2, k, len(frame)))
+        batched = invariance_residuals(frame, alphas, xs)
+        per_pair = np.array([invariance_residuals(frame, a, x) for a, x in zip(alphas, xs)])
+        assert np.array(batched).tobytes() == per_pair.T.tobytes()
+        for f, residuals in zip(frame.fields, batched):
+            assert check_invariance(f, alphas, xs).tobytes() == residuals.tobytes()
+
 
 # ------------------------------------------------------------------
 # References: the x_1^t/t! loops each left-frame quantity typed out before
@@ -413,9 +422,12 @@ class TestTaylorTableMatchesReferenceLoops:
         g = FiliformGroup(n)
         alphas = _scaled_points(n, scale, count=12)
         xs = _scaled_points(n, scale, count=12, seed=950)
-        for alpha, x in zip(alphas, xs):
+        batch = translation_jacobian(g, label, alphas, xs)
+        assert batch.shape == (len(alphas), n + 1, n + 1)
+        for alpha, x, row in zip(alphas, xs, batch):
             ref = reference_translation_jacobian(g, label, alpha, x)
             assert translation_jacobian(g, label, alpha, x).tobytes() == ref.tobytes()
+            assert row.tobytes() == ref.tobytes()
 
 
 def _canonical_digest(path):
