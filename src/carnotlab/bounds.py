@@ -149,20 +149,25 @@ def stratified_smooth_samples(
     """
     if standoff >= box:
         raise EmptyDomainError(f"standoff {standoff:g} is not below the box half-width {box:g}")
+    if count < 1:
+        raise EmptyDomainError("no smooth sample points generated")
     axes = kind.singular_axes
     shells = [
         _shell_batch(kind, j, min(SHELL_PER_AXIS, max(count // (4 * len(axes)), 16)), box, standoff)
         for j in axes
     ]
-    shell_total = sum(s.shape[0] for s in shells)
+    # Shells beyond `count` are cut; the bulk fills what they leave of it.
+    shell = np.concatenate(shells)[:count]
+    out = np.empty((count, kind.group.dimension))
+    out[: shell.shape[0]] = shell
+    bulk = out[shell.shape[0] :]
+    # Drawn straight into `out` a block at a time: the generator's stream does
+    # not depend on the block sizes, and the whole draw is never held twice.
     rng = np.random.default_rng(seed)
-    bulk = rng.uniform(-box, box, size=(max(count - shell_total, 0), kind.group.dimension))
+    for i in range(0, bulk.shape[0], RATIO_CHUNK):
+        block = bulk[i : i + RATIO_CHUNK]
+        block[:] = rng.uniform(-box, box, size=block.shape)
     _push_off_hyperplanes(bulk, axes, box, standoff)
-    # The bulk fills exactly what the shells leave of `count`, so the one
-    # copy below is the returned array; shells beyond `count` are cut.
-    out = np.concatenate([*shells, bulk])[:count]
-    if out.shape[0] == 0:
-        raise EmptyDomainError("no smooth sample points generated")
     return out
 
 
@@ -171,15 +176,18 @@ def _extremal_report(
     kind: NormKind,
     ratios: np.ndarray,
     pts: np.ndarray,
+    rows: np.ndarray | None,
     seed: int,
     domain: str,
 ) -> BoundReport:
+    """The extreme of `ratios`, the ratios of pts[rows] (of all of pts if rows is None)."""
     if spec.direction == "upper":
         idx = int(np.argmax(ratios))
         passed = None if spec.target is None else bool(ratios[idx] <= spec.target + spec.tolerance)
     else:
         idx = int(np.argmin(ratios))
         passed = None if spec.target is None else bool(ratios[idx] >= spec.target - spec.tolerance)
+    witness = pts[idx if rows is None else rows[idx]]
     return BoundReport(
         name=spec.name,
         kind_variant=kind.variant,
@@ -187,7 +195,7 @@ def _extremal_report(
         direction=spec.direction,
         sample_count=int(ratios.size),
         extremum=float(ratios[idx]),
-        arg_point=tuple(float(c) for c in pts[idx]),
+        arg_point=tuple(float(c) for c in witness),
         target=spec.target,
         passed=passed,
         domain=domain,
@@ -251,10 +259,11 @@ def verify_kind(
     Every key's ratio is evaluated on the whole draw, one `NormJet` per
     chunk of `RATIO_CHUNK` rows, so the norm, seminorm and frame derivatives
     are computed once for all keys of the kind while the chunk's jet sits in
-    cache; ratios are row-wise, so the chunk size moves no bit.  Only then
-    does a key with an axis drop its points with |x_axis| <= 1e-8 (where its
-    ratio divides by |x_axis|) from its ratios and points; a key left with no
-    point raises `EmptyDomainError`.
+    cache; ratios are row-wise, so the chunk size moves no bit.  They go
+    into one (keys, samples) array.  Only then does a key with an axis keep
+    the rows with |x_axis| > 1e-8 (its ratio divides by |x_axis|), and its
+    extreme is taken over those rows' ratios; the draw is never copied.  A
+    key left with no point raises `EmptyDomainError`.
     """
     n = kind.group.step
     table = norm_derivative_tables(kind)
@@ -263,25 +272,25 @@ def verify_kind(
         f"box [-{box:g},{box:g}]^{kind.group.dimension}, smooth region with hyperplane "
         f"standoff {standoff:g}, deterministic shell batches at the standoff"
     )
-    ratios: list[list[np.ndarray]] = [[] for _ in keys]
+    ratios = np.empty((len(keys), pts.shape[0]))
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(0, pts.shape[0], RATIO_CHUNK):
             chunk = pts[i : i + RATIO_CHUNK]
             jet = table.jet(chunk)
-            for key, parts in zip(keys, ratios):
-                parts.append(_BOUNDS[key][1](jet, chunk, n))
+            for key, row in zip(keys, ratios):
+                row[i : i + RATIO_CHUNK] = _BOUNDS[key][1](jet, chunk, n)
     reports = []
-    for key, parts in zip(keys, ratios):
+    for key, values in zip(keys, ratios):
         spec, _, axis, note = _BOUNDS[key]
         spec = replace(spec, name=spec.name.format(n=n))
-        values, kept = np.concatenate(parts), pts
+        rows = None
         if axis is not None:
-            keep = np.abs(pts[:, axis]) > 1e-8
-            values, kept = values[keep], pts[keep]
+            rows = np.flatnonzero(np.abs(pts[:, axis]) > 1e-8)
+            values = values[rows]
         if values.size == 0:
             raise EmptyDomainError(f"no admissible samples for bound {spec.name}")
         reports.append(_extremal_report(
-            spec, kind, values, kept, seed, f"{domain}; {note}" if note else domain
+            spec, kind, values, pts, rows, seed, f"{domain}; {note}" if note else domain
         ))
     return reports
 

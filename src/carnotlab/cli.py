@@ -8,7 +8,7 @@ Nine subcommands cover the library surface:
   ubound           U-bound moment fit with holdout validation
   poincare         q-Poincare ratio scan with holdout validation
   gap              Galerkin spectral-gap estimates, optional calibration
-  ball-check       Poincare ratios on uniform norm balls
+  ball-check       Poincare ratios on uniform norm balls, from the unit ball
   localize         localization split, Chebyshev bound, translation trick
   geodesic         distance upper bound, path dump, equivalence scan
 
@@ -112,7 +112,6 @@ CHECK_IDS = {
     "bnd-engel-x2": "step-3 first-derivative identity equals 1",
     "bnd-fil-x1": "filiform first-derivative ratio stays above 1",
     "bnd-fil-sup": "filiform ratio sups are finite (values recorded)",
-    "smp-finite": "all retained samples are finite",
     "smp-moment": "E[a N^p] matches Q/p within 5 standard errors",
     "smp-z": "the normalization constant is finite with relative error <= 1e-9",
     "ub-feasible": "the U-bound fit is feasible on training members",
@@ -184,7 +183,7 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     }),
     "verify-bounds": ("norm-derivative bound certification", {
         "samples": (1_000_000, {**_INT, "maximum": 10_000_000}, "sample count per bound, at "
-                    "most 10,000,000 (the draw and its ratios: 2.6 GB at step 12)"),
+                    "most 10,000,000 (the draw and its ratios: 1.5 GB at step 12)"),
         "filiform_steps": ([3, 4, 5, 6], _STEPS, "filiform steps to scan"),
         "box": (5.0, _POS, "sampling box half-width"),
         "standoff": (1e-2, _POS, "distance kept from singular hyperplanes"),
@@ -217,7 +216,8 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     }),
     "ball-check": ("Poincare ratios on uniform norm balls", {
         **_GROUP,
-        "radii": ([1.0, 2.0, 4.0], _RADII, "ball radii"),
+        "radii": ([1.0, 2.0, 4.0], _RADII,
+                  "ball radii r; each reports r^s times the unit-ball sup, s the exponent"),
         "exponent": (None, _P_OR_NULL, "moment exponent", "3 for engel, n for filiform"),
         "count": _count(100_000, _MOMENT_COUNT),
         **_SEED,
@@ -576,14 +576,6 @@ def _run_sample(params: dict, out: Path) -> int:
     ctx = RunContext("sample", params, out)
     spec = _measure_spec(params)
     batch = sample(spec, params["count"], seed=params["seed"])
-    finite = bool(np.all(np.isfinite(batch.coords)))
-    ctx.check(
-        "smp-finite",
-        finite,
-        f"{batch.coords.shape[0]} samples, acceptance "
-        f"{_fmt(batch.diagnostics.acceptance_rate)}, "
-        f"ess {_fmt(batch.diagnostics.effective_samples)}",
-    )
     # a N^p is Gamma(Q/p, 1) distributed, so its mean is exactly Q/p.
     mean, se = batch_mean_se(spec.a * norm_value(spec.kind, batch.coords) ** spec.p)
     target = spec.kind.group.homogeneous_dimension / spec.p
@@ -732,41 +724,24 @@ def _run_ball_check(params: dict, out: Path) -> int:
         exponent = float(params["step"])
         params["exponent"] = exponent
     family = default_family(kind, q=exponent)
-    reports = [
-        ball_poincare_check(
-            kind, r, exponent, family, params["count"], params["seed"]
-        )
-        for r in params["radii"]
-    ]
-    finite = all(np.isfinite(r.sup_ratio) and r.sup_ratio > 0 for r in reports)
+    rep = ball_poincare_check(kind, exponent, family, params["count"], params["seed"])
+    # Radius and exponent may be JSON integers; their columns stay floats.
+    radii = [float(r) for r in params["radii"]]
+    # Radius r scales the unit-ball sup by exactly r^s (see ball_poincare_check).
+    # An extreme radius overflows to inf or underflows to 0 and fails ball-finite.
+    with np.errstate(all="ignore"):
+        sups = [float(np.float64(r) ** exponent * rep.sup_ratio) for r in radii]
     ctx.check(
         "ball-finite",
-        finite,
-        " ".join(f"r={rep.radius:g}:{_fmt(rep.sup_ratio)}" for rep in reports),
+        all(np.isfinite(sup) and sup > 0 for sup in sups),
+        " ".join(f"r={r:g}:{_fmt(sup)}" for r, sup in zip(radii, sups)),
     )
-    sups = [rep.sup_ratio for rep in reports]
-    if sups == sorted(sups):
-        ctx.note("sup ratios are nondecreasing in the radius (recorded)")
-    # Radius and exponent may be JSON integers; their columns stay floats.
     _write_csv(out / "ball.csv", "radius,exponent,sup_ratio,samples,acceptance", [
-        (float(rep.radius), float(rep.exponent), rep.sup_ratio, rep.sample_count,
-         rep.acceptance_rate)
-        for rep in reports
+        (r, float(exponent), sup, rep.sample_count, rep.acceptance_rate)
+        for r, sup in zip(radii, sups)
     ])
-    return ctx.finish(
-        "ball.json",
-        {
-            "reports": [
-                {
-                    key: val
-                    for key, val in dataclasses.asdict(rep).items()
-                    if key != "entries"
-                }
-                for rep in reports
-            ],
-            "sup_ratios": sups,
-        },
-    )
+    unit_ball = {key: val for key, val in dataclasses.asdict(rep).items() if key != "entries"}
+    return ctx.finish("ball.json", {"unit_ball": unit_ball, "sup_ratios": sups})
 
 
 def _run_localize(params: dict, out: Path) -> int:

@@ -9,8 +9,8 @@ a per-segment loop's floating-point operations in order (scalar `pow`,
 sequential sums), so each path's results are bit-identical to that loop,
 which tests/test_geodesics.py keeps as the reference: NumPy's SIMD array
 power can differ by an ulp, and the optimiser below turns ulps into
-different bounds.  `rk4_endpoint` integrates the same dynamics as an
-independent check (exactly for step 3, and with substeps beyond).
+different bounds.  The tests also integrate the same dynamics by RK4 as
+an independent check (exactly for step 3, and with substeps beyond).
 
 `approx_distance` minimizes the path length sum (1/K) |u_s| subject to the
 endpoint constraint via an augmented Lagrangian with analytic gradients, a
@@ -141,37 +141,6 @@ def endpoint_and_jacobian(group: FiliformGroup, controls: np.ndarray):
 
 def endpoint_only(group: FiliformGroup, controls: np.ndarray) -> np.ndarray:
     return _path_tables(controls[None], group.step)[1][0, -1]
-
-
-def rk4_endpoint(
-    group: FiliformGroup, controls: np.ndarray, substeps: int = 1
-) -> np.ndarray:
-    """Classical one-step (or substepped) 4th-order endpoint integrator.
-
-    For step 3 the segment dynamics are polynomial of degree <= 2 in time,
-    so a single 4th-order step is exact; higher steps need substeps to
-    reach comparable accuracy.
-    """
-    d = group.dimension
-    x = np.zeros(d)
-    tau = 1.0 / controls.shape[0]
-    h = tau / substeps
-
-    def rhs(state, u1, u2):
-        out = np.zeros(d)
-        out[0] = u1
-        for k in range(2, d + 1):
-            out[k - 1] = u2 * state[0] ** (k - 2) / factorial(k - 2)
-        return out
-
-    for u1, u2 in controls:
-        for _ in range(substeps):
-            k1 = rhs(x, u1, u2)
-            k2 = rhs(x + 0.5 * h * k1, u1, u2)
-            k3 = rhs(x + 0.5 * h * k2, u1, u2)
-            k4 = rhs(x + h * k3, u1, u2)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return x
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ batch-means standard errors (50 batches):
     vertex enumeration, validated on holdout members with fresh samples.
   * `poincare_scan`: ratios mu(|f - mu f|^q) / mu(|grad f|^q), the training
     sup, a 1.1x candidate constant, and an independent holdout validation.
-  * `ball_poincare_check`: the same ratios for exponent p under the uniform
-    measure on a norm ball, drawn in homogeneous polar coordinates.
+  * `ball_poincare_check`: the same ratios for exponent s under the uniform
+    measure on the unit norm ball, drawn in homogeneous polar coordinates;
+    the ball of radius r has sup r^s times the unit ball's.
   * `localization_decomposition`: exact three-indicator split of
     mu(|f - m|^q) with the Chebyshev bound on the far region and the shift
     consistency of the intermediate region.
@@ -366,7 +367,6 @@ def poincare_scan(
 class BallPoincareReport:
     kind_variant: str
     step: int
-    radius: float
     exponent: float
     entries: tuple[RatioEntry, ...]
     excluded: tuple[str, ...]
@@ -376,44 +376,44 @@ class BallPoincareReport:
     seed: int
 
 
-def uniform_ball_samples(
-    kind: NormKind, radius: float, count: int, seed: int
-) -> tuple[np.ndarray, float]:
-    """Uniform samples from the norm ball {N <= radius}.
+def uniform_ball_samples(kind: NormKind, count: int, seed: int) -> tuple[np.ndarray, float]:
+    """Uniform samples from the unit norm ball {N <= 1}.
 
-    The ball's volume scales as radius^Q, so delta_{radius U^(1/Q)} Theta
-    with U uniform on [0, 1] and Theta from `cone_samples` is uniform on it.
+    The ball {N <= s} has volume s^Q |B_1|, so delta_{U^(1/Q)} Theta with U
+    uniform on [0, 1] and Theta from `cone_samples` is uniform on B_1.
     The returned rate is the cone sampler's envelope acceptance.
     """
     theta, acc = cone_samples(kind, count, derive_rng(seed, "ball", "shape"))
     u = derive_rng(seed, "ball", "radius").random(count)
-    radii = radius * u ** (1.0 / kind.group.homogeneous_dimension)
+    radii = u ** (1.0 / kind.group.homogeneous_dimension)
     return theta * radii[:, None] ** np.array(kind.group.weights, dtype=np.float64), acc
 
 
 def ball_poincare_check(
     kind: NormKind,
-    radius: float,
     exponent: float,
     family: TestFunctionFamily,
     count: int,
     seed: int,
 ) -> BallPoincareReport:
-    """Poincare ratios under the uniform measure on a norm ball.
+    """Poincare ratios under the uniform measure on the unit norm ball.
 
+    Every other radius follows by dilation: delta_r maps the uniform
+    measure on B_1 onto the one on B_r, and the ratio of f on B_r is r^s
+    times the ratio of f o delta_r on B_1 (s the exponent), so the family
+    carried to B_r (each f o delta_(1/r)) has sup r^s `sup_ratio` there.
     The norm ball stands in for the metric ball through the norm-distance
-    equivalence band; no numeric target exists for the constant, so the sup
-    ratio is recorded as an empirical lower bound only.
+    equivalence band; no numeric target exists for the constant, so the
+    sup ratio is recorded as an empirical lower bound only.
     """
     _require_kind(kind, family.kind, "the family")
-    coords, acc = uniform_ball_samples(kind, radius, count, seed)
+    coords, acc = uniform_ball_samples(kind, count, seed)
     entries, excluded = _ratio_scan(family.members, MemberBatch(kind, coords), exponent)
     if not entries:
         raise ValueError("every member was excluded in the ball check")
     return BallPoincareReport(
         kind_variant=kind.variant,
         step=kind.group.step,
-        radius=radius,
         exponent=exponent,
         entries=tuple(entries),
         excluded=tuple(excluded),

@@ -176,6 +176,34 @@ class TestBasicRuns:
         assert payload["results"]["count"] == 5000
         assert set(payload["results"]["diagnostics"]) == {"acceptance_rate", "effective_samples"}
         assert payload["results"]["diagnostics"]["effective_samples"] == 5000.0
+        # A non-finite draw cannot reach a check: SampleBatch raises on it.
+        assert [c["id"] for c in payload["results"]["checks"]] == ["smp-moment"]
+
+    def test_ball_check_scans_the_unit_ball_once(self, tmp_path, monkeypatch):
+        # Every radius is r^s times the one unit-ball sup; the other columns
+        # are the unit-ball run's.  Powers of two keep r^s exact.
+        calls = []
+        scan = cli.ball_poincare_check
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ball_poincare_check", counting)
+        code = run(["ball-check", "--radii", "1,2,4,8", "--count", "2000"], tmp_path)
+        assert code == EXIT_PASS
+        assert len(calls) == 1
+        lines = (tmp_path / "ball.csv").read_text().splitlines()
+        assert lines[0] == "radius,exponent,sup_ratio,samples,acceptance"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [float(row[0]) for row in rows] == [1.0, 2.0, 4.0, 8.0]
+        unit = float(rows[0][2])
+        for row in rows:
+            assert float(row[2]) == float(row[0]) ** 3 * unit
+            assert row[1] == "3.0" and row[3:] == rows[0][3:]
+        results = json.loads((tmp_path / "ball.json").read_text())["results"]
+        assert results["unit_ball"]["sup_ratio"] == unit
+        assert results["sup_ratios"] == [float(row[2]) for row in rows]
 
     @pytest.mark.parametrize("seed", range(11))
     def test_sample_moment_check_passes(self, tmp_path, capsys, seed):
@@ -311,7 +339,8 @@ _CSV_PINS = [
         "poincare_holdout.csv": "1c9392464904d00c81369bfe8f5149ab55e3bb71719bfa77439818d16fcfdd21",
     }),
     (["ball-check", "--kind", "filiform", "--step", "4", "--count", "2000"], None, {
-        "ball.csv": "8ad868b4f03da857593f165e2a5891990257613d25fcd84040b29057892d5776",
+        # The r = 2 and 4 rows are 2^4 and 4^4 times the unit-ball sup.
+        "ball.csv": "4704f59f90c79c74d37adbb3b8cde20b9e167669adbfb7d29d2bf142bccceec5",
     }),
     # 9,000 samples span three row blocks of the group product and inverse.
     (["verify-algebra", "--steps", "3,12"], {"samples": 9000, "invariance_samples": 5,
@@ -499,6 +528,24 @@ class TestExitCodes:
         assert "cfg-schema" in capsys.readouterr().err
         assert not (tmp_path / "ball.json").exists()
 
+    @pytest.mark.parametrize(("radii", "extreme"), [("1,1e200", "inf"), ("1e-200,1", "0.0")])
+    def test_ball_check_extreme_radius_fails_without_warnings(
+        self, tmp_path, capsys, radii, extreme
+    ):
+        # r^3 leaves the float64 range: 1e200^3 overflows to inf and
+        # 1e-200^3 underflows to 0.  (Python's 1e200 ** 3.0 would raise
+        # OverflowError instead, which exits 4.)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["ball-check", "--count", "2000", "--radii", radii], tmp_path)
+        assert code == EXIT_CHECK_FAIL
+        assert not caught
+        captured = capsys.readouterr()
+        assert "[ball-finite] FAIL" in captured.out
+        assert captured.err == ""
+        sups = [line.split(",")[2] for line in (tmp_path / "ball.csv").read_text().splitlines()[1:]]
+        assert extreme in sups and float(sups[radii.split(",").index("1")]) > 0.0
+
     @pytest.mark.parametrize(
         ("command", "flag"),
         [(cmd, flag) for cmd in ("ubound", "poincare") for flag in ("--count", "--holdout-count")]
@@ -521,7 +568,7 @@ class TestExitCodes:
         # Defects are keyed by step; a repeated step used to overwrite the
         # first one's entries in algebra.json while the CSV kept both rows.
         # A repeated degree compared one gap estimate with itself in
-        # gap-monotone, and a repeated radius reran one ball.
+        # gap-monotone, and a repeated radius repeated one ball.csv row.
         assert run(args, tmp_path) == EXIT_INPUT_ERROR
         assert "non-unique" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())

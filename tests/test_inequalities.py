@@ -258,7 +258,7 @@ class TestKindMismatch:
 
     def test_ball_check_with_the_engel_family(self, engel_family):
         with pytest.raises(ValueError, match="family"):
-            ball_poincare_check(filiform_kind(3), 1.0, 2.0, engel_family, 2_000, seed=0)
+            ball_poincare_check(filiform_kind(3), 2.0, engel_family, 2_000, seed=0)
 
     def test_localization_with_filiform_params(self):
         batch = sample(ENGEL_SPEC, 2_000, seed=1)
@@ -272,47 +272,55 @@ class TestKindMismatch:
 class TestBallUniform:
     def test_samples_inside_ball(self):
         kind = engel_kind()
-        coords, acc = uniform_ball_samples(kind, 2.0, 5_000, seed=1)
+        coords, acc = uniform_ball_samples(kind, 5_000, seed=1)
         assert coords.shape == (5_000, 4)
-        assert np.all(norm_value(kind, coords) <= 2.0 + 1e-12)
+        assert np.all(norm_value(kind, coords) <= 1.0 + 1e-12)
         assert 0.0 < acc < 1.0
 
     def test_deterministic(self):
         kind = filiform_kind(4)
-        a, acc_a = uniform_ball_samples(kind, 1.0, 2_000, seed=9)
-        b, acc_b = uniform_ball_samples(kind, 1.0, 2_000, seed=9)
+        a, acc_a = uniform_ball_samples(kind, 2_000, seed=9)
+        b, acc_b = uniform_ball_samples(kind, 2_000, seed=9)
         np.testing.assert_array_equal(a, b)
         assert acc_a == acc_b
 
     @pytest.mark.parametrize("kind", [engel_kind(), filiform_kind(4), filiform_kind(8), filiform_kind(12)])
     def test_radial_law_is_uniform(self, kind):
-        # Uniform on B_r means P(N <= s) = (s/r)^Q, so (N/r)^Q is U(0, 1).
-        coords, acc = uniform_ball_samples(kind, 1.5, 100_000, seed=4)
+        # Uniform on B_1 means P(N <= s) = s^Q, so N^Q is U(0, 1).
+        coords, acc = uniform_ball_samples(kind, 100_000, seed=4)
         assert 0.5 < acc < 0.8
-        vals = (norm_value(kind, coords) / 1.5) ** kind.group.homogeneous_dimension
+        vals = norm_value(kind, coords) ** kind.group.homogeneous_dimension
         mean, se = batch_mean_se(vals)
         assert abs(mean - 0.5) <= 4.0 * se
         assert np.max(vals) <= 1.0 + 1e-12
 
     def test_ball_check_reports(self, engel_family):
-        rep = ball_poincare_check(
-            engel_kind(), 2.0, ENGEL_SPEC.p, engel_family, 20_000, seed=2
-        )
+        rep = ball_poincare_check(engel_kind(), ENGEL_SPEC.p, engel_family, 20_000, seed=2)
         assert rep.sup_ratio > 0.0
         assert np.isfinite(rep.sup_ratio)
         assert "one" in rep.excluded
         assert rep.sample_count == 20_000
         assert rep.exponent == 3.0
 
-    def test_sup_grows_with_radius(self, engel_family):
-        # Recorded diagnostic: larger balls allow slower functions.
-        sups = [
-            ball_poincare_check(
-                engel_kind(), r, ENGEL_SPEC.p, engel_family, 20_000, seed=2
-            ).sup_ratio
-            for r in (1.0, 2.0)
+    @pytest.mark.parametrize("kind", [engel_kind(), filiform_kind(5)], ids=["engel", "filiform-5"])
+    def test_ratio_on_a_dilated_ball_scales_by_r_to_the_s(self, kind):
+        # delta_r carries the uniform measure on B_1 onto the one on B_r and
+        # divides horizontal gradients by r, so a homogeneous member, which
+        # f o delta_r only rescales, has ratio r^s R(f) on B_r: the law
+        # ball-check reports every radius by.
+        s = 3.0
+        monomials = [
+            monomial_member(kind, e) for e in weighted_monomial_exponents(kind, 3) if any(e)
         ]
-        assert sups[0] < sups[1]
+        unit, _ = uniform_ball_samples(kind, 4_000, seed=6)
+        base, excluded = inequalities._ratio_scan(monomials, MemberBatch(kind, unit), s)
+        assert not excluded
+        for r in (2.0, 0.7):
+            ball_r = kind.group.dilate(r, unit)
+            scaled, _ = inequalities._ratio_scan(monomials, MemberBatch(kind, ball_r), s)
+            assert [e.label for e in scaled] == [e.label for e in base]
+            for got, want in zip(scaled, base):
+                assert got.ratio == pytest.approx(r**s * want.ratio, rel=1e-12), got.label
 
 
 class TestLocalization:
@@ -452,6 +460,25 @@ class TestSpectralGap:
         batch = sample(ENGEL_SPEC, 30, seed=0)
         with pytest.raises(ValueError, match="jackknife"):
             spectral_gap_galerkin(ENGEL_SPEC, 2, batch, jackknife_blocks=20)
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    @pytest.mark.parametrize("kind", [engel_kind(), filiform_kind(5)], ids=["engel", "filiform-5"])
+    def test_gap_scales_as_a_to_the_2_over_p(self, kind, degree):
+        # A draw at a is delta_(a^(-1/p)) of the a = 1 draw on the same seed
+        # (up to rounding), and the monomial basis is closed under dilation,
+        # so the Galerkin gap and its jackknife SE scale by a^(2/p) exactly
+        # in exact arithmetic.  Measured on these 5,000-point draws (numpy
+        # 2.4.6): values agree to 2.1e-12 relative and SEs to 1.6e-11; the
+        # tolerance is 1e-9 for both.
+        p = float(kind.group.step)
+        spec1 = MeasureSpec(kind, 1.0, p)
+        ref = spectral_gap_galerkin(spec1, degree, sample(spec1, 5_000, seed=3))
+        for a in (0.3, 8.0):
+            spec = MeasureSpec(kind, a, p)
+            est = spectral_gap_galerkin(spec, degree, sample(spec, 5_000, seed=3))
+            scale = a ** (2.0 / p)
+            assert est.value == pytest.approx(scale * ref.value, rel=1e-9)
+            assert est.standard_error == pytest.approx(scale * ref.standard_error, rel=1e-9)
 
 
 def _reference_block_sums(phi, grads, jackknife_blocks):

@@ -140,7 +140,7 @@ def test_grouped_scans_match_fresh_contexts(name, q, monkeypatch):
         return (
             inequalities.ubound_fit(spec, fam, train),
             inequalities.poincare_scan(spec, fam, train),
-            inequalities.ball_poincare_check(kind, 2.0, q, fam, 1500, seed=3),
+            inequalities.ball_poincare_check(kind, q, fam, 1500, seed=3),
             inequalities.spectral_gap_galerkin(spec, 3, train, jackknife_blocks=5),
         )
 
