@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import platform
 import sys
@@ -148,8 +149,16 @@ def _array(items: dict, min_items: int = 1) -> dict:
 _STEPS, _DEGREES, _RADII = ({**_array(s), "uniqueItems": True} for s in (_STEP, _INT, _POS))
 
 
-def _count(default: int, schema: dict = _INT) -> tuple:
-    return (default, schema, "sample count")
+# Measure-command draws are capped.  Each help quotes the command's
+# tracemalloc peak at step 12, the widest rows, at the cap: measured there
+# where it is at most 1 GB, else twice the peak at 1,000,000 (peaks grow
+# linearly in the count from 200,000 on).
+MAX_COUNT = 2_000_000
+
+
+def _count(default: int, peak: str, schema: dict = _INT) -> tuple:
+    return (default, {**schema, "maximum": MAX_COUNT},
+            f"sample count, at most {MAX_COUNT:,} (at step 12: {peak})")
 
 
 # A config field is (default, schema, help); a None default also carries the
@@ -165,7 +174,9 @@ _GIBBS = {
     "p": (None, _P_OR_NULL, "potential exponent", "3 for engel, n for filiform"),
 }
 _HOLDOUT_COUNT = (
-    None, {"anyOf": [_MOMENT_COUNT, {"type": "null"}]}, "fresh samples for holdout", "same as count"
+    None, {"anyOf": [{**_MOMENT_COUNT, "maximum": MAX_COUNT}, {"type": "null"}]},
+    f"fresh samples for holdout, at most {MAX_COUNT:,} (1.3 kB each at step 12: 2.6 GB)",
+    "same as count",
 )
 _SEED = {"seed": (0, _NONNEG, "master seed")}
 
@@ -191,24 +202,30 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     }),
     "sample": ("exact sampling to CCMB and CSV", {
         **_GIBBS,
-        "count": _count(100_000, _MOMENT_COUNT),
+        "count": _count(100_000, "0.61 GB", _MOMENT_COUNT),
         "csv_rows": (10_000, _NONNEG, "rows mirrored to CSV, 0 disables"),
         "z_budget": (0, _NONNEG, "0 skips Z; any positive value computes its closed form"),
         **_SEED,
     }),
     "ubound": ("U-bound moment fit with holdout", {
-        **_GIBBS, "count": _count(200_000, _MOMENT_COUNT), "holdout_count": _HOLDOUT_COUNT,
+        **_GIBBS, "count": _count(200_000, "2.9 GB with as many holdout samples", _MOMENT_COUNT),
+        "holdout_count": _HOLDOUT_COUNT,
         **_SEED,
     }),
     "poincare": ("q-Poincare ratio scan with holdout", {
-        **_GIBBS, "count": _count(200_000, _MOMENT_COUNT), "holdout_count": _HOLDOUT_COUNT,
+        **_GIBBS, "count": _count(200_000, "2.8 GB with as many holdout samples", _MOMENT_COUNT),
+        "holdout_count": _HOLDOUT_COUNT,
         **_SEED,
     }),
     "gap": ("Galerkin spectral-gap estimates", {
         **_GIBBS,
-        "count": _count(200_000),
+        "count": _count(200_000, "0.96 GB"),
         "degrees": ([2, 3], _DEGREES, "basis degrees"),
-        "calibration_count": (0, _NONNEG, "Gaussian calibration samples, 0 skips"),
+        "calibration_count": (
+            0, {**_NONNEG, "maximum": 10_000_000},
+            "Gaussian calibration samples, 0 skips, at most 10,000,000 (drawn and summed "
+            "block by block: 0.37 GB)",
+        ),
         "jackknife_blocks": (
             20, {"type": "integer", "minimum": 2}, "jackknife blocks for standard errors"
         ),
@@ -219,12 +236,12 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
         "radii": ([1.0, 2.0, 4.0], _RADII,
                   "ball radii r; each reports r^s times the unit-ball sup, s the exponent"),
         "exponent": (None, _P_OR_NULL, "moment exponent", "3 for engel, n for filiform"),
-        "count": _count(100_000, _MOMENT_COUNT),
+        "count": _count(100_000, "2.6 GB", _MOMENT_COUNT),
         **_SEED,
     }),
     "localize": ("localization split and translation trick", {
         **_GIBBS,
-        "count": _count(200_000, _MOMENT_COUNT),
+        "count": _count(200_000, "0.62 GB", _MOMENT_COUNT),
         "radius_r": (1.0, _POS, "far-region level R"),
         "level_l": (2.0, {"type": "number", "exclusiveMinimum": 1}, "ball level L"),
         "member": ("x2", {"type": "string", "minLength": 1}, "family member label to decompose"),
@@ -976,7 +993,30 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
     error = best_match(_VALIDATORS[command].iter_errors(params))
     if error is not None:
         raise ConfigError(f"[cfg-schema] {error.message}")
+    for key, schema in SCHEMAS[command]["properties"].items():
+        params[key] = _as_floats(key, params[key], schema)
     return params
+
+
+def _as_floats(key: str, value, schema: dict):
+    """A validated value with each JSON number in a "number" slot made a finite float.
+
+    JSON integers have no size limit, and Python's JSON reader turns 1e400
+    into inf and reads NaN and Infinity; all of them pass the schema's
+    bounds, so they are rejected here rather than deep in a command.
+    """
+    for option in schema.get("anyOf", [schema]):
+        if option.get("type") == "array" and isinstance(value, list):
+            return [_as_floats(key, item, option["items"]) for item in value]
+        if option.get("type") == "number" and isinstance(value, (int, float)):
+            try:
+                number = float(value)
+            except OverflowError:
+                number = math.inf
+            if not math.isfinite(number):
+                raise ConfigError(f"[cfg-schema] {key} holds a number that is not a finite float64")
+            return number
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:

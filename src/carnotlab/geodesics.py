@@ -21,7 +21,8 @@ Vandermonde system to reach any target exactly, so every optimization
 starts feasible.  Each inner minimisation is L-BFGS-B, driven here through
 scipy's compiled reverse-communication core (`scipy.optimize._lbfgsb`)
 with the calls `scipy.optimize.minimize` would make; the core is loaded on
-its own, without the rest of `scipy.optimize`.  The starts of a level run
+its own by `extensions.load_extension`, without the rest of
+`scipy.optimize`.  The starts of a level run
 in lockstep: every round answers all their pending evaluations with one
 batched objective, and each start's iterates are those it would take
 alone.  Results are genuine distance upper bounds: the optimal value is
@@ -30,16 +31,13 @@ reported with a one-sided pad of a relative 1e-9 plus 1e-12.
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib.machinery import PathFinder
-from importlib.util import module_from_spec, spec_from_file_location
 from math import factorial
 
 import numpy as np
 
+from .extensions import load_extension
 from .group import FiliformGroup, GroupPoint, _as_batch
 from .norms import NormKind, filiform_norm, norm_value
 from .seeding import derive_rng
@@ -265,33 +263,6 @@ LBFGS_PGTOL = 1e-12
 MAX_OUTER = 10
 
 
-_LBFGSB_CORE = "scipy.optimize._lbfgsb"
-
-
-def _lbfgsb_core():
-    """scipy's compiled L-BFGS-B extension, loaded once per process.
-
-    `from scipy.optimize import _lbfgsb` would first run the whole
-    scipy.optimize package init (linprog, sparse, linalg, special: about
-    40 MB and half a second) for this one extension, so the extension file
-    is loaded by itself and registered under its own name.  When
-    scipy.optimize is already imported, its loaded copy is reused; either
-    way it is the same file making the same calls.
-    """
-    core = sys.modules.get(_LBFGSB_CORE)
-    if core is None:
-        import scipy
-
-        found = PathFinder.find_spec("_lbfgsb", [os.path.join(scipy.__path__[0], "optimize")])
-        if found is None:
-            raise ImportError(f"{_LBFGSB_CORE} is missing from scipy {scipy.__version__}")
-        spec = spec_from_file_location(_LBFGSB_CORE, found.origin)
-        core = module_from_spec(spec)
-        sys.modules[_LBFGSB_CORE] = core
-        spec.loader.exec_module(core)
-    return core
-
-
 def _drive_lbfgsb(x0: np.ndarray, args: tuple):
     """Unconstrained L-BFGS-B from x0, driven by its caller.
 
@@ -302,10 +273,11 @@ def _drive_lbfgsb(x0: np.ndarray, args: tuple):
     scipy.optimize.minimize(method="L-BFGS-B") with the settings above
     exactly: f and g are taken at x0 first, an unchanged x reuses the last
     (f, g), and an iteration counts on each NEW_X task.  `setulb` comes from
-    `_lbfgsb_core`, without importing scipy.optimize; it is private, with
-    this signature since scipy 1.15.
+    the extension scipy.optimize._lbfgsb, loaded without the scipy.optimize
+    package (about 40 MB and half a second); it is private, with this
+    signature since scipy 1.15.
     """
-    setulb = _lbfgsb_core().setulb
+    setulb = load_extension("scipy.optimize._lbfgsb").setulb
     n, m = x0.size, LBFGS_MEMORY
     x = np.array(x0, dtype=np.float64)
     unbounded, nbd = np.zeros(n), np.zeros(n, np.int32)

@@ -18,7 +18,9 @@ batch-means standard errors (50 batches):
   * `translation_trick_check`: pointwise shift inequalities on the annular
     region {|||x|||^n <= R, Norm >= L}; these must hold for every sample.
   * `spectral_gap_galerkin`: variational upper bound for the 2-spectral gap
-    from a monomial basis, with an exact-sampler Gaussian calibration mode.
+    from a monomial basis, with an exact-sampler Gaussian calibration mode;
+    its pencil eigenvalue is LAPACK's, called through scipy's compiled
+    `_flapack` without importing scipy.linalg.
 
 Reports are plain frozen dataclasses.
 """
@@ -32,6 +34,7 @@ from itertools import starmap
 
 import numpy as np
 
+from .extensions import load_extension
 from .family import (
     MemberBatch,
     TestFunction,
@@ -641,6 +644,49 @@ class GapEstimate:
     mode: str
 
 
+def _eigvalsh(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Ascending eigenvalues of symmetric a, or of the pencil (a, b) with b
+    positive definite: scipy.linalg.eigvalsh(a, b) on float64 input.
+
+    The LAPACK calls are those eigvalsh makes (dsyevr after its workspace
+    query, or dsygvd), from scipy's compiled `_flapack` loaded without the
+    scipy.linalg package; the finiteness check and the LinAlgError messages
+    are eigvalsh's too.
+    """
+    flapack = load_extension("scipy.linalg._flapack")
+    a = np.asarray_chkfinite(a)
+    n = a.shape[0]
+    if b is None:
+        driver = "dsyevr"
+        work, iwork, info = flapack.dsyevr_lwork(n, lower=1)
+        if info != 0:
+            raise ValueError(f"Internal work array size computation failed: {info}")
+        w, _, _, _, info = flapack.dsyevr(
+            a, compute_v=0, lower=1, lwork=int(work), liwork=int(iwork), overwrite_a=0
+        )
+    else:
+        driver = "dsygvd"
+        w, _, info = flapack.dsygvd(
+            a, np.asarray_chkfinite(b), itype=1, jobz="N", uplo="L", overwrite_a=0, overwrite_b=0
+        )
+    if info == 0:
+        return w
+    if info < -1:
+        raise np.linalg.LinAlgError(f"Illegal value in argument {-info} of internal {driver}")
+    if info > n:
+        raise np.linalg.LinAlgError(
+            f"The leading minor of order {info - n} of B is not positive definite. The "
+            "factorization of B could not be completed and no eigenvalues or eigenvectors "
+            "were computed."
+        )
+    if b is None:
+        raise np.linalg.LinAlgError("Internal Error.")
+    raise np.linalg.LinAlgError(
+        f"The algorithm failed to converge; {info} off-diagonal elements of an "
+        "intermediate tridiagonal form did not converge to zero."
+    )
+
+
 def _gap_from_sums(
     count: int, sum_phi: np.ndarray, sum_outer: np.ndarray, sum_stiff: np.ndarray
 ) -> float:
@@ -650,8 +696,6 @@ def _gap_from_sums(
     pencil eigenvalues are invariant under that diagonal scaling while the
     conditioning improves by orders of magnitude for raw monomials.
     """
-    import scipy.linalg  # deferred: only the Galerkin gap loads it
-
     mean = sum_phi / count
     cov = sum_outer / count - np.outer(mean, mean)
     stiff = sum_stiff / count
@@ -661,12 +705,12 @@ def _gap_from_sums(
     scale = 1.0 / np.sqrt(diag)
     cov_s = cov * np.outer(scale, scale)
     stiff_s = stiff * np.outer(scale, scale)
-    eigvals = scipy.linalg.eigvalsh(cov_s)
+    eigvals = _eigvalsh(cov_s)
     if eigvals.min() < 1e-10 * eigvals.max():
         raise ConditioningError(
             "covariance matrix near singular; use more samples or a smaller degree"
         )
-    return float(scipy.linalg.eigvalsh(stiff_s, cov_s)[0])
+    return float(_eigvalsh(stiff_s, cov_s)[0])
 
 
 def _block_edges(count: int, jackknife_blocks: int) -> list[tuple[int, int]]:

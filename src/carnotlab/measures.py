@@ -8,7 +8,8 @@ the unnormalised density
 
 The density depends on x only through N, so homogeneous polar coordinates
 sample it exactly and iid (see `sample`) and reduce Z to Gamma(Q/p + 1)
-a^(-Q/p) times the unit-ball volume of the kind (see `estimate_Z`).
+a^(-Q/p) times the unit-ball volume of the kind (see `estimate_Z`; Gamma
+comes from scipy's compiled `_special_ufuncs` alone).
 `batch_mean_se` gives Monte Carlo means with batch-means errors.
 
 Sample batches serialise to a small binary format ("CCMB"): magic bytes,
@@ -27,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .extensions import load_extension
 from .norms import ENGEL, FILIFORM, NormKind, norm_kernel
 from .seeding import derive_rng
 
@@ -196,9 +198,11 @@ def estimate_Z(spec: MeasureSpec) -> ZEstimate:
     Prop. 1.15) give Z(a, p) = Gamma(Q/p + 1) a^(-Q/p) |B_1|, with Q the
     homogeneous dimension and |B_1| the volume of the unit ball, a constant
     of the kind.  |B_1| is exact for Engel and a quadrature for filiform
-    (`_filiform_ball_volume`), whose error the estimate carries.
+    (`_filiform_ball_volume`), whose error the estimate carries.  Gamma is
+    scipy.special.gamma, taken from its compiled extension
+    `scipy.special._special_ufuncs` without importing scipy.special.
     """
-    from scipy.special import gamma  # deferred: only commands computing Z load it
+    gamma = load_extension("scipy.special._special_ufuncs").gamma
 
     if spec.kind.variant == ENGEL:
         # int exp(-N^3) = 4 pi int_0^inf w exp(-w^(3/2)) dw = (8 pi/3) Gamma(4/3),
@@ -239,7 +243,8 @@ def _filiform_ball_volume(n: int) -> tuple[float, float]:
     with h = (n+1)/2, beta = 2n/(n+1) and alpha_j = (n+1)/(2(j-1)).  The
     c and y integrals use exp-sinh nodes, t uses Gauss-Jacobi nodes for the
     endpoint weight.  Returns the finer rule's value and its distance from
-    the coarser one.
+    the coarser one.  `roots_jacobi` is Python code in scipy.special, so
+    this is the one place that imports that package.
     """
     from scipy.special import gamma, roots_jacobi
 

@@ -755,6 +755,10 @@ class TestExitCodes:
         ("geodesic", "scan_points", 1000), ("verify-algebra", "samples", 10_000_000),
         ("verify-algebra", "invariance_samples", 1_000_000),
         ("verify-bounds", "samples", 10_000_000),
+        *((command, "count", 2_000_000)
+          for command in ("sample", "ubound", "poincare", "gap", "ball-check", "localize")),
+        ("ubound", "holdout_count", 2_000_000), ("poincare", "holdout_count", 2_000_000),
+        ("gap", "calibration_count", 10_000_000),
     ])
     def test_sizes_above_their_caps_exit_three(
         self, tmp_path, capsys, monkeypatch, command, key, cap
@@ -773,6 +777,41 @@ class TestExitCodes:
         assert f"[cfg-schema] {cap + 1} is greater than the maximum of {cap}" in err
         assert "Traceback" not in err
         assert calls == []
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("ball-check", '{"radii": [1, 1%s]}' % ("0" * 400), "radii"),
+        ("sample", '{"a": 1%s}' % ("0" * 400), "a"),
+        ("sample", '{"a": 1e400}', "a"),
+        ("ball-check", '{"radii": [1, NaN]}', "radii"),
+    ])
+    def test_numbers_beyond_float64_exit_three(
+        self, tmp_path, capsys, monkeypatch, command, config, key
+    ):
+        # These pass the schema's bounds; a 401-digit integer used to exit 4
+        # from a `float()` in the runner, and 1e400 (read as inf) or NaN ran.
+        calls = []
+        monkeypatch.setitem(cli.RUNNERS, command, lambda params, out: calls.append(params))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        code = run([command, "--count", "100", "--config", str(cfg)], tmp_path)
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"[cfg-schema] {key} holds a number that is not a finite float64" in err
+        assert "Traceback" not in err
+        assert calls == []
+
+    def test_integers_in_number_fields_resolve_to_floats(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a": 2, "radius_r": 1, "count": 100}))
+        params = _resolve_params("localize", build_parser().parse_args(
+            ["localize", "--config", str(cfg)]))
+        assert (type(params["a"]), type(params["radius_r"]), type(params["count"])) == (
+            float, float, int)
+        cfg.write_text(json.dumps({"target": [1, 0, 0, 2]}))
+        params = _resolve_params("geodesic", build_parser().parse_args(
+            ["geodesic", "--config", str(cfg)]))
+        assert params["target"] == [1.0, 0.0, 0.0, 2.0]
+        assert all(type(x) is float for x in params["target"])
 
     def test_empty_axis_filter_exits_three(self, tmp_path, capsys):
         code = run(

@@ -1,5 +1,5 @@
-"""Start-up cost: importing the CLI, and running the pointwise and
-geodesic commands, loads no heavy scipy submodule; no module imports a
+"""Start-up cost: importing the CLI, and running the pointwise, geodesic,
+gap and Z commands, loads no heavy scipy submodule; no module imports a
 name it never uses, and no package function or class goes unnamed."""
 
 from __future__ import annotations
@@ -15,8 +15,11 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
 
 # Each costs 0.1-1.1 s to import; a command that needs one imports it in
-# the function that uses it.  The geodesic driver needs none of them: it
-# loads scipy's compiled L-BFGS-B core, scipy.optimize._lbfgsb, by itself.
+# the function that uses it.  The geodesic driver, the Galerkin gap and the
+# Engel Z need none of them: `carnotlab.extensions.load_extension` loads the
+# one compiled extension each calls (scipy.optimize._lbfgsb,
+# scipy.linalg._flapack, scipy.special._special_ufuncs) by itself.  The
+# filiform Z still imports scipy.special, for `roots_jacobi`.
 HEAVY = ("scipy.optimize", "scipy.special", "scipy.linalg", "scipy.stats", "numpy.f2py")
 
 CHECK = f"""
@@ -63,6 +66,23 @@ assert code == 0, code
 check("geodesic --scan-points 2")
 """
 
+GAP_AND_Z_GUARD = CHECK + """
+code = main(["gap", "--count", "2000", "--out", sys.argv[1] + "/gap"])
+assert code == 0, code
+check("gap")
+code = main(["gap", "--kind", "filiform", "--step", "4", "--count", "2000",
+             "--calibration-count", "2000", "--out", sys.argv[1] + "/gap-fil4"])
+assert code == 0, code
+check("gap --kind filiform --step 4")
+assert "scipy.linalg._flapack" in sys.modules
+assert "scipy.special._special_ufuncs" not in sys.modules
+code = main(["sample", "--count", "1000", "--z-budget", "2000000",
+             "--out", sys.argv[1] + "/sample"])
+assert code == 0, code
+check("sample --z-budget 2000000")
+assert "scipy.special._special_ufuncs" in sys.modules
+"""
+
 
 def _run_fresh(*argv: str) -> None:
     """Run `python -c` in a fresh process with ./src first on the path."""
@@ -84,6 +104,11 @@ def test_cli_and_pointwise_commands_load_no_heavy_module(tmp_path):
 def test_geodesics_import_loads_no_heavy_module(tmp_path):
     # The first solve loads the L-BFGS-B core, and nothing else of scipy.optimize.
     _run_fresh(GEODESIC_GUARD, str(tmp_path))
+
+
+def test_gap_and_engel_z_load_no_heavy_module(tmp_path):
+    # Each loads one compiled extension: LAPACK for the gap, Gamma for Z.
+    _run_fresh(GAP_AND_Z_GUARD, str(tmp_path))
 
 
 def _imported_modules(path: Path) -> set[str]:

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from carnotlab import inequalities
 from carnotlab.cli import main as cli_main
@@ -20,7 +21,9 @@ from carnotlab.family import (
 from carnotlab.inequalities import (
     ConditioningError,
     InfeasibleFitError,
+    _eigvalsh,
     _fit_vertex_lp,
+    _gap_from_sums,
     annulus_samples,
     ball_poincare_check,
     batch_mean_se,
@@ -42,6 +45,7 @@ from carnotlab.norms import (
     norm_value,
 )
 from carnotlab.seeding import derive_rng
+from test_imports import _run_fresh
 
 ENGEL_SPEC = MeasureSpec(kind=engel_kind(), a=1.0, p=3.0)
 FIL4_SPEC = MeasureSpec(kind=filiform_kind(4), a=1.0, p=4.0)
@@ -636,6 +640,117 @@ class TestGramSums:
         for key, (value, se) in PARENT_GAP_CSV.items():
             assert abs(got[key][0] - value) <= 1e-12 * abs(value), key
             assert abs(got[key][1] - se) <= 1e-9 * se, key
+
+
+def _scipy_gap_from_sums(count, sum_phi, sum_outer, sum_stiff):
+    """`_gap_from_sums` as written on scipy.linalg.eigvalsh, the reference."""
+    mean = sum_phi / count
+    cov = sum_outer / count - np.outer(mean, mean)
+    stiff = sum_stiff / count
+    scale = 1.0 / np.sqrt(np.diag(cov).copy())
+    cov_s = cov * np.outer(scale, scale)
+    stiff_s = stiff * np.outer(scale, scale)
+    eigvals = scipy.linalg.eigvalsh(cov_s)
+    assert eigvals.min() >= 1e-10 * eigvals.max()
+    return float(scipy.linalg.eigvalsh(stiff_s, cov_s)[0])
+
+
+def _random_sums(k: int, seed: int):
+    """Gram sums of k random basis values and gradients, as `_block_sums` forms them."""
+    rng = np.random.default_rng(seed)
+    count = 20 * k
+    phi = rng.standard_normal((count, k)) * rng.uniform(0.1, 10.0, size=k)
+    grads = rng.standard_normal((2 * count, k))
+    return count, phi.sum(axis=0), phi.T @ phi, grads.T @ grads
+
+
+class TestStandaloneLapack:
+    """`_eigvalsh` makes scipy.linalg.eigvalsh's LAPACK calls without scipy.linalg."""
+
+    def test_gap_from_sums_is_bit_equal_to_scipy_eigvalsh(self):
+        for k in range(2, 41):
+            sums = _random_sums(k, seed=k)
+            assert _gap_from_sums(*sums).hex() == _scipy_gap_from_sums(*sums).hex(), k
+
+    def test_eigenvalues_are_bit_equal_to_scipy_eigvalsh(self):
+        for k in range(2, 41):
+            count, _, outer, stiff = _random_sums(k, seed=100 + k)
+            for args in ((outer,), (stiff, outer)):
+                got = [v.hex() for v in _eigvalsh(*args)]
+                assert got == [v.hex() for v in scipy.linalg.eigvalsh(*args)], k
+
+    def test_indefinite_covariance_raises_scipys_linalg_error(self):
+        stiff, cov = np.eye(3), np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            scipy.linalg.eigvalsh(stiff, cov)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            _eigvalsh(stiff, cov)
+        assert str(got.value) == str(want.value)
+        assert "leading minor of order 2 of B is not positive definite" in str(got.value)
+
+    def test_nan_raises_scipys_value_error(self):
+        count, sum_phi, sum_outer, sum_stiff = _random_sums(5, seed=0)
+        sum_stiff[1, 2] = sum_stiff[2, 1] = np.nan
+        with pytest.raises(ValueError) as want:
+            _scipy_gap_from_sums(count, sum_phi, sum_outer, sum_stiff)
+        with pytest.raises(ValueError) as got:
+            _gap_from_sums(count, sum_phi, sum_outer, sum_stiff)
+        assert str(got.value) == str(want.value) == "array must not contain infs or NaNs"
+        sum_outer[0, 1] = sum_outer[1, 0] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _gap_from_sums(count, sum_phi, sum_outer, sum_stiff)
+
+    def test_load_order_cannot_change_results(self):
+        _run_fresh(LOAD_ORDER)
+
+
+# A fresh process computes Gamma on every argument Q/p + 1 the schema allows
+# (Q <= 79 at step 12 and p > 1 give (1, 80]) plus the closed forms' and
+# overflowing ones, Galerkin gaps, Z and LAPACK eigenvalues with the
+# extensions loaded alone; then it imports scipy.special and scipy.linalg,
+# checks that their functions are the same objects, and repeats everything
+# bit for bit, the eigenvalues through scipy.linalg.eigvalsh.
+LOAD_ORDER = """
+import sys
+import numpy as np
+from carnotlab.extensions import load_extension
+from carnotlab.inequalities import _eigvalsh, spectral_gap_galerkin
+from carnotlab.measures import MeasureSpec, estimate_Z, sample
+from carnotlab.norms import engel_kind
+
+closed = [4 / 3, 10 / 3] + [(1 + n * (n + 1) // 2) / n + 1 for n in range(3, 13)]
+ARGS = np.concatenate([np.linspace(1.0, 80.0, 200_001), closed, [171.7, 1e3, 1e300]])
+PENCILS = []
+for k in range(2, 41):
+    phi, grads = np.random.default_rng(k).standard_normal((2, 20 * k, k))
+    PENCILS.append((phi.T @ phi, grads.T @ grads))
+SPEC = MeasureSpec(engel_kind(), 1.0, 3.0)
+
+def gamma_bits(gamma):
+    with np.errstate(over="ignore"):
+        values = gamma(ARGS)
+    assert np.all(np.isinf(values[-3:])) and np.all(np.isfinite(values[:-3]))
+    return values.tobytes()
+
+def eig_bits(eigvalsh):
+    return [eigvalsh(stiff, outer).tobytes() + eigvalsh(outer).tobytes() for outer, stiff in PENCILS]
+
+def solve():
+    gaps = [spectral_gap_galerkin(SPEC, d, sample(SPEC, 5_000, seed=3)) for d in (2, 3)]
+    return [(g.value.hex(), g.standard_error.hex()) for g in gaps], estimate_Z(SPEC)
+
+first = solve()
+bits = gamma_bits(load_extension("scipy.special._special_ufuncs").gamma), eig_bits(_eigvalsh)
+assert "scipy.special" not in sys.modules and "scipy.linalg" not in sys.modules
+import scipy.linalg
+import scipy.special
+flapack = load_extension("scipy.linalg._flapack")
+assert scipy.special.gamma is load_extension("scipy.special._special_ufuncs").gamma
+funcs = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork", "sygvd"), [np.eye(2)])
+assert all(map(lambda a, b: a is b, funcs, (flapack.dsyevr, flapack.dsyevr_lwork, flapack.dsygvd)))
+assert solve() == first
+assert (gamma_bits(scipy.special.gamma), eig_bits(scipy.linalg.eigvalsh)) == bits
+"""
 
 
 class TestFiliformPipelines:
