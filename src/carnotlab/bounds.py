@@ -1,10 +1,11 @@
 """Empirical sup/inf certification of the pointwise norm-derivative bounds.
 
 The six ratios sit in one table, each built from the norm, its paired
-seminorm, and its frame derivatives.  One driver, `verify_kind`, draws the
-smooth region of one norm kind once, builds one derivative jet per chunk of
-that draw, evaluates every requested ratio of the kind on it, and reports
-each extreme value together with its witness point.  The CLI makes one
+seminorm, and its frame derivatives.  One driver, `verify_kind`, walks one
+draw of the smooth region of one norm kind chunk by chunk, builds one
+derivative jet per chunk, evaluates every requested ratio of the kind on
+it, and folds each ratio's extreme value and witness point over the
+chunks, so no array as long as the draw is ever held.  The CLI makes one
 call per kind (three Engel ratios, three per filiform step); the public
 `verify_*` functions are one call each for a single ratio or pair.
 
@@ -21,7 +22,8 @@ uniform points in [-box, box]^(n+1) whose singular coordinates are drawn
 directly from [-box, -standoff] U [standoff, box], plus a deterministic
 quasi-random shell batch per singular axis placed at distance exactly
 `standoff`.  Bulk and shells share one affine map of [-box, box] onto that
-admissible set, so every draw takes one pass whatever the standoff.
+admissible set, so every draw takes one pass whatever the standoff, and
+the bulk is drawn one chunk at a time (`smooth_sample_chunks`).
 Extremes of these ratios concentrate near the singular set, so the
 seed-independent shell pins the reported extremum and makes reruns with
 different seeds agree closely; the seeded bulk explores the rest of the
@@ -36,8 +38,8 @@ of scipy; the tests check it bit-equal to scipy's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -136,71 +138,44 @@ def _push_off_hyperplanes(
         pts[:, j] = s * (standoff + np.abs(c) * (box - standoff) / box)
 
 
-def stratified_smooth_samples(
-    kind: NormKind,
-    count: int,
-    seed: int,
-    box: float = DEFAULT_BOX,
+def smooth_sample_chunks(
+    kind: NormKind, count: int, seed: int, box: float = DEFAULT_BOX,
     standoff: float = DEFAULT_STANDOFF,
-) -> np.ndarray:
-    """Deterministic shell batches plus a seeded uniform bulk; `count` total.
+) -> Iterator[np.ndarray]:
+    """Deterministic shell batches plus a seeded uniform bulk; `count` rows in all.
 
-    A standoff of at least the box half-width leaves no admissible point.
+    Yields rows [i, i + RATIO_CHUNK) of that draw for i = 0, RATIO_CHUNK, ...:
+    the shells first, then the bulk, each chunk's bulk rows drawn and pushed
+    off the hyperplanes when it is yielded.  The generator's stream does not
+    depend on the chunk sizes, so only the shells (at most SHELL_PER_AXIS
+    rows per axis) and one chunk are ever held.  A standoff of at least the
+    box half-width leaves no admissible point.
     """
     if standoff >= box:
         raise EmptyDomainError(f"standoff {standoff:g} is not below the box half-width {box:g}")
     if count < 1:
         raise EmptyDomainError("no smooth sample points generated")
     axes = kind.singular_axes
-    shells = [
-        _shell_batch(kind, j, min(SHELL_PER_AXIS, max(count // (4 * len(axes)), 16)), box, standoff)
-        for j in axes
-    ]
+    per_axis = min(SHELL_PER_AXIS, max(count // (4 * len(axes)), 16))
     # Shells beyond `count` are cut; the bulk fills what they leave of it.
-    shell = np.concatenate(shells)[:count]
-    out = np.empty((count, kind.group.dimension))
-    out[: shell.shape[0]] = shell
-    bulk = out[shell.shape[0] :]
-    # Drawn straight into `out` a block at a time: the generator's stream does
-    # not depend on the block sizes, and the whole draw is never held twice.
+    shell = np.concatenate([_shell_batch(kind, j, per_axis, box, standoff) for j in axes])[:count]
     rng = np.random.default_rng(seed)
-    for i in range(0, bulk.shape[0], RATIO_CHUNK):
-        block = bulk[i : i + RATIO_CHUNK]
-        block[:] = rng.uniform(-box, box, size=block.shape)
-    _push_off_hyperplanes(bulk, axes, box, standoff)
-    return out
+    for lo in range(0, count, RATIO_CHUNK):
+        chunk = np.empty((min(RATIO_CHUNK, count - lo), kind.group.dimension))
+        head = shell[lo : lo + RATIO_CHUNK]
+        chunk[: head.shape[0]] = head
+        bulk = chunk[head.shape[0] :]
+        bulk[:] = rng.uniform(-box, box, size=bulk.shape)
+        _push_off_hyperplanes(bulk, axes, box, standoff)
+        yield chunk
 
 
-def _extremal_report(
-    spec: BoundSpec,
-    kind: NormKind,
-    ratios: np.ndarray,
-    pts: np.ndarray,
-    rows: np.ndarray | None,
-    seed: int,
-    domain: str,
-) -> BoundReport:
-    """The extreme of `ratios`, the ratios of pts[rows] (of all of pts if rows is None)."""
-    if spec.direction == "upper":
-        idx = int(np.argmax(ratios))
-        passed = None if spec.target is None else bool(ratios[idx] <= spec.target + spec.tolerance)
-    else:
-        idx = int(np.argmin(ratios))
-        passed = None if spec.target is None else bool(ratios[idx] >= spec.target - spec.tolerance)
-    witness = pts[idx if rows is None else rows[idx]]
-    return BoundReport(
-        name=spec.name,
-        kind_variant=kind.variant,
-        step=kind.group.step,
-        direction=spec.direction,
-        sample_count=int(ratios.size),
-        extremum=float(ratios[idx]),
-        arg_point=tuple(float(c) for c in witness),
-        target=spec.target,
-        passed=passed,
-        domain=domain,
-        seed=seed,
-    )
+def stratified_smooth_samples(
+    kind: NormKind, count: int, seed: int, box: float = DEFAULT_BOX,
+    standoff: float = DEFAULT_STANDOFF,
+) -> np.ndarray:
+    """The whole draw of `smooth_sample_chunks` as one (count, d) array."""
+    return np.concatenate(list(smooth_sample_chunks(kind, count, seed, box, standoff)))
 
 
 _FILIFORM_NOTE = "recorded sup is standoff-dependent for n >= 4"
@@ -254,43 +229,58 @@ def verify_kind(
     kind: NormKind, keys: tuple[str, ...], samples: int, seed: int, box: float,
     standoff: float,
 ) -> list[BoundReport]:
-    """One report per `_BOUNDS` key, from one draw and one derivative table.
+    """One report per `_BOUNDS` key, from one pass over one draw.
 
-    Every key's ratio is evaluated on the whole draw, one `NormJet` per
-    chunk of `RATIO_CHUNK` rows, so the norm, seminorm and frame derivatives
-    are computed once for all keys of the kind while the chunk's jet sits in
-    cache; ratios are row-wise, so the chunk size moves no bit.  They go
-    into one (keys, samples) array.  Only then does a key with an axis keep
-    the rows with |x_axis| > 1e-8 (its ratio divides by |x_axis|), and its
-    extreme is taken over those rows' ratios; the draw is never copied.  A
-    key left with no point raises `EmptyDomainError`.
+    Each `smooth_sample_chunks` chunk gets one `NormJet`, so the norm,
+    seminorm and frame derivatives are computed once for all keys of the
+    kind while the chunk's jet sits in cache; ratios are row-wise, so the
+    chunk size moves no bit.  A key with an axis keeps the chunk's rows with
+    |x_axis| > 1e-8 (its ratio divides by |x_axis|).  Each key folds its row
+    count, extreme and witness point over the chunks by the rules of
+    np.argmax/np.argmin on the whole draw: the first index wins a tie and
+    the first NaN wins over everything.  So memory does not grow with
+    `samples`.  A key left with no point raises `EmptyDomainError`.
     """
     n = kind.group.step
     table = norm_derivative_tables(kind)
-    pts = stratified_smooth_samples(kind, samples, seed, box, standoff)
+    entries = [_BOUNDS[key] for key in keys]
+    folds = [[0, None, None] for _ in keys]  # row count, extreme, witness point
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for chunk in smooth_sample_chunks(kind, samples, seed, box, standoff):
+            jet = table.jet(chunk)
+            for (spec, ratio, axis, _), fold in zip(entries, folds):
+                values, rows = ratio(jet, chunk, n), None
+                if axis is not None:
+                    rows = np.flatnonzero(np.abs(chunk[:, axis]) > 1e-8)
+                    values = values[rows]
+                fold[0] += values.size
+                if values.size == 0:
+                    continue
+                upper = spec.direction == "upper"
+                idx = int(np.argmax(values) if upper else np.argmin(values))
+                new, old = values[idx], fold[1]
+                if old is None or not np.isnan(old) and (
+                    np.isnan(new) or (new > old if upper else new < old)
+                ):
+                    fold[1], fold[2] = new, chunk[idx if rows is None else rows[idx]].copy()
     domain = (
         f"box [-{box:g},{box:g}]^{kind.group.dimension}, smooth region with hyperplane "
         f"standoff {standoff:g}, deterministic shell batches at the standoff"
     )
-    ratios = np.empty((len(keys), pts.shape[0]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(0, pts.shape[0], RATIO_CHUNK):
-            chunk = pts[i : i + RATIO_CHUNK]
-            jet = table.jet(chunk)
-            for key, row in zip(keys, ratios):
-                row[i : i + RATIO_CHUNK] = _BOUNDS[key][1](jet, chunk, n)
     reports = []
-    for key, values in zip(keys, ratios):
-        spec, _, axis, note = _BOUNDS[key]
-        spec = replace(spec, name=spec.name.format(n=n))
-        rows = None
-        if axis is not None:
-            rows = np.flatnonzero(np.abs(pts[:, axis]) > 1e-8)
-            values = values[rows]
-        if values.size == 0:
-            raise EmptyDomainError(f"no admissible samples for bound {spec.name}")
-        reports.append(_extremal_report(
-            spec, kind, values, pts, rows, seed, f"{domain}; {note}" if note else domain
+    for (spec, _, _, note), (count, extremum, witness) in zip(entries, folds):
+        name = spec.name.format(n=n)
+        if count == 0:
+            raise EmptyDomainError(f"no admissible samples for bound {name}")
+        passed = None if spec.target is None else bool(
+            extremum <= spec.target + spec.tolerance if spec.direction == "upper"
+            else extremum >= spec.target - spec.tolerance
+        )
+        reports.append(BoundReport(
+            name=name, kind_variant=kind.variant, step=n, direction=spec.direction,
+            sample_count=count, extremum=float(extremum),
+            arg_point=tuple(float(c) for c in witness), target=spec.target, passed=passed,
+            domain=f"{domain}; {note}" if note else domain, seed=seed,
         ))
     return reports
 

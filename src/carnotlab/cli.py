@@ -40,6 +40,7 @@ the process CPU affinity at startup.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import math
@@ -184,9 +185,11 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     "verify-algebra": ("group axioms, commutators, invariance", {
         "steps": ([3, 4, 5, 6], _STEPS, "steps to check"),
         "samples": (100_000, {**_INT, "maximum": 10_000_000}, "random instances per axiom, "
-                    "at most 10,000,000 (x, y and z take 24(n+1) bytes each: 3.1 GB at step 12)"),
+                    "at most 10,000,000 (drawn 4,096 at a time: a 5.7 MB peak at step 12 at "
+                    "15,000 and at 1,000,000)"),
         "invariance_samples": (1_000, {**_INT, "maximum": 1_000_000}, "(alpha, x) pairs per "
-                               "frame, at most 1,000,000 (16(n+1) bytes each: 0.21 GB at step 12)"),
+                               "frame, at most 1,000,000 (drawn 4,096 at a time: a 20 MB peak "
+                               "at step 12 at 16,384 and at 250,000)"),
         "tolerance": (1e-10, _POS, "axiom tolerance"),
         "comm_tolerance": (1e-12, _POS, "structure-constant tolerance"),
         "fd_tolerance": (1e-8, _POS, "finite-difference commutator tolerance"),
@@ -194,7 +197,8 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     }),
     "verify-bounds": ("norm-derivative bound certification", {
         "samples": (1_000_000, {**_INT, "maximum": 10_000_000}, "sample count per bound, at "
-                    "most 10,000,000 (the draw and its ratios: 1.5 GB at step 12)"),
+                    "most 10,000,000 (drawn 8,192 at a time: an 11.4 MB peak at step 12 at "
+                    "250,000 and at 1,000,000)"),
         "filiform_steps": ([3, 4, 5, 6], _STEPS, "filiform steps to scan"),
         "box": (5.0, _POS, "sampling box half-width"),
         "standoff": (1e-2, _POS, "distance kept from singular hyperplanes"),
@@ -245,7 +249,8 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
         "radius_r": (1.0, _POS, "far-region level R"),
         "level_l": (2.0, {"type": "number", "exclusiveMinimum": 1}, "ball level L"),
         "member": ("x2", {"type": "string", "minLength": 1}, "family member label to decompose"),
-        "translation_count": (10_000, _INT, "annulus samples for the shift claims"),
+        "translation_count": (10_000, {**_INT, "maximum": 1_000_000}, "annulus samples for "
+                              "the shift claims, at most 1,000,000 (at step 12: 1.2 GB)"),
         **_SEED,
     }),
     "geodesic": ("distance upper bound and scan", {
@@ -469,16 +474,30 @@ _HOLDOUT_HEADER = "label,lhs,rhs,slack,passed"
 # ---------------------------------------------------------------- commands
 
 
-def _group_law_defects(g: FiliformGroup, x, y, z) -> list[tuple[str, float]]:
-    """Associativity, identity, inverse and dilation defects on the rows of x, y, z.
+def _uniform_row_blocks(rng: np.random.Generator, parts: int, m: int, d: int, bound: float):
+    """rng.uniform(-bound, bound, size=(parts, m, d)), one `row_blocks` block at a time.
 
-    The laws run one row block at a time, so a block's products stay in
-    cache for every check that shares them.  Each defect folds the blocks'
-    maxima with np.maximum, which rounds nothing and keeps a NaN.
+    Each block is a tuple of the parts' rows.  Part k is read from a copy of
+    rng advanced past the k*m*d doubles before it (PCG64 spends one draw per
+    double), and rng itself moves past all parts*m*d at once, so every block
+    equals its slice of the whole draw and every later draw is unchanged.
     """
-    assoc = ident = inv = dil = 0.0
-    for blk in row_blocks(x.shape[0]):
-        xb, yb, zb = x[blk], y[blk], z[blk]
+    cursors = [np.random.Generator(copy.deepcopy(rng.bit_generator).advance(k * m * d))
+               for k in range(parts)]
+    rng.bit_generator.advance(parts * m * d)
+    return (tuple(c.uniform(-bound, bound, size=(blk.stop - blk.start, d)) for c in cursors)
+            for blk in row_blocks(m))
+
+
+def _group_law_defects(g: FiliformGroup, blocks) -> list[tuple[str, float]]:
+    """Associativity, identity, inverse and dilation defects on row blocks (x, y, z).
+
+    A block's products stay in cache for every check that shares them.
+    Each defect, and max |x|, folds the blocks' maxima with np.maximum or
+    max, which round nothing; np.maximum keeps a NaN.
+    """
+    assoc = ident = inv = dil = x_max = 0.0
+    for xb, yb, zb in blocks:
         xy = g.compose(xb, yb)
         xy_z = g.compose(xy, zb)
         x_yz = g.compose(xb, g.compose(yb, zb))
@@ -491,7 +510,8 @@ def _group_law_defects(g: FiliformGroup, x, y, z) -> list[tuple[str, float]]:
             lhs = g.dilate(lam, xy)
             rhs = g.compose(g.dilate(lam, xb), g.dilate(lam, yb))
             dil = np.maximum(dil, np.max(row_max_abs(lhs - rhs) / (row_max_abs(lhs) + 1.0)))
-    ident /= float(max(x.max(), -x.min()) + 1.0)  # max |x|, exactly and with no copy
+        x_max = max(x_max, xb.max(), -xb.min())  # max |x|, exactly and with no copy
+    ident /= float(x_max + 1.0)
     return [("alg-assoc", float(assoc)), ("alg-identity", float(ident)),
             ("alg-inverse", float(inv)), ("alg-dilation", float(dil))]
 
@@ -512,8 +532,8 @@ def _run_verify_algebra(params: dict, out: Path) -> int:
         g = FiliformGroup(n)
         d = g.dimension
         m = params["samples"]
-        # The draw is one temporary, so it is freed before the next step draws.
-        for cid, defect in _group_law_defects(g, *rng.uniform(-3.0, 3.0, size=(3, m, d))):
+        # x, y and z are drawn one row block at a time, so memory does not grow with m.
+        for cid, defect in _group_law_defects(g, _uniform_row_blocks(rng, 3, m, d, 3.0)):
             record(cid, n, "-", m, defect)
 
         frames = [left_frame(g)]
@@ -539,10 +559,8 @@ def _run_verify_algebra(params: dict, out: Path) -> int:
 
             inv_defect = 0.0
             k = params["invariance_samples"]
-            alphas = rng.uniform(-2.0, 2.0, size=(k, d))
-            points = rng.uniform(-2.0, 2.0, size=(k, d))
-            for blk in row_blocks(k):
-                for residuals in invariance_residuals(frame, alphas[blk], points[blk]):
+            for alphas, points in _uniform_row_blocks(rng, 2, k, d, 2.0):
+                for residuals in invariance_residuals(frame, alphas, points):
                     inv_defect = np.maximum(inv_defect, np.max(residuals))
             record("frame-invar", n, frame.label, k, float(inv_defect))
 

@@ -31,7 +31,8 @@ That needs inf or NaN inputs, or overflow in the inverse, whose negations
 make NaNs of both signs.
 `row_max_abs` takes row-wise maxima by block in the same way; a max
 rounds nothing, so it is bit-equal to np.max(np.abs(a), axis=1).  The CLI
-walks the same `row_blocks` to reduce its group-law and invariance checks.
+draws the inputs of its group-law and invariance checks one `row_blocks`
+block at a time and reduces each block before it draws the next.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def _restore(arr: np.ndarray, single: bool) -> np.ndarray:
 
 
 def row_blocks(m: int):
-    """Slices of `_BLOCK_ROWS` consecutive rows covering range(m)."""
-    return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, m, _BLOCK_ROWS))
+    """Slices of at most `_BLOCK_ROWS` consecutive rows covering range(m)."""
+    return (slice(lo, min(lo + _BLOCK_ROWS, m)) for lo in range(0, m, _BLOCK_ROWS))
 
 
 def row_max_abs(a: np.ndarray) -> np.ndarray:

@@ -321,33 +321,89 @@ def test_verify_bounds_csv_pinned_across_chunks(tmp_path):
     assert digest == "f1970b2059fdbae476807540d9f06ec8710aa58e3c8b875802555180e7a7686e"
 
 
-# tracemalloc peak of these calls while the sampler concatenated shells and
-# bulk and the x_1 bound kept a filtered copy of the draw (numpy 2.4.6):
-# 33.3 MB at step 6 and 51.7 MB at step 12.  Now the draw is held once,
-# beside its three ratio rows and one key's row indices and kept ratios
-# (20.3 and 33.8 MB); the bound allows the draw, 40 bytes per sample and
-# 6 MB for one chunk's jet, which holds second derivatives (5 MB at step 12).
-VERIFY_KIND_SAMPLES = 200_000
+# tracemalloc peak of these calls (numpy 2.4.6) while the draw was held
+# whole beside one ratio row per key: 6.8 and 19.5 MB at step 6, 11.2 and
+# 33.8 MB at step 12, for 50,000 and 200,000 samples.  Streamed, they read
+# 4.9 and 5.0 MB at step 6 and 7.1 and 11.0 MB at step 12: the shells (at
+# most SHELL_PER_AXIS rows per axis, 5.5 MB at step 12), one chunk and its
+# jet, which holds second derivatives (5 MB at step 12), whatever the count.
+VERIFY_KIND_PEAK_BOUND = 12e6
 
 
-def _assert_verify_kind_peak_bounded(n: int) -> None:
+@pytest.mark.parametrize("samples", [50_000, 200_000])
+@pytest.mark.parametrize("n", [6, 12])
+def test_verify_kind_memory_is_bounded(n, samples):
     keys = ("filiform-gradient", "filiform-laplacian", "filiform-x1-lower")
-    draw = VERIFY_KIND_SAMPLES * (n + 1) * 8
     peak = _traced_peak(
-        lambda: verify_kind(
-            filiform_kind(n), keys, VERIFY_KIND_SAMPLES, 0, DEFAULT_BOX, DEFAULT_STANDOFF
-        )
+        lambda: verify_kind(filiform_kind(n), keys, samples, 0, DEFAULT_BOX, DEFAULT_STANDOFF)
     )
-    bound = draw + 40 * VERIFY_KIND_SAMPLES + 6e6
-    assert peak <= bound, f"peak {peak / 1e6:.2f} MB, draw {draw / 1e6:.1f} MB"
+    assert peak <= VERIFY_KIND_PEAK_BOUND, f"peak {peak / 1e6:.2f} MB"
 
 
-def test_verify_kind_memory_is_bounded():
-    _assert_verify_kind_peak_bounded(6)
+def _whole_draw_report(kind, direction, ratio, axis, samples, seed, box, standoff):
+    """(sample_count, extremum, arg_point) by np.argmax/np.argmin over the whole draw."""
+    pts = stratified_smooth_samples(kind, samples, seed, box, standoff)
+    if axis is not None:
+        pts = pts[np.abs(pts[:, axis]) > 1e-8]
+    values = ratio(None, pts, kind.group.step)
+    idx = int(np.argmax(values) if direction == "upper" else np.argmin(values))
+    return values.size, values[idx], tuple(float(c) for c in pts[idx])
 
 
-def test_verify_kind_memory_is_bounded_at_step_12():
-    _assert_verify_kind_peak_bounded(12)
+FOLD_CHUNK = 64
+
+
+def _marked_ratio(kind, samples, box, standoff, rows, value):
+    """x_2, except `value` at the given rows of the draw."""
+    marked = stratified_smooth_samples(kind, samples, 0, box, standoff)[rows]
+
+    def ratio(t, x, n):
+        hit = (x[:, None, :] == marked[None]).all(axis=2).any(axis=1)
+        return np.where(hit, value, x[:, 1])
+
+    return ratio
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+@pytest.mark.parametrize("case", ["ties", "nan-later", "filtered-empty-chunk", "long-shells"])
+def test_streamed_fold_equals_whole_draw_argmax(monkeypatch, case, direction):
+    # The fold over chunks must give the whole-draw np.argmax/np.argmin
+    # report: the first index wins a tie, the first NaN wins over everything.
+    samples, box, standoff, axis = 2_000, DEFAULT_BOX, DEFAULT_STANDOFF, None
+    kind = filiform_kind(4)
+    if case == "ties":
+        # floor takes 10 values, so the extremes tie across many chunks.
+        ratio = lambda t, x, n: np.floor(x[:, 1])  # noqa: E731
+    elif case == "nan-later":
+        # NaN at two rows in later chunks; the first must win.
+        rows = [3 * FOLD_CHUNK + 5, 5 * FOLD_CHUNK + 1]
+        ratio = _marked_ratio(kind, samples, box, standoff, rows, np.nan)
+    elif case == "filtered-empty-chunk":
+        # The x_1 shell (rows 0-99) sits at |x_1| = 1e-9, inside the filter,
+        # so the first chunk keeps no row and the second only its last 28;
+        # the extreme is one of those.
+        standoff, axis = 1e-9, 0
+        value = 100.0 if direction == "upper" else -100.0
+        ratio = _marked_ratio(kind, samples, box, standoff, [110], value)
+    else:
+        # 13 shells of 57 rows each span 12 chunks before the bulk starts.
+        kind, samples = filiform_kind(12), 3_000
+        ratio = lambda t, x, n: np.floor(x[:, 2])  # noqa: E731
+    monkeypatch.setattr(bounds, "RATIO_CHUNK", FOLD_CHUNK)
+    monkeypatch.setitem(
+        bounds._BOUNDS, "probe", (bounds.BoundSpec("probe", direction, None), ratio, axis, "")
+    )
+    rep = verify_kind(kind, ("probe",), samples, 0, box, standoff)[0]
+    count, extremum, witness = _whole_draw_report(
+        kind, direction, ratio, axis, samples, 0, box, standoff
+    )
+    assert rep.sample_count == count
+    assert np.float64(rep.extremum).tobytes() == np.float64(extremum).tobytes()
+    assert rep.arg_point == witness
+    if case == "nan-later":
+        assert np.isnan(rep.extremum)
+    if case == "filtered-empty-chunk":
+        assert count < samples
 
 
 def test_cli_reports_equal_the_single_ratio_wrappers(tmp_path):
@@ -375,7 +431,7 @@ def test_cli_reports_equal_the_single_ratio_wrappers(tmp_path):
 
 def test_verify_bounds_draws_and_builds_a_jet_once_per_kind(tmp_path, monkeypatch):
     calls = {"draw": 0, "jet": 0}
-    draw, jet = bounds.stratified_smooth_samples, calculus.NormDerivativeTable.jet
+    draw, jet = bounds.smooth_sample_chunks, calculus.NormDerivativeTable.jet
 
     def counted_draw(*args, **kwargs):
         calls["draw"] += 1
@@ -385,7 +441,7 @@ def test_verify_bounds_draws_and_builds_a_jet_once_per_kind(tmp_path, monkeypatc
         calls["jet"] += 1
         return jet(self, x)
 
-    monkeypatch.setattr(bounds, "stratified_smooth_samples", counted_draw)
+    monkeypatch.setattr(bounds, "smooth_sample_chunks", counted_draw)
     monkeypatch.setattr(calculus.NormDerivativeTable, "jet", counted_jet)
     steps = (3, 4, 5, 6)
     args = ["verify-bounds", "--samples", "2000", "--filiform-steps", ",".join(map(str, steps))]

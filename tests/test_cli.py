@@ -453,18 +453,36 @@ def test_blocked_group_law_defects_equal_whole_array_reference(tmp_path, n, m):
         assert defects[cid][f"n{n}:-"] == value, cid
 
 
-# tracemalloc peak of this run while verify-algebra built every product on
-# the whole batch (numpy 2.4.6): 70.1 MB.  Block by block it needs the x, y
-# and z draws plus a few block-sized products.
-ALGEBRA_DRAWS = 3 * 60_000 * 13 * 8
-ALGEBRA_BLOCK_ROOM = 16 * _BLOCK_ROWS * 13 * 8
+@pytest.mark.parametrize("m", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS + 1, 10_001])
+def test_uniform_row_blocks_equal_the_whole_draw(m):
+    # Each part's blocks, laid end to end, are the bytes of its slice of one
+    # (3, m, d) draw, and the generator's next draw is the one after it.
+    d = 6
+    whole_rng, rng = derive_rng(5, "blocks"), derive_rng(5, "blocks")
+    whole = whole_rng.uniform(-3.0, 3.0, size=(3, m, d))
+    blocks = list(cli._uniform_row_blocks(rng, 3, m, d, 3.0))
+    assert all(len(part) <= _BLOCK_ROWS for blk in blocks for part in blk)
+    for k, part in enumerate(zip(*blocks)):
+        assert np.concatenate(part).tobytes() == whole[k].tobytes(), k
+    assert rng.uniform(-2.0, 2.0, size=(4, d)).tobytes() == whole_rng.uniform(
+        -2.0, 2.0, size=(4, d)).tobytes()
 
 
-def test_verify_algebra_memory_is_bounded(tmp_path):
-    argv = ["verify-algebra", "--steps", "12", "--samples", "60000", "--invariance-samples", "30"]
+# tracemalloc peak of this step-12 run (numpy 2.4.6) while verify-algebra
+# built every product on the whole batch: 70.1 MB at 60,000 samples.  With
+# the products blocked but x, y and z drawn whole: 12.9 MB at 25,000 samples
+# and 35.6 MB at 100,000.  Drawn a block at a time, it reads 5.7 MB at both:
+# a few block-sized arrays, whatever the count.
+ALGEBRA_PEAK_BOUND = 24 * _BLOCK_ROWS * 13 * 8
+
+
+@pytest.mark.parametrize("samples", [25_000, 100_000])
+def test_verify_algebra_memory_is_bounded(tmp_path, samples):
+    argv = ["verify-algebra", "--steps", "12", "--samples", str(samples),
+            "--invariance-samples", "30"]
     peak = _traced_peak(lambda: run(argv, tmp_path))
     assert (tmp_path / "summary.txt").read_text().endswith("overall: PASS\n")
-    assert peak <= ALGEBRA_DRAWS + ALGEBRA_BLOCK_ROOM, f"peak {peak / 1e6:.2f} MB"
+    assert peak <= ALGEBRA_PEAK_BOUND, f"peak {peak / 1e6:.2f} MB"
 
 
 # No other test runs the measure commands above step 6.  `gap` needs its
@@ -758,7 +776,7 @@ class TestExitCodes:
         *((command, "count", 2_000_000)
           for command in ("sample", "ubound", "poincare", "gap", "ball-check", "localize")),
         ("ubound", "holdout_count", 2_000_000), ("poincare", "holdout_count", 2_000_000),
-        ("gap", "calibration_count", 10_000_000),
+        ("gap", "calibration_count", 10_000_000), ("localize", "translation_count", 1_000_000),
     ])
     def test_sizes_above_their_caps_exit_three(
         self, tmp_path, capsys, monkeypatch, command, key, cap
