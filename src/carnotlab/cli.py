@@ -42,8 +42,10 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import importlib
 import json
 import math
+import numbers
 import os
 import platform
 import sys
@@ -51,42 +53,62 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
-from . import __version__
-from .bounds import EmptyDomainError, verify_kind
-from .family import default_family
-from .frames import (
-    commutator_table,
-    frame_commutators,
-    invariance_residuals,
-    left_frame,
-    right_frame_engel,
-)
-from .geodesics import RESIDUAL_REPORT_FACTOR, approx_distance, default_segments, equivalence_scan
-from .group import FiliformGroup, GroupPoint, row_blocks, row_max_abs
-from .inequalities import (
-    LocalizationParams,
-    ball_poincare_check,
-    localization_decomposition,
-    poincare_scan,
-    spectral_gap_galerkin,
-    gaussian_calibration_gap,
-    translation_trick_check,
-    ubound_fit,
-)
-from .measures import (
-    N_BATCHES,
-    MeasureSpec,
-    batch_mean_se,
-    estimate_Z,
-    sample,
-    save_batch,
-)
-from .norms import NormKind, engel_kind, filiform_kind, norm_value
-from .seeding import derive_rng
+from . import N_BATCHES, __version__
+
+# The library names the commands call, by module.  Importing this module
+# loads none of them: `main` binds the names of the modules a command calls
+# (`_COMMAND_MODULES`) when it dispatches it, and `__getattr__` binds a
+# name read from outside.  A name already set here, say a test's stand-in,
+# is kept.
+_LIBRARY = {
+    "bounds": ("verify_kind",),
+    "family": ("default_family",),
+    "frames": (
+        "commutator_table", "frame_commutators", "invariance_residuals", "left_frame",
+        "right_frame_engel",
+    ),
+    "geodesics": (
+        "RESIDUAL_REPORT_FACTOR", "approx_distance", "default_segments", "equivalence_scan",
+    ),
+    "group": ("FiliformGroup", "GroupPoint", "row_blocks", "row_max_abs"),
+    "inequalities": (
+        "LocalizationParams", "ball_poincare_check", "gaussian_calibration_gap",
+        "localization_decomposition", "poincare_scan", "spectral_gap_galerkin",
+        "translation_trick_check", "ubound_fit",
+    ),
+    "measures": ("MeasureSpec", "batch_mean_se", "estimate_Z", "sample", "save_batch"),
+    "norms": ("NormKind", "engel_kind", "filiform_kind", "norm_value"),
+    "seeding": ("derive_rng",),
+}
+_HOME = {name: module for module, names in _LIBRARY.items() for name in names}
+_INEQUALITY_MODULES = ("family", "group", "inequalities", "measures", "norms")
+_COMMAND_MODULES = {
+    "verify-algebra": ("frames", "group", "seeding"),
+    "verify-bounds": ("bounds", "norms"),
+    "sample": ("group", "measures", "norms"),
+    "ubound": _INEQUALITY_MODULES,
+    "poincare": _INEQUALITY_MODULES,
+    "gap": _INEQUALITY_MODULES,
+    "ball-check": _INEQUALITY_MODULES,
+    "localize": _INEQUALITY_MODULES,
+    "geodesic": ("geodesics", "group", "norms", "seeding"),
+}
+
+
+def _load(module: str) -> None:
+    """Import carnotlab.<module> and bind each of its `_LIBRARY` names not yet set here."""
+    library = importlib.import_module(f".{module}", __package__)
+    for name in _LIBRARY[module]:
+        globals().setdefault(name, getattr(library, name))
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_HOME[name])
+    return globals()[name]
+
 
 EXIT_PASS = 0
 EXIT_CHECK_FAIL = 2
@@ -293,9 +315,6 @@ SCHEMAS: dict[str, dict] = {
     }
     for cmd, (_, fields) in COMMANDS.items()
 }
-# Built once: `jsonschema.validate` would re-check each schema against its
-# metaschema on every run; the tests run that check instead.
-_VALIDATORS = {cmd: validator_for(schema)(schema) for cmd, schema in SCHEMAS.items()}
 
 
 def config_schema_text() -> str:
@@ -344,6 +363,8 @@ def _apply_thread_cap() -> None:
 
 
 def _versions() -> dict:
+    import scipy
+
     return {
         "carnotlab": __version__,
         "numpy": np.__version__,
@@ -782,6 +803,14 @@ def _run_ball_check(params: dict, out: Path) -> int:
 def _run_localize(params: dict, out: Path) -> int:
     ctx = RunContext("localize", params, out)
     spec = _measure_spec(params)
+    # The annulus sampler draws the top coordinate from a window 6 L^n wide.
+    limit = (sys.float_info.max / 6.0) ** (1.0 / spec.kind.group.step)
+    if not params["level_l"] < limit:
+        raise ConfigError(
+            f"level_l {params['level_l']!r} is too large: the limit at step "
+            f"{spec.kind.group.step} is {limit:.6g}, where the annulus window 6 L^n "
+            f"overflows float64"
+        )
     family = default_family(spec.kind, q=spec.q)
     wanted = params["member"]
     matches = [m for m in family.members if m.label == wanted]
@@ -865,7 +894,14 @@ def _run_geodesic(params: dict, out: Path) -> int:
     if params["scan_points"] > 0:
         rng = derive_rng(params["seed"], "geodesic-scan-points")
         pts = rng.normal(scale=params["scan_box"], size=(params["scan_points"], group.dimension))
-        scan_pts = pts[norm_value(kind, pts) > SCAN_NORM_FLOOR]
+        with np.errstate(over="ignore"):
+            norms = norm_value(kind, pts)
+        if not np.all(norms < limit):
+            raise ConfigError(
+                f"scan_box {params['scan_box']:g} is too large: a scan point's norm "
+                f"{float(np.max(norms))!r} reaches {limit:.6g}, where N^(2n) overflows float64"
+            )
+        scan_pts = pts[norms > SCAN_NORM_FLOOR]
         if scan_pts.shape[0] == 0:
             raise ConfigError(
                 f"no scan point has norm above {SCAN_NORM_FLOOR:g}; "
@@ -991,6 +1027,158 @@ def build_parser() -> _Parser:
     return parser
 
 
+# ------------------------------------------------------- config validation
+#
+# jsonschema's Draft 2020-12 verdict and `best_match` message for the
+# keywords SCHEMAS uses, without importing jsonschema: the same checks in
+# the same order with the same messages, and the same choice among them.
+# tests/test_config_validation.py checks it against jsonschema itself.
+
+_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    # As in Draft 6 on, a float with an integral value is an integer.
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+    "null": lambda v: v is None,
+    "number": lambda v: not isinstance(v, bool) and isinstance(v, numbers.Number),
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class _SchemaError:
+    message: str
+    path: tuple  # into the instance the enclosing anyOf tested, else into the config
+    keyword: str
+    off_type: bool  # the failing schema names no "type", or one the value is not
+    context: tuple = ()  # an anyOf's errors, one option after another
+
+
+_TRUE, _FALSE = object(), object()
+
+
+def _unbool(value):
+    """A bool as a token equal only to itself, so True and 1 differ."""
+    return _TRUE if value is True else _FALSE if value is False else value
+
+
+def _equal(one, two) -> bool:
+    """JSON equality: bools differ from numbers, lists and objects compare item by item."""
+    if one is two:
+        return True
+    if isinstance(one, str) or isinstance(two, str):
+        return one == two
+    if isinstance(one, list) and isinstance(two, list):
+        return len(one) == len(two) and all(map(_equal, one, two))
+    if isinstance(one, dict) and isinstance(two, dict):
+        return len(one) == len(two) and all(k in two and _equal(v, two[k]) for k, v in one.items())
+    return _unbool(one) == _unbool(two)
+
+
+def _unique(items: list) -> bool:
+    # Sorted neighbours when the items sort, else every pair, as jsonschema
+    # does; on the sorted path a NaN equals only the same NaN object beside it.
+    items = [_unbool(item) for item in items]
+    try:
+        ordered = sorted(items)
+    except TypeError:
+        return not any(_equal(a, b) for k, b in enumerate(items) for a in items[:k])
+    return not any(map(_equal, ordered, ordered[1:]))
+
+
+def _keyword_messages(keyword: str, arg, value, schema: dict) -> list[str]:
+    """Messages of one non-descending keyword, in jsonschema's words."""
+    is_a = lambda name: _TYPES[name](value)  # noqa: E731
+    if keyword == "type":
+        return [] if is_a(arg) else [f"{value!r} is not of type {arg!r}"]
+    if keyword == "enum":
+        if any(_equal(each, value) for each in arg):
+            return []
+        return [f"{value!r} is not one of {arg!r}"]
+    if keyword in ("minimum", "maximum", "exclusiveMinimum"):
+        if not is_a("number"):
+            return []
+        if keyword == "minimum" and value < arg:
+            return [f"{value!r} is less than the minimum of {arg!r}"]
+        if keyword == "maximum" and value > arg:
+            return [f"{value!r} is greater than the maximum of {arg!r}"]
+        if keyword == "exclusiveMinimum" and value <= arg:
+            return [f"{value!r} is less than or equal to the minimum of {arg!r}"]
+        return []
+    if keyword in ("minItems", "minLength"):
+        if is_a("array" if keyword == "minItems" else "string") and len(value) < arg:
+            return [f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"]
+        return []
+    if keyword == "uniqueItems":
+        if arg and is_a("array") and not _unique(value):
+            return [f"{value!r} has non-unique elements"]
+        return []
+    if keyword == "required":
+        missing = [key for key in arg if key not in value] if is_a("object") else []
+        return [f"{key!r} is a required property" for key in missing]
+    if keyword == "additionalProperties":
+        if arg is not False or not is_a("object"):
+            return []
+        extras = sorted(key for key in value if key not in schema.get("properties", {}))
+        if not extras:
+            return []
+        verb = "was" if len(extras) == 1 else "were"
+        names = ", ".join(map(repr, extras))
+        return [f"Additional properties are not allowed ({names} {verb} unexpected)"]
+    raise KeyError(f"schema keyword {keyword!r} is not implemented")
+
+
+def _schema_errors(value, schema: dict):
+    """The errors jsonschema's iter_errors yields for `value`, in its order."""
+    off_type = "type" not in schema or not _TYPES[schema["type"]](value)
+    for keyword, arg in schema.items():
+        if keyword in ("properties", "items"):
+            children = []
+            if keyword == "properties" and _TYPES["object"](value):
+                children = [(key, value[key], arg[key]) for key in arg if key in value]
+            elif keyword == "items" and _TYPES["array"](value):
+                children = [(index, item, arg) for index, item in enumerate(value)]
+            for step, item, subschema in children:
+                for error in _schema_errors(item, subschema):
+                    yield dataclasses.replace(error, path=(step, *error.path))
+        elif keyword == "anyOf":
+            context = []
+            for option in arg:
+                errors = list(_schema_errors(value, option))
+                if not errors:
+                    break
+                context += errors
+            else:
+                yield _SchemaError(f"{value!r} is not valid under any of the given schemas",
+                                   (), keyword, off_type, tuple(context))
+        else:
+            for message in _keyword_messages(keyword, arg, value, schema):
+                yield _SchemaError(message, (), keyword, off_type)
+
+
+def _relevance(error: _SchemaError) -> tuple:
+    """jsonschema's `relevance` key.  `_schema_message` takes the greatest:
+    the shallowest error, then the last sibling, then not an anyOf; inside an
+    anyOf's context it takes the least: the deepest, then one whose schema's
+    type the value has."""
+    return (-len(error.path), error.path, error.keyword != "anyOf", error.off_type)
+
+
+def _schema_message(value, schema: dict) -> str | None:
+    """jsonschema's `best_match(...).message` for `value`, or None when it is valid."""
+    best = max(_schema_errors(value, schema), key=_relevance, default=None)
+    if best is None:
+        return None
+    # Into an anyOf's context, unless its two least errors tie.
+    while best.context:
+        first, *second = sorted(best.context, key=_relevance)[:2]
+        if second and _relevance(first) == _relevance(second[0]):
+            break
+        best = first
+    return best.message
+
+
 def _resolve_params(command: str, args: argparse.Namespace) -> dict:
     params = dict(DEFAULTS[command])
     if args.config is not None:
@@ -1008,9 +1196,9 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
-    error = best_match(_VALIDATORS[command].iter_errors(params))
-    if error is not None:
-        raise ConfigError(f"[cfg-schema] {error.message}")
+    message = _schema_message(params, SCHEMAS[command])
+    if message is not None:
+        raise ConfigError(f"[cfg-schema] {message}")
     for key, schema in SCHEMAS[command]["properties"].items():
         params[key] = _as_floats(key, params[key], schema)
     return params
@@ -1037,6 +1225,12 @@ def _as_floats(key: str, value, schema: dict):
     return value
 
 
+def _input_errors() -> tuple:
+    """ConfigError, and bounds.EmptyDomainError once bounds is loaded (nothing else raises it)."""
+    bounds = sys.modules.get(f"{__package__}.bounds")
+    return (ConfigError,) if bounds is None else (ConfigError, bounds.EmptyDomainError)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1051,8 +1245,10 @@ def main(argv: list[str] | None = None) -> int:
         params = _resolve_params(args.command, args)
         out = Path(args.out) if args.out else Path("carnotlab-out") / args.command
         out.mkdir(parents=True, exist_ok=True)
+        for module in _COMMAND_MODULES[args.command]:
+            _load(module)
         return RUNNERS[args.command](params, out)
-    except (ConfigError, EmptyDomainError) as exc:
+    except _input_errors() as exc:
         print(f"carnotlab: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     # These cover LinAlgError (a ValueError), carnotlab's RuntimeErrors and sizes too big for RAM.

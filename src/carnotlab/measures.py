@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import N_BATCHES
 from .extensions import load_extension
 from .norms import ENGEL, FILIFORM, NormKind, norm_kernel
 from .seeding import derive_rng
@@ -36,7 +37,6 @@ MAGIC = b"CCMB"
 FORMAT_VERSION = 1
 KIND_CODES = {ENGEL: 0.0, FILIFORM: 1.0}
 _HEADER = struct.Struct("<4sII4dQQ")
-N_BATCHES = 50
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -693,6 +694,35 @@ class TestExitCodes:
         assert "target [0.0, 0.0, 0.0, 1e+250]" in err
         assert "overflows" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("box", ["1e300", "1e100"])
+    def test_geodesic_scan_box_beyond_float_range_exits_three(self, tmp_path, capsys, box):
+        # At 1e300 the drawn points' norms overflow; at 1e100 they are finite,
+        # but N^(2n) overflows float64.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["geodesic", "--scan-points", "2", "--scan-box", box], tmp_path)
+        assert code == EXIT_INPUT_ERROR
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert f"scan_box {float(box):g} is too large" in err
+        assert "overflows float64" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(("kind", "step"), [("engel", 3), ("filiform", 12)])
+    def test_localize_level_l_beyond_float_range_exits_three(self, tmp_path, capsys, kind, step):
+        limit = (sys.float_info.max / 6.0) ** (1.0 / step)
+        args = ["localize", "--kind", kind, "--step", str(step), "--count", "200",
+                "--translation-count", "50"]
+        code = run([*args, "--level-l", "1e200"], tmp_path / "over")
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"level_l 1e+200 is too large: the limit at step {step} is {limit:.6g}" in err
+        assert "Traceback" not in err
+        # Just below the limit the annulus window stays finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run([*args, "--level-l", repr(limit * 0.999)], tmp_path / "under") == EXIT_PASS
 
     def test_default_geodesic_target_follows_step(self, tmp_path, capsys):
         code = run(

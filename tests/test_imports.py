@@ -1,15 +1,20 @@
-"""Start-up cost: importing the CLI, and running the pointwise, geodesic,
-gap and Z commands, loads no heavy scipy submodule; no module imports a
-name it never uses, and no package function or class goes unnamed."""
+"""Start-up cost: importing the CLI loads no carnotlab library module,
+jsonschema or scipy, each command loads only the modules it runs, and the
+pointwise, geodesic, gap and Z commands load no heavy scipy submodule; no
+module imports a name it never uses, and no package function or class goes
+unnamed."""
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
@@ -84,8 +89,73 @@ assert "scipy.special._special_ufuncs" in sys.modules
 """
 
 
-def _run_fresh(*argv: str) -> None:
-    """Run `python -c` in a fresh process with ./src first on the path."""
+# Until a command runs, the CLI holds the library, jsonschema (a test-only
+# dependency) and scipy unloaded: parsing flags, printing the schema and
+# rejecting a config need none of them.
+STARTUP_GUARD = """
+import contextlib
+import io
+import sys
+from carnotlab.cli import build_parser, main
+
+def check(step):
+    loaded = sorted(m for m in sys.modules if m.partition(".")[0] in ("jsonschema", "scipy")
+                    or m.startswith("carnotlab.") and m != "carnotlab.cli")
+    if loaded:
+        print(step, "loaded", loaded)
+        sys.exit(1)
+
+check("import")
+build_parser()
+check("build_parser")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["--dump-schema"]) == 0
+    try:
+        main(["--help"])
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+check("--dump-schema and --help")
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    assert main(["sample", "--count", "1", "--out", sys.argv[1]]) == 3
+assert "[cfg-schema]" in err.getvalue(), err.getvalue()
+check("an exit-3 config error")
+"""
+
+COMMAND_GUARD = """
+import contextlib
+import io
+import json
+import sys
+from carnotlab.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main([*sys.argv[2:], "--out", sys.argv[1]])
+assert code == 0, code
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("carnotlab."))))
+"""
+
+# Each command at a small size, and the carnotlab modules it loads: the ones
+# it calls and their imports.
+_INEQUALITIES = ["calculus", "extensions", "family", "frames", "group", "inequalities",
+                 "measures", "norms", "seeding"]
+COMMAND_MODULES = {
+    "verify-algebra": (["--steps", "3", "--samples", "200", "--invariance-samples", "10"],
+                       ["frames", "group", "seeding"]),
+    "verify-bounds": (["--samples", "2000", "--filiform-steps", "3"],
+                      ["bounds", "calculus", "frames", "group", "norms"]),
+    "sample": (["--count", "200"], ["extensions", "group", "measures", "norms", "seeding"]),
+    "ubound": (["--count", "2000"], _INEQUALITIES),
+    "poincare": (["--count", "2000"], _INEQUALITIES),
+    "gap": (["--count", "2000"], _INEQUALITIES),
+    "ball-check": (["--count", "2000"], _INEQUALITIES),
+    "localize": (["--count", "1000", "--translation-count", "100"], _INEQUALITIES),
+    "geodesic": (["--target", "1,0,0,0", "--restarts", "1"],
+                 ["extensions", "geodesics", "group", "norms", "seeding"]),
+}
+
+
+def _run_fresh(*argv: str) -> str:
+    """Run `python -c` in a fresh process with ./src first on the path; its stdout."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", *argv],
@@ -95,6 +165,18 @@ def _run_fresh(*argv: str) -> None:
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+def test_cli_start_up_loads_no_library_jsonschema_or_scipy(tmp_path):
+    _run_fresh(STARTUP_GUARD, str(tmp_path))
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_its_own_modules(tmp_path, command):
+    flags, modules = COMMAND_MODULES[command]
+    loaded = json.loads(_run_fresh(COMMAND_GUARD, str(tmp_path), command, *flags).splitlines()[-1])
+    assert loaded == sorted(["carnotlab.cli", *(f"carnotlab.{m}" for m in modules)])
 
 
 def test_cli_and_pointwise_commands_load_no_heavy_module(tmp_path):
