@@ -7,6 +7,7 @@ unnamed."""
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -170,6 +171,15 @@ def _run_fresh(*argv: str) -> str:
 
 def test_cli_start_up_loads_no_library_jsonschema_or_scipy(tmp_path):
     _run_fresh(STARTUP_GUARD, str(tmp_path))
+
+
+def test_package_exports_each_name_from_its_module():
+    import carnotlab
+
+    assert sorted([*carnotlab._HOME, "__version__"]) == sorted(carnotlab.__all__)
+    for name, module in carnotlab._HOME.items():
+        home = importlib.import_module(f"carnotlab.{module}")
+        assert getattr(carnotlab, name) is getattr(home, name), name
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
