@@ -59,6 +59,7 @@ _EXPORTS = {
     "seeding": ("derive_rng", "seed_sequence"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted([*_HOME, "__version__"])
 
 
 def __getattr__(name: str):
@@ -69,50 +70,3 @@ def __getattr__(name: str):
     globals()[name] = value
     return value
 
-
-__all__ = [
-    "BoundReport",
-    "DistanceEstimate",
-    "EquivalenceBand",
-    "FiliformGroup",
-    "GapEstimate",
-    "GroupPoint",
-    "HorizontalPath",
-    "LocalizationParams",
-    "MeasureSpec",
-    "PoincareReport",
-    "SampleBatch",
-    "TestFunctionFamily",
-    "UBoundReport",
-    "__version__",
-    "approx_distance",
-    "aux_seminorm",
-    "default_family",
-    "derive_rng",
-    "engel_group",
-    "engel_kind",
-    "equivalence_scan",
-    "estimate_Z",
-    "fd_frame_first",
-    "fd_frame_second",
-    "filiform_kind",
-    "gaussian_calibration_gap",
-    "left_frame",
-    "load_batch",
-    "localization_decomposition",
-    "norm_derivative_tables",
-    "norm_value",
-    "poincare_scan",
-    "right_frame_engel",
-    "sample",
-    "save_batch",
-    "seed_sequence",
-    "spectral_gap_galerkin",
-    "translation_trick_check",
-    "ubound_fit",
-    "verify_engel_gradient_bound",
-    "verify_engel_laplacian_bound",
-    "verify_engel_x2_lower",
-    "verify_filiform_bounds",
-    "verify_filiform_x1_lower",
-]

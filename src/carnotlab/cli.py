@@ -69,7 +69,7 @@ _LIBRARY = {
         "right_frame_engel",
     ),
     "geodesics": (
-        "RESIDUAL_REPORT_FACTOR", "approx_distance", "default_segments", "equivalence_scan",
+        "RESIDUAL_TOLERANCE", "approx_distance", "default_segments", "equivalence_scan",
     ),
     "group": ("FiliformGroup", "GroupPoint", "row_blocks", "row_max_abs"),
     "inequalities": (
@@ -117,6 +117,9 @@ EXIT_NUMERIC_ERROR = 4
 
 # Standard errors allowed between the sample mean of a N^p and Q/p.
 MOMENT_SE_FACTOR = 5.0
+# Least count * Q/p, the Gamma shape of the whole draw's sum of a N^p,
+# at which that check has power: below it the draw is too skewed.
+MOMENT_SHAPE_FLOOR = 25.0
 # Largest relative quadrature error the normalization constant may carry.
 Z_RTOL = 1e-9
 # Scan points with a norm at or below this are dropped before the scan.
@@ -150,7 +153,7 @@ CHECK_IDS = {
     "gap-positive": "spectral gap estimates are strictly positive",
     "gap-monotone": "gap estimates do not increase with basis degree (3 SE)",
     "gap-calibration": "the Gaussian calibration gap is within 1.0 +- 0.05",
-    "geo-residual": "the best path meets the endpoint residual tolerance",
+    "geo-residual": "the best path meets the unit-norm endpoint residual tolerance",
     "geo-band": "equivalence scan ratios are positive and finite",
 }
 
@@ -272,7 +275,7 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
         "level_l": (2.0, {"type": "number", "exclusiveMinimum": 1}, "ball level L"),
         "member": ("x2", {"type": "string", "minLength": 1}, "family member label to decompose"),
         "translation_count": (10_000, {**_INT, "maximum": 1_000_000}, "annulus samples for "
-                              "the shift claims, at most 1,000,000 (at step 12: 1.2 GB)"),
+                              "the shift claims, at most 1,000,000 (at step 12: 0.72 GB)"),
         **_SEED,
     }),
     "geodesic": ("distance upper bound and scan", {
@@ -631,10 +634,16 @@ def _run_verify_bounds(params: dict, out: Path) -> int:
 def _run_sample(params: dict, out: Path) -> int:
     ctx = RunContext("sample", params, out)
     spec = _measure_spec(params)
+    q_dim = spec.kind.group.homogeneous_dimension
+    target = q_dim / spec.p
+    if params["count"] * target < MOMENT_SHAPE_FLOOR:
+        raise ConfigError(
+            f"count {params['count']} x Q/p = {params['count'] * target:.6g} (Q {q_dim}, "
+            f"p {spec.p!r}) is below the moment floor {MOMENT_SHAPE_FLOOR:g}"
+        )
     batch = sample(spec, params["count"], seed=params["seed"])
     # a N^p is Gamma(Q/p, 1) distributed, so its mean is exactly Q/p.
     mean, se = batch_mean_se(spec.a * norm_value(spec.kind, batch.coords) ** spec.p)
-    target = spec.kind.group.homogeneous_dimension / spec.p
     margin = MOMENT_SE_FACTOR * se - abs(mean - target)
     detail = f"E[a N^p] {_fmt(mean)} vs Q/p {_fmt(target)}, se {_fmt(se)}, margin {_fmt(margin)}"
     ctx.check("smp-moment", margin >= 0.0, detail)
@@ -878,12 +887,18 @@ def _run_geodesic(params: dict, out: Path) -> int:
         raise ConfigError("target coordinates must be finite")
     with np.errstate(over="ignore"):
         nval = float(norm_value(kind, target))
-    # The path optimiser squares endpoint residuals of size up to N^n.
     limit = sys.float_info.max ** (1.0 / (2 * group.step))
     if not nval < limit:
         raise ConfigError(
             f"target {params['target']} is too large: its norm {nval!r} reaches "
             f"{limit:.6g}, where N^(2n) overflows float64"
+        )
+    # The reported norm sums terms of size N^n, which must stay normal.
+    floor = sys.float_info.min ** (1.0 / group.step)
+    if target.any() and not nval >= floor:
+        raise ConfigError(
+            f"target {params['target']} is too small: its norm {nval!r} is below "
+            f"{floor:.6g}, where N^n underflows float64"
         )
     if params["segments"] is None:
         params["segments"] = default_segments(group.step)
@@ -915,7 +930,7 @@ def _run_geodesic(params: dict, out: Path) -> int:
     )
     ctx.check(
         "geo-residual",
-        est.residual <= RESIDUAL_REPORT_FACTOR * (1.0 + nval),
+        est.residual <= RESIDUAL_TOLERANCE,
         f"value {_fmt(est.value)} residual {_fmt(est.residual)} "
         f"segments {est.segments}",
     )

@@ -25,8 +25,15 @@ its own by `extensions.load_extension`, without the rest of
 `scipy.optimize`.  The starts of a level run
 in lockstep: every round answers all their pending evaluations with one
 batched objective, and each start's iterates are those it would take
-alone.  Results are genuine distance upper bounds: the optimal value is
-reported with a one-sided pad of a relative 1e-9 plus 1e-12.
+alone.
+
+Dilations are group automorphisms and the distance is 1-homogeneous,
+d(delta_lam x) = lam d(x), so every target x is solved at unit norm:
+`approx_distance` optimises towards u = delta_(1/N)(x), N the filiform
+norm of x, and reports N times that bound with the controls scaled by N.
+Every tolerance is therefore a constant, and the result is homogeneous to
+the rounding of N.  Results are genuine distance upper bounds: the unit
+optimum is padded by a relative 1e-9 plus 1e-12 before it is scaled.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ from .group import FiliformGroup, GroupPoint, _as_batch
 from .norms import NormKind, filiform_norm, norm_value
 from .seeding import derive_rng
 
-RESIDUAL_REPORT_FACTOR = 1e-6
+# Endpoint residual accepted in the unit-norm problem.
+RESIDUAL_TOLERANCE = 2e-6
 VALUE_PAD_REL = 1e-9
 VALUE_PAD_ABS = 1e-12
 
@@ -201,7 +209,7 @@ def staircase_controls(
     d = group.dimension
     if k_seg < 2 * n + 1:
         return None
-    scale = max(float(np.max(np.abs(target) ** (1.0 / np.array(group.weights)))), 1.0)
+    scale = float(np.max(np.abs(target) ** (1.0 / np.array(group.weights))))
     base = np.linspace(-1.0, 1.0, n) if n > 1 else np.array([1.0])
     levels = scale * (base + 0.1)  # offset keeps levels distinct from 0
     tau = 1.0 / k_seg
@@ -308,12 +316,7 @@ def _drive_lbfgsb(x0: np.ndarray, args: tuple):
             return x, nit
 
 
-def _optimize_from(
-    group: FiliformGroup,
-    target: np.ndarray,
-    controls: np.ndarray,
-    scale: float,
-):
+def _optimize_from(group: FiliformGroup, target: np.ndarray, controls: np.ndarray):
     """Augmented-Lagrangian descent followed by Gauss-Newton projection.
 
     A generator: it yields (flat controls, (lam, rho, eps)) for every
@@ -323,7 +326,7 @@ def _optimize_from(
     d = group.dimension
     lam = np.zeros(d)
     rho = 10.0
-    eps = 1e-9 * (1.0 + scale)
+    eps = 2e-9
     iterations = 0
     flat = controls.ravel().copy()
     prev_resid = np.inf
@@ -337,7 +340,7 @@ def _optimize_from(
         if rnorm > 0.3 * prev_resid:
             rho *= 6.0
         prev_resid = rnorm
-        if rnorm < 1e-11 * (1.0 + scale):
+        if rnorm < 2e-11:
             break
 
     # Feasibility polish: full Newton steps on the endpoint constraint.
@@ -346,7 +349,7 @@ def _optimize_from(
         endpoint, jac = endpoint_and_jacobian(group, controls)
         resid = endpoint - target
         rnorm = float(np.linalg.norm(resid))
-        if rnorm <= 1e-13 * (1.0 + scale):
+        if rnorm <= 2e-13:
             break
         step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
         if not step.any():  # every further pass would repeat this step
@@ -359,7 +362,7 @@ def _optimize_from(
 
 
 def _optimize_all(
-    group: FiliformGroup, target: np.ndarray, starts: list[np.ndarray], scale: float
+    group: FiliformGroup, target: np.ndarray, starts: list[np.ndarray]
 ) -> list[tuple[np.ndarray, float, int]]:
     """`_optimize_from` on every start in lockstep, results in start order.
 
@@ -367,7 +370,7 @@ def _optimize_all(
     a run that finishes drops out.  Runs never see each other's values, so
     each result equals that start optimised alone.
     """
-    runs = [_optimize_from(group, target, start, scale) for start in starts]
+    runs = [_optimize_from(group, target, start) for start in starts]
     pending = {i: next(run) for i, run in enumerate(runs)}
     results: list = [None] * len(runs)
     while pending:
@@ -388,13 +391,13 @@ def approx_distance(
 ) -> DistanceEstimate:
     """Upper bound on the metric distance from the identity to `target`.
 
-    Cascades over doubling segment counts up to K (`default_segments` of
-    the step unless given), warm-starting each level with the refined
-    previous optimum plus staircase, constant, and randomized initial
-    paths, which run in lockstep; restarts merge deterministically by
-    taking the shortest feasible result (ties keep the earliest).  A level
-    with no feasible optimum keeps its staircase when that meets the
-    residual tolerance.
+    Solves at unit norm (see the module docstring).  Cascades over
+    doubling segment counts up to K (`default_segments` of the step unless
+    given), warm-starting each level with the refined previous optimum
+    plus staircase, constant, and randomized initial paths, which run in
+    lockstep; restarts merge deterministically by taking the shortest
+    feasible result (ties keep the earliest).  The estimate's residual is
+    that of the unit-norm problem.
     """
     group = target.group
     if k_segments is None:
@@ -404,8 +407,7 @@ def approx_distance(
     tvec = np.asarray(target.coords, dtype=np.float64)
     if not np.all(np.isfinite(tvec)):
         raise ValueError("target must be finite")
-    nval = float(filiform_norm(group, tvec))
-    if nval == 0.0:
+    if not tvec.any():
         path = HorizontalPath(group, np.zeros((k_segments, 2)))
         return DistanceEstimate(
             target=target,
@@ -415,7 +417,20 @@ def approx_distance(
             iterations=0,
             path=path,
         )
-    scale = nval
+    # N = 2^e N(v) for v = delta_(2^-e)(x), e the largest binary exponent of
+    # |x_k|^(1/w_k): the norm of v neither overflows nor underflows, and
+    # scaling by a power of two is exact, so delta_2 raises e by one and
+    # leaves v, u and the whole unit solve bit-equal.
+    weights, nonzero = np.array(group.weights), tvec != 0.0
+    exp = int(np.max((np.frexp(tvec[nonzero])[1] - 1) // weights[nonzero]))
+    v = np.ldexp(tvec, -exp * weights)
+    v_norm = float(filiform_norm(group, v))
+    nval = float(np.ldexp(v_norm, exp))
+    unit = group.dilate(1.0 / v_norm, v)
+    # The paths aim at u rounded to 40 fractional bits.  A dilation moves u
+    # by a few ulps, which leave the rounded goal, and so the whole solve,
+    # unchanged unless u lies within them of a rounding boundary.
+    goal = np.ldexp(np.rint(np.ldexp(unit, 40)), -40)
     rng = derive_rng(seed, "distance-restarts")
 
     levels = [k_segments]
@@ -426,57 +441,47 @@ def approx_distance(
     best_length = np.inf
     total_iterations = 0
     best_residual = np.inf
-    tolerance = RESIDUAL_REPORT_FACTOR * (1.0 + nval)
     for level_idx, k_seg in enumerate(levels):
         starts: list[np.ndarray] = []
         if best_controls is not None:
             # Each previous segment split in two; an odd level repeats the last once more.
             starts.append(best_controls[np.minimum(np.arange(k_seg) // 2, len(best_controls) - 1)])
-        stair = staircase_controls(group, tvec, k_seg)
+        stair = staircase_controls(group, goal, k_seg)
         if stair is not None:
             starts.append(stair)
-        starts.append(np.tile(tvec[:2], (k_seg, 1)))
+        starts.append(np.tile(goal[:2], (k_seg, 1)))
         n_random = restarts if level_idx == len(levels) - 1 else 1
         for _ in range(n_random):
-            starts.append(rng.normal(scale=scale, size=(k_seg, 2)))
+            starts.append(rng.normal(size=(k_seg, 2)))
 
         level_best = None
         level_len = np.inf
-        for controls, rnorm, iters in _optimize_all(group, tvec, starts, scale):
+        for controls, rnorm, iters in _optimize_all(group, goal, starts):
             total_iterations += iters
             best_residual = min(best_residual, rnorm)
-            if rnorm <= tolerance:
+            if rnorm <= RESIDUAL_TOLERANCE:
                 length = HorizontalPath(group, controls).length()
                 if length < level_len:
                     level_len = length
                     level_best = controls
-        # Every start can collapse towards the zero path on a target close
-        # to the origin; the staircase still reaches it.
-        if level_best is None and stair is not None:
-            if np.linalg.norm(endpoint_only(group, stair) - tvec) <= tolerance:
-                level_best = stair
-                level_len = HorizontalPath(group, stair).length()
         if level_best is not None:
             best_controls = level_best
             best_length = level_len
 
     if best_controls is None:
         raise InfeasiblePathError(
-            f"no path reached the target within tolerance; best residual "
+            f"no path reached the target within tolerance; best unit-norm residual "
             f"{best_residual:.3e}",
             best_residual,
         )
-    path = HorizontalPath(group, best_controls)
-    endpoint = endpoint_only(group, best_controls)
-    residual = float(np.linalg.norm(endpoint - tvec))
-    value = best_length * (1.0 + VALUE_PAD_REL) + VALUE_PAD_ABS
+    residual = float(np.linalg.norm(endpoint_only(group, best_controls) - unit))
     return DistanceEstimate(
         target=target,
-        value=value,
+        value=nval * (best_length * (1.0 + VALUE_PAD_REL) + VALUE_PAD_ABS),
         residual=residual,
-        segments=path.segments,
+        segments=len(best_controls),
         iterations=total_iterations,
-        path=path,
+        path=HorizontalPath(group, nval * best_controls),
     )
 
 

@@ -44,6 +44,7 @@ from .family import (
     scan_members,
     weighted_monomial_exponents,
 )
+from .group import row_blocks
 from .measures import MeasureSpec, SampleBatch, batch_mean_se, cone_samples, sample
 from .norms import ENGEL, NormKind, aux_seminorm, norm_value
 from .seeding import derive_rng
@@ -584,22 +585,27 @@ def annulus_samples(
         [radius_r ** (w / n) for w in kind.group.weights[:-1]] + [0.0]
     )
     top_hi = 3.0 * level_l**n
-    rows = []
+    accepted = []
     kept = 0
     guard = 0
     while kept < count:
         block = max(4 * count, 1024)
-        pts = rng.uniform(-1.0, 1.0, size=(block, d)) * half
+        pts = rng.uniform(-1.0, 1.0, size=(block, d))
+        pts *= half
         pts[:, -1] = rng.uniform(-top_hi, top_hi, size=block)
-        mask = (aux_seminorm(kind, pts) ** n <= radius_r) & (
-            norm_value(kind, pts) >= level_l
-        )
-        rows.append(pts[mask])
+        # One `row_blocks` block at a time, so the norms' temporaries stay small.
+        mask = np.concatenate([
+            (aux_seminorm(kind, pts[rows]) ** n <= radius_r)
+            & (norm_value(kind, pts[rows]) >= level_l)
+            for rows in row_blocks(block)
+        ])
+        accepted.append(pts[mask])
         kept += int(mask.sum())
         guard += 1
         if guard > 200 and kept == 0:
             raise ValueError("annulus region appears empty at these parameters")
-    return np.concatenate(rows)[:count]
+    # One round is the rule (4 candidates per sample), and needs no copy.
+    return (accepted[0] if len(accepted) == 1 else np.concatenate(accepted))[:count]
 
 
 def translation_trick_check(

@@ -361,7 +361,7 @@ _CSV_PINS = [
         "samples.csv": "fb0953c4373e9fc0444d029a36cb1fb7b64a8696f808dfbaa078412a97c538b6",
     }),
     (["geodesic", "--segments", "8", "--restarts", "2"], None, {
-        "geodesic_path.csv": "e3f4c399f83b450e4ec0e3932529e6ba0538a4614cc8fcd45aa23027130ecd62",
+        "geodesic_path.csv": "f47ed78e25eb3f0163a60f8886773a8bf0cf471c8c93a0b7e8587e238b994233",
     }),
 ]
 
@@ -604,6 +604,23 @@ class TestExitCodes:
         assert run(["gap", "--count", "40"], tmp_path) in (EXIT_PASS, EXIT_CHECK_FAIL)
         assert (tmp_path / "gap.json").exists()
 
+    @pytest.mark.parametrize(("args", "shape"), [
+        (["--p", "1e300"], "7e-295"),
+        (["--p", "3000", "--count", "50"], "0.116667"),
+    ])
+    def test_sample_below_the_moment_floor_exits_three(self, tmp_path, capsys, args, shape):
+        # a N^p ~ Gamma(Q/p) is so skewed at small count Q/p that the moment
+        # check used to FAIL valid draws (16 of 20 seeds at p 3000, count 50).
+        assert run(["sample", *args], tmp_path) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"count {50 if '--count' in args else 100_000} x Q/p = {shape} (Q 7" in err
+        assert "below the moment floor 25" in err
+        assert not (tmp_path / "samples.ccmb").exists()
+
+    def test_sample_at_the_moment_floor_passes(self, tmp_path):
+        # count Q/p = 50 x 7/14 = 25.
+        assert run(["sample", "--p", "14", "--count", "50"], tmp_path) == EXIT_PASS
+
     def test_gap_calibration_count_below_jackknife_floor_exits_three(self, tmp_path, capsys):
         code = run(
             ["gap", "--count", "100", "--calibration-count", "11", "--jackknife-blocks", "6"],
@@ -694,6 +711,42 @@ class TestExitCodes:
         assert "target [0.0, 0.0, 0.0, 1e+250]" in err
         assert "overflows" in err
         assert "Traceback" not in err
+
+    def test_geodesic_target_below_float_range_exits_three(self, tmp_path, capsys):
+        # x_1^2 underflows inside the Engel norm, so the reported norm is 0.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["geodesic", "--target", "1e-300,0,0,0"], tmp_path)
+        assert code == EXIT_INPUT_ERROR
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "target [1e-300, 0.0, 0.0, 0.0] is too small" in err
+        assert "underflows" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(("kind", "step"), [("engel", 3), ("filiform", 6)])
+    @pytest.mark.parametrize("axis", ["e1", "etop"])
+    def test_geodesic_target_magnitude_sweep(self, tmp_path, kind, step, axis):
+        # c e_1 and c e_top for c from 1e-300 to 1e250 exit 0, or 3 where
+        # the norm leaves float64's range; value/N is the c = 1 value/N, as
+        # d(delta_lam x) = lam d(x) requires.  At c = 1e100 the absolute
+        # residual tolerance used to be out of reach (exit 4), and at 1e-6
+        # the zero path passed with value 1e-12.
+        ratios = {}
+        for c in ("1e-300", "1e-100", "1e-6", "1", "1e6", "1e100", "1e250"):
+            target = ["0"] * (step + 1)
+            target[0 if axis == "e1" else step] = c
+            out = tmp_path / c
+            code = run(["geodesic", "--kind", kind, "--step", str(step), "--target",
+                        ",".join(target), "--segments", str(2 * step + 1), "--restarts", "1"],
+                       out)
+            assert code in (EXIT_PASS, EXIT_INPUT_ERROR), c
+            if code == EXIT_PASS:
+                results = json.loads((out / "geodesic.json").read_text())["results"]
+                ratios[c] = results["value"] / results["norm"]
+        assert {"1e-6", "1", "1e6"} <= set(ratios)
+        for c, ratio in ratios.items():
+            assert ratio == pytest.approx(ratios["1"], rel=1e-10), c
 
     @pytest.mark.parametrize("box", ["1e300", "1e100"])
     def test_geodesic_scan_box_beyond_float_range_exits_three(self, tmp_path, capsys, box):

@@ -223,7 +223,7 @@ def test_no_source_module_imports_scipy_stats():
 
 
 def _unused_imports(path: Path) -> list[str]:
-    """Names a module imports and never reads; `__all__` entries count as read."""
+    """Names a module imports and never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}
     for node in ast.walk(tree):
@@ -234,11 +234,6 @@ def _unused_imports(path: Path) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
